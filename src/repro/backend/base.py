@@ -121,19 +121,6 @@ class ArrayBackend(abc.ABC):
             return self.xp.matmul(a, b)
         return self.xp.matmul(a, b, out=out)
 
-    def solve(self, a: Any, b: Any, out: Any = None) -> Any:
-        """Batched ``a x = b`` (``xp.linalg.solve`` semantics).
-
-        ``out=`` avoids allocating the solution stack when the namespace
-        supports a destination; the default falls back to a solve plus
-        copy, which backends override when they can do better.
-        """
-        result = self.xp.linalg.solve(a, b)
-        if out is None:
-            return result
-        out[...] = result
-        return out
-
     def soft_threshold(self, v: Any, threshold: Any, out: Any = None) -> Any:
         """``sign(v) * max(|v| - threshold, 0)``, elementwise.
 

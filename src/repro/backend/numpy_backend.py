@@ -26,14 +26,6 @@ from repro.backend.registry import register_backend
 
 __all__ = ["NumpyBackend"]
 
-try:  # The batched-solve gufunc accepts out= (np.linalg.solve does not).
-    from numpy.linalg import _umath_linalg as _umath
-
-    _GUFUNC_SOLVE = _umath.solve
-except (ImportError, AttributeError):  # pragma: no cover - numpy internals
-    _GUFUNC_SOLVE = None
-
-
 @register_backend
 class NumpyBackend(ArrayBackend):
     """CPU reference backend over ``numpy`` + ``scipy`` (always available)."""
@@ -66,21 +58,6 @@ class NumpyBackend(ArrayBackend):
         identical either way.
         """
         return sla.cho_solve(factor, b, overwrite_b=overwrite_b)
-
-    def solve(self, a: Any, b: Any, out: Any = None) -> np.ndarray:
-        """Batched ``a x = b``, same shape as ``b``; ``out=`` hits the gufunc.
-
-        The gufunc performs the identical LAPACK ``gesv`` call as
-        ``np.linalg.solve`` (bit-identical results, inputs untouched)
-        but writes into ``out`` without an intermediate.  One semantic
-        difference: on a singular system the gufunc fills ``out`` with
-        NaN instead of raising ``LinAlgError``.  The engines only solve
-        SPD systems here, so the perf path never hits that branch; the
-        ``out=None`` path keeps the raising behaviour.
-        """
-        if out is None or _GUFUNC_SOLVE is None:
-            return super().solve(a, b, out=out)
-        return _GUFUNC_SOLVE(a, b, out=out)
 
     def first_order_iir(self, gain: float, decay: float, u: Any) -> np.ndarray:
         """Filtered signal, same shape as the drive ``u``."""

@@ -171,11 +171,6 @@ class TorchBackend(ArrayBackend):
             return self._torch.matmul(a, b)
         return self._torch.matmul(a, b, out=out)
 
-    def solve(self, a: Any, b: Any, out: Any = None) -> Any:  # pragma: no cover
-        if out is None:
-            return self._torch.linalg.solve(a, b)
-        return self._torch.linalg.solve(a, b, out=out)
-
     def soft_threshold(
         self, v: Any, threshold: Any, out: Any = None
     ) -> Any:  # pragma: no cover

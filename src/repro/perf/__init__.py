@@ -2,8 +2,8 @@
 
 The batched engines (PRs 4-5, 9) are GEMM-bound, but every solver
 iteration and every encode call still allocated a fresh set of
-temporaries — for the BSBL E-step that is three ``O(k n^2)`` arrays per
-EM iteration.  This package removes that churn and makes it measurable:
+temporaries — for the BSBL E-step that is ``(k, m, n)`` and
+``(k, m, m)`` stacks per EM iteration.  This package removes that churn and makes it measurable:
 
 * :mod:`repro.perf.workspace` — named reusable buffers
   (:class:`Workspace`) handed out per ``(backend, precision,

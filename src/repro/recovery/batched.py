@@ -55,10 +55,10 @@ from repro.perf import lease_workspace, profiled
 from repro.recovery.admm import solve_bpdn_admm
 from repro.recovery.bsbl import (
     BsblSettings,
-    ar1_blocks,
     ar1_estimate,
     bo_gamma_factor,
     initial_gamma,
+    measurement_estep,
     solve_bsbl,
     solve_bsbl_dequant,
 )
@@ -87,8 +87,9 @@ __all__ = [
 #: (frozen columns iterate harmlessly — the math is column-independent
 #: and their results were recorded at freeze time) while keeping the
 #: GEMM width shrinking.  The Bayesian engine compacts immediately: its
-#: per-column E-step is a dense ``n x n`` solve, so carrying a frozen
-#: column even one extra iteration costs more than the copy.
+#: per-column E-step is an ``m x m`` factorization plus an ``O(m^2 n)``
+#: triangular solve, so carrying a frozen column even one extra
+#: iteration costs more than the copy.
 _COMPACT_FRACTION = 0.25
 
 
@@ -498,35 +499,36 @@ def _bsbl_overrides(
 def _solve_bsbl_stack(
     ops: OperatorSet,
     y_stack: Any,
-    gmat: Any,
-    b_stack: Any,
+    noise_var: float,
+    c_stack: Any,
+    quant_var: Optional[float],
     bsbl: BsblSettings,
     alpha0: Optional[ndarray],
-    xp: Any,
-    dtype: Any,
     solver: str,
     info: dict,
 ) -> List[RecoveryResult]:
-    """The batched BSBL-BO EM loop over an information-form stack.
+    """The batched BSBL-BO EM loop over a stack of windows.
 
-    Mirrors ``repro.recovery.bsbl._em_information_form`` column-for-column
-    — one batched SPD solve per iteration against ``M_j = Γ_j^{-1} + G``
-    with a multi-column right-hand side ``[b_j | G]`` (the GEMM-shaped
-    E-step), the shared BO gamma rule, the shared AR(1) correlation
-    re-estimate — with the engine's usual convergence masking: a
-    converged window is frozen and compacted out of the active stack.
-    The evidence bookkeeping (scalar ``objective_history``) is skipped;
-    it never feeds back into the iteration.
+    Mirrors ``repro.recovery.bsbl._em_measurement_space``
+    column-for-column: each iteration is one
+    :func:`~repro.recovery.bsbl.measurement_estep` over the active
+    windows — a stack of ``m x m`` Cholesky factors whose ``(k, m, n)``
+    and ``(k, m, m + n + 1)`` temporaries live in a leased workspace —
+    then the shared BO gamma rule and AR(1) correlation re-estimate, with
+    the engine's usual convergence masking: a converged window is frozen
+    and compacted out of the active stack.  The evidence bookkeeping
+    (scalar ``objective_history``) is skipped; it never feeds back into
+    the iteration.  The per-window arithmetic is the scalar loop's
+    (measured: bit-identical results).
     """
     problem = ops.problem
     backend = ops.backend
-    n = problem.n
+    xp = backend.xp
+    dtype = y_stack.dtype
+    m, n = ops.a.shape
     k = y_stack.shape[1]
     blen = bsbl.block_len
     g = bsbl.blocks_for(n)
-    idx = xp.arange(g)
-    gdiag = gmat.reshape(g, blen, g, blen)[idx, :, idx, :]
-    gblocks = gmat.reshape(g, blen, n)
 
     alpha0_stack = (
         None if alpha0 is None else _stack_alpha0(problem, alpha0, k, xp, dtype)
@@ -534,59 +536,26 @@ def _solve_bsbl_stack(
     gamma = xp.asarray(initial_gamma(xp, alpha0_stack, k, g, blen), dtype=dtype)
     r = xp.zeros(k, dtype=dtype)
     mu = xp.zeros((k, n), dtype=dtype)
-    b_act = b_stack
+    y_act = y_stack.T
+    c_act = c_stack
 
     final = xp.empty_like(mu)
     iterations = xp.zeros(k, dtype=xp.int64)
     converged = xp.zeros(k, dtype=xp.bool_)
     active = xp.arange(k)
 
-    ws_ctx = lease_workspace(ops.settings, f"bsbl:{n}:b{blen}")
-    with ws_ctx as ws:
+    with lease_workspace(ops.settings, f"bsbl:{m}x{n}:b{blen}") as ws:
         for it in range(1, bsbl.max_iter + 1):
-            ka = int(active.size)
-            bmat, binv, _ = ar1_blocks(xp, r, blen)
-            # The three O(ka * n^2) E-step temporaries — the information
-            # stack, the [b | G] right-hand side and its solution — are
-            # the whole allocation story of this solver; all live in the
-            # workspace and are fully overwritten below.
-            m_stack = ws.buf("m_stack", (ka, n, n), dtype)
-            m_stack[:] = gmat
-            m5 = m_stack.reshape(ka, g, blen, g, blen)
-            add = ws.buf("add", (ka, g, blen, blen), dtype)
-            xp.divide(binv[:, None, :, :], gamma[:, :, None, None], out=add)
-            m5[:, idx, :, idx, :] += xp.transpose(add, (1, 0, 2, 3))
-
-            rhs = ws.buf("rhs", (ka, n, n + 1), dtype)
-            rhs[:, :, 0] = b_act
-            rhs[:, :, 1:] = gmat
-            sol = backend.solve(
-                m_stack, rhs, out=ws.buf("sol", (ka, n, n + 1), dtype)
+            mu_new, num, den, _ = measurement_estep(
+                backend, ws, ops.a, y_act, noise_var, c_act, quant_var,
+                gamma, r,
             )
-            # mu persists across iterations (the change norm reads last
-            # round's value) while sol's buffer is overwritten next
-            # round, so the posterior mean moves to a parity-named pair.
-            mu_new = ws.buf("mu_a" if it % 2 else "mu_b", (ka, n), dtype)
-            mu_new[...] = sol[:, :, 0]
-            w = sol[:, :, 1:]
-
-            # G is symmetric, so right-multiplying the row stack matches
-            # the scalar path's ``b - G @ mu`` up to GEMM rounding.
-            q = ws.buf("q", (ka, n), dtype)
-            backend.matmul(mu_new, gmat, out=q)
-            xp.subtract(b_act, q, out=q)
-            qb = q.reshape(ka, g, blen)
-            num = xp.einsum("kgb,kbc,kgc->kg", qb, bmat, qb)
-            gw = xp.einsum("ibn,knie->kibe", gblocks, w.reshape(ka, n, g, blen))
-            den = xp.einsum("kbc,kgcb->kg", bmat, gdiag[None] - gw)
             gamma_prev = gamma
             gamma = xp.maximum(
                 gamma * bo_gamma_factor(xp, num, den), bsbl.gamma_floor
             )
 
-            mudiff = ws.buf("mudiff", (ka, n), dtype)
-            xp.subtract(mu_new, mu, out=mudiff)
-            change = xp.linalg.norm(mudiff, axis=1)
+            change = xp.linalg.norm(mu_new - mu, axis=1)
             scale = xp.maximum(xp.linalg.norm(mu_new, axis=1), 1e-12)
             mu = mu_new
 
@@ -600,11 +569,12 @@ def _solve_bsbl_stack(
                 active = active[keep]
                 if active.size == 0:
                     break
-                # Owned compacted copies: mu leaves the parity buffers.
                 mu = mu[keep]
                 gamma = gamma[keep]
                 gamma_prev = gamma_prev[keep]
-                b_act = b_act[keep]
+                y_act = y_act[keep]
+                if c_act is not None:
+                    c_act = c_act[keep]
                 r = r[keep]
 
             if bsbl.learn_correlation and blen > 1:
@@ -634,18 +604,16 @@ def solve_bsbl_batch(
 ) -> List[RecoveryResult]:
     """Vectorized :func:`~repro.recovery.bsbl.solve_bsbl` over a stack.
 
-    The information matrix ``G = AᵀA / lambda`` is built once from the
-    operator cache's per-``(backend, precision)`` Gram memo; each EM
-    iteration is one batched SPD solve over the active windows.
+    The operator ``A`` comes from the operator cache per ``(backend,
+    precision)``; each EM iteration is one stack of ``m x m`` Cholesky
+    factorizations over the active windows.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-    _, xp, dtype, settings = resolve(settings)
+    _, _, _, settings = resolve(settings)
     y_stack = stack_measurements(problem, ys, settings=settings)
     ops = operators_for(problem, settings)
     em = _bsbl_overrides(bsbl, max_iter, tol)
-    gmat = xp.asarray(ops.gram(), dtype=dtype) / noise_var
-    b_stack = (ops.a.T @ y_stack).T / noise_var
     info = {
         "noise_var": float(noise_var),
         "block_len": float(em.block_len),
@@ -653,8 +621,7 @@ def solve_bsbl_batch(
         "backend": settings.label,
     }
     return _solve_bsbl_stack(
-        ops, y_stack, gmat, b_stack, em, alpha0, xp, dtype,
-        "bsbl-bo-batch", info,
+        ops, y_stack, noise_var, None, None, em, alpha0, "bsbl-bo-batch", info
     )
 
 
@@ -676,7 +643,8 @@ def solve_bsbl_dequant_batch(
     ``x_mids`` holds one low-res cell-midpoint vector per window (same
     centered units as the solver domain).  The analysis transforms run
     per window on the host — bit-identical to the scalar path — and the
-    augmented information pair then feeds the shared batched EM kernel.
+    coefficient stack ``Ψ^T x_mid`` enters the shared E-step as
+    pseudo-observations.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
@@ -698,11 +666,6 @@ def solve_bsbl_dequant_batch(
             )
         c_cols.append(problem.basis.analyze(arr))
     c_stack = xp.asarray(host.stack(c_cols, axis=0), dtype=dtype)
-    gmat = (
-        xp.asarray(ops.gram(), dtype=dtype) / noise_var
-        + xp.eye(problem.n, dtype=dtype) / quant_var
-    )
-    b_stack = (ops.a.T @ y_stack).T / noise_var + c_stack / quant_var
     info = {
         "noise_var": float(noise_var),
         "quant_var": float(quant_var),
@@ -711,7 +674,7 @@ def solve_bsbl_dequant_batch(
         "backend": settings.label,
     }
     return _solve_bsbl_stack(
-        ops, y_stack, gmat, b_stack, em, alpha0, xp, dtype,
+        ops, y_stack, noise_var, c_stack, quant_var, em, alpha0,
         "bsbl-bo-dequant-batch", info,
     )
 

@@ -19,30 +19,38 @@ posterior mean is the estimate; block scales are learned by the BO
 fixed-point rule, which provably never increases the negative log
 evidence for a fixed ``B`` (the property suite pins this).
 
-**Information form.**  All solvers here iterate in coefficient space on
+**Measurement space.**  Each EM iteration works through one ``m x m``
+system, as in the original BSBL-BO (Liu/Zhang et al., arXiv:1506.02154,
+arXiv:1309.4136).  The prior precision ``D = \\Gamma^{-1}`` is
+block-diagonal; rotating every block into the eigenbasis ``U`` of
+``B^{-1}`` (one ``b x b`` ``eigh`` per iteration) makes it diagonal.
+With ``F = A blockdiag(U) D^{-1/2}``, the Woodbury identity needs
+only the Cholesky factor ``L`` of ``S = F F^T + \\lambda I`` and
+``V = L^{-1} F``:
 
 .. math::
 
-    G = A^T R^{-1} A, \\qquad b = A^T R^{-1} y
+    \\Sigma = M^{-1} = W D^{-1/2} (I - V^T V) D^{-1/2} W^T, \\qquad
+    \\log|M| = \\textstyle\\sum \\log D_{jj} + 2 \\sum \\log L_{ii}
+    - m \\log \\lambda
 
-which stays *fixed across EM iterations* (and, through the operator
-cache, across windows), so each iteration costs one SPD solve against
-``M = \\Gamma^{-1} + G`` with ``mu = M^{-1} b``,
-``\\Sigma = M^{-1}``.  The classical C-space quantities follow from the
-Woodbury identities ``q = b - G mu`` and ``H = G - G \\Sigma G`` (only
-the diagonal blocks of ``H`` are formed), and the evidence via
-``log|C| = log|R| + log|\\Gamma| + log|M|`` and
-``y^T C^{-1} y = y^T R^{-1} y - b^T mu``.
+with ``M = D + A^T A / \\lambda`` and ``W = blockdiag(U)`` (``D`` in the
+rotated basis).  The posterior mean ``mu = \\Sigma A^T y / \\lambda``
+is ``W D^{-1/2} V^T L^{-1} y``, the BO update reads
+``q = \\Gamma^{-1} mu`` and the diagonal blocks of ``\\Sigma`` from the
+column norms of ``V``, so an iteration costs ``O(m^2 n)`` instead of the
+``O(n^3)`` of a dense solve against ``M``.
 
 **Bayesian de-quantization.**  The hybrid path's low-res samples pin each
 signal value to a cell of ``d`` acquisition codes.  Instead of Eq. 1's
 hard box, :func:`solve_bsbl_dequant` treats the cell midpoint as a noisy
 observation of the signal with the cell's own quantization-noise variance
 (``(d^2 - 1) / 12`` for a discrete uniform over ``d`` codes).  Because Ψ
-is orthonormal this adds ``I / \\sigma_q^2`` to ``G`` and
-``Ψ^T x_mid / \\sigma_q^2`` to ``b`` — the de-quantizer is the *same*
-EM iteration on an augmented information pair, so both modes share one
-kernel (and one batched twin in :mod:`repro.recovery.batched`).
+is orthonormal this adds ``I / \\sigma_q^2`` to the block-diagonal prior
+precision ``D`` and ``Ψ^T x_mid / \\sigma_q^2`` to ``b`` — the de-quantizer
+is the *same* EM iteration, so both modes share one E-step
+(:func:`measurement_estep`, also run by the batched loop in
+:mod:`repro.recovery.batched`).
 
 The measurement noise is the CS quantizer's own error,
 ``\\lambda = step^2 / 12`` (see :func:`measurement_noise_var` and the
@@ -51,12 +59,15 @@ receiver's ``sigma()`` rationale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import HOST
 from repro.devtools.contracts import check_finite, check_shape
+from repro.perf.workspace import NullWorkspace
 from repro.recovery.problem import CsProblem
 from repro.recovery.result import RecoveryResult
 from repro.wavelets.operators import SynthesisBasis
@@ -174,37 +185,29 @@ def lowres_cell_stats(
     return mid, max(var, 1.0 / 12.0)
 
 
-def ar1_blocks(xp: Any, r: Any, block_len: int) -> Tuple[Any, Any, Any]:
-    """AR(1) Toeplitz ``B``, its closed-form inverse and ``log|B|``.
+def ar1_precision(xp: Any, r: Any, block_len: int) -> Any:
+    """Closed-form inverse of the AR(1) Toeplitz block ``B[i, j] = r^|i-j|``.
 
-    ``r`` is a stack of correlations, shape ``(k,)``; returns
-    ``(B, B_inv, logdet)`` with shapes ``(k, b, b)``, ``(k, b, b)`` and
-    ``(k,)``.  ``B[i, j] = r^|i-j|`` has the classical tridiagonal
-    inverse ``(1/(1-r^2)) tridiag(-r; 1, 1+r^2, ..., 1+r^2, 1; -r)`` and
-    ``log|B| = (b-1) log(1-r^2)`` — exact, so neither path ever
-    factorizes a ``B``.  Parameterized on the array namespace ``xp`` so
-    the backend-seam batched engine shares the arithmetic.
+    ``r`` is a stack of correlations, shape ``(k,)``; returns ``B^{-1}``,
+    shape ``(k, b, b)``: the classical tridiagonal
+    ``(1/(1-r^2)) tridiag(-r; 1, 1+r^2, ..., 1+r^2, 1; -r)``, exact, so
+    no ``B`` is ever formed or factorized.  Parameterized on the array
+    namespace ``xp`` so the backend-seam batched engine shares the
+    arithmetic.
     """
     r = xp.asarray(r)
     k = r.shape[0]
     b = int(block_len)
-    dtype = r.dtype
     if b == 1:
-        ones = xp.ones((k, 1, 1), dtype=dtype)
-        return ones, ones.copy(), xp.zeros(k, dtype=dtype)
+        return xp.ones((k, 1, 1), dtype=r.dtype)
     idx = xp.arange(b)
-    powers = xp.abs(idx[:, None] - idx[None, :])
-    bmat = r[:, None, None] ** powers[None, :, :]
-    denom = 1.0 - r * r
-    binv = xp.zeros((k, b, b), dtype=dtype)
+    binv = xp.zeros((k, b, b), dtype=r.dtype)
     binv[:, idx, idx] = (1.0 + r * r)[:, None]
     binv[:, 0, 0] = 1.0
     binv[:, b - 1, b - 1] = 1.0
     binv[:, idx[:-1], idx[1:]] = -r[:, None]
     binv[:, idx[1:], idx[:-1]] = -r[:, None]
-    binv = binv / denom[:, None, None]
-    logdet = (b - 1) * xp.log(denom)
-    return bmat, binv, logdet
+    return binv / (1.0 - r * r)[:, None, None]
 
 
 def bo_gamma_factor(xp: Any, num: Any, den: Any) -> Any:
@@ -251,64 +254,173 @@ def initial_gamma(xp: Any, alpha0: Any, k: int, g: int, block_len: int) -> Any:
     return xp.mean(blocks * blocks, axis=2) + 1e-2
 
 
-def _em_information_form(
-    G: np.ndarray,
-    b_vec: np.ndarray,
-    y_quad: float,
-    logdet_r: float,
+def cholesky_forward(xp: Any, t: Any, leaf: int = 32) -> Any:
+    """Factor ``S = L L^T`` and overwrite ``X`` with ``L^{-1} X``, in place.
+
+    ``t`` is a ``(k, m, m + p)`` stack laid out as ``[S | X]`` with ``S``
+    symmetric positive definite; returns ``diag(L)``, shape ``(k, m)``.
+    The ``S`` block is consumed.  Recursive and right-looking: the top
+    ``h`` rows ``[S11 | S12 X1]`` solve to ``[L21^T | L11^{-1} X1]``, one
+    GEMM with those rows downdates ``[S22 | X2]`` (Schur complement and
+    right-hand side together), and the bottom rows recurse.  Only
+    ``leaf``-sized blocks are factored and inverted directly, so nearly
+    every flop of the ``O(m^3 + m^2 p)`` total is a matrix multiply, on
+    any array namespace (NumPy has no batched triangular solve).
+    """
+    m = t.shape[1]
+    if m <= leaf:
+        lower = xp.linalg.cholesky(t[:, :, :m])
+        t[:, :, m:] = xp.matmul(xp.linalg.inv(lower), t[:, :, m:])
+        return xp.diagonal(lower, axis1=1, axis2=2)
+    h = m // 2
+    top = cholesky_forward(xp, t[:, :h], leaf)
+    t[:, h:, h:] -= xp.matmul(xp.swapaxes(t[:, :h, h:m], 1, 2), t[:, :h, h:])
+    bottom = cholesky_forward(xp, t[:, h:, h:], leaf)
+    return xp.concatenate([top, bottom], axis=1)
+
+
+def measurement_estep(
+    backend: Any,
+    ws: Any,
+    a: Any,
+    y: Any,
+    noise_var: float,
+    c_vec: Any,
+    quant_var: Optional[float],
+    gamma: Any,
+    r: Any,
+) -> Tuple[Any, Any, Any, Any]:
+    """One BSBL-BO E-step in measurement space for a stack of windows.
+
+    ``a`` is the shared ``(m, n)`` operator ``A``; ``y`` ``(k, m)``,
+    ``gamma`` ``(k, g)`` and ``r`` ``(k,)`` hold each window's
+    measurements, block scales and AR(1) correlation; ``c_vec`` ``(k, n)``
+    and ``quant_var`` are the de-quantization channel (``None`` for plain
+    BSBL).  The prior precision ``D_i = B^{-1} / gamma_i + I / quant_var``
+    is block-diagonal, and diagonal (``d``) in the eigenbasis ``U`` of
+    ``B^{-1}`` (eigenvalues ``beta``).  With ``F = A W D^{-1/2}``
+    (``W = blockdiag(U)``), one Cholesky factor ``L`` of
+    ``S = F F^T + lambda I`` and ``V = L^{-1} F`` give, by Woodbury,
+    ``Sigma = W D^{-1/2} (I - V^T V) D^{-1/2} W^T``.  The mean is taken
+    in the data-space form ``mu = p + D^{-1} (A W)^T S^{-1} (y - A W p)``
+    with ``p = D^{-1} W^T c / quant_var``, which never subtracts two
+    large terms (``I - V^T V`` applied to ``D^{-1/2} b`` would, for
+    blocks whose prior is much wider than the noise).
+
+    Returns ``(mu, num, den, logdet)``: the posterior means ``(k, n)``;
+    the BO numerator ``mu_i^T B^{-1} mu_i / gamma_i^2`` and denominator
+    ``tr(B H_ii) = blen / gamma_i - tr(B^{-1} Sigma_ii) / gamma_i^2``,
+    both ``(k, g)``; and ``log|Gamma M|`` per window, the evidence's
+    determinant term, from ``log|M| = sum log d + log|S| - m log lambda``.
+    The ``(k, m, n)`` and ``(k, m, m + n + 1)`` stacks come from ``ws``;
+    the cost is ``O(k m^2 n)``.
+    """
+    xp = backend.xp
+    m, n = a.shape
+    k, g = gamma.shape
+    blen = n // g
+    dtype = y.dtype
+    inv_quant_var = 0.0 if c_vec is None else 1.0 / quant_var
+    beta, u = xp.linalg.eigh(ar1_precision(xp, r, blen))
+    d = beta[:, None, :] / gamma[:, :, None] + inv_quant_var
+    scale = 1.0 / xp.sqrt(d.reshape(k, n))
+
+    aw = ws.buf("aw", (k, m, n), dtype)
+    backend.matmul(a.reshape(1, m * g, blen), u, out=aw.reshape(k, m * g, blen))
+    # [S | F | z], factored in one pass into [. | V | L^{-1} z], where z is
+    # the data the prior mean p does not explain.
+    t = ws.buf("t", (k, m, m + n + 1), dtype)
+    f = t[:, :, m : m + n]
+    xp.multiply(aw, scale[:, None, :], out=f)
+    if c_vec is None:
+        t[:, :, m + n] = y
+    else:
+        c_rot = xp.einsum("kgb,kbc->kgc", c_vec.reshape(k, g, blen), u)
+        prior_mu = (inv_quant_var * c_rot / d).reshape(k, n)
+        t[:, :, m + n] = y - xp.matmul(aw, prior_mu[:, :, None])[:, :, 0]
+    backend.matmul(f, xp.swapaxes(f, 1, 2), out=t[:, :, :m])
+    diag = xp.arange(m)
+    t[:, diag, diag] += noise_var
+    chol_diag = cholesky_forward(xp, t)
+    v = f  # now L^{-1} F
+
+    mu_rot = xp.matmul(t[:, :, m + n][:, None, :], v)[:, 0] * scale
+    if c_vec is not None:
+        mu_rot = mu_rot + prior_mu
+    mu_rot = mu_rot.reshape(k, g, blen)
+    mu = xp.einsum("kgc,kbc->kgb", mu_rot, u).reshape(k, n)
+
+    num = xp.einsum("kb,kgb->kg", beta, mu_rot * mu_rot) / (gamma * gamma)
+    # blen/gamma - sum_j beta_j (1 - |v_ij|^2) / (d_ij gamma^2), with the
+    # cancellation done in closed form: exact for dead blocks too.
+    vnorm = xp.einsum("kmn,kmn->kn", v, v).reshape(k, g, blen)
+    den = xp.sum(
+        (inv_quant_var + beta[:, None, :] * vnorm / gamma[:, :, None]) / d,
+        axis=2,
+    ) / gamma
+    # log|Gamma| + sum log d = sum log(1 + gamma_i / (quant_var beta_j)).
+    prior = xp.log1p(gamma[:, :, None] * inv_quant_var / beta[:, None, :])
+    logdet = (
+        xp.sum(prior, axis=(1, 2))
+        + 2.0 * xp.sum(xp.log(chol_diag), axis=1)
+        - m * math.log(noise_var)
+    )
+    return mu, num, den, logdet
+
+
+def _em_measurement_space(
+    a: np.ndarray,
+    y: np.ndarray,
+    noise_var: float,
+    c_vec: Optional[np.ndarray],
+    quant_var: Optional[float],
     settings: BsblSettings,
     alpha0: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, int, bool, list]:
-    """The scalar BSBL-BO loop on one information pair ``(G, b)``.
+    """The scalar BSBL-BO loop on one window.
 
-    Returns ``(mu, iterations, converged, objective_history)`` where the
-    history holds the negative log evidence *before* each gamma update —
-    non-increasing for fixed ``B`` (``learn_correlation=False``).  This
-    is the differential oracle for the batched engine: the batched loop
-    in :mod:`repro.recovery.batched` repeats this arithmetic
-    column-for-column (minus the evidence bookkeeping).
+    ``c_vec``/``quant_var`` are the de-quantization channel's
+    pseudo-observations ``Ψ^T x_mid`` and their variance (``None`` for
+    plain BSBL).  Returns ``(mu, iterations, converged,
+    objective_history)`` where the history holds the negative log
+    evidence *before* each gamma update — non-increasing for fixed ``B``
+    (``learn_correlation=False``).  Its quadratic term is evaluated at
+    the posterior mean as ``||y - A mu||^2 / lambda + ||c - mu||^2 /
+    quant_var + mu^T Gamma^{-1} mu``, which is stationary in ``mu`` and
+    so immune to the cancellation in ``y^T R^{-1} y - b^T mu``.  The
+    batched loop in :mod:`repro.recovery.batched` runs the same
+    :func:`measurement_estep` over a window stack, minus the evidence.
     """
-    n = G.shape[0]
+    m, n = a.shape
     blen = settings.block_len
     g = settings.blocks_for(n)
-    idx = np.arange(g)
-    gdiag = G.reshape(g, blen, g, blen)[idx, :, idx, :]
+    logdet_r = m * math.log(noise_var)
+    c_stack = None
+    if c_vec is not None:
+        logdet_r += n * math.log(quant_var)
+        c_stack = c_vec[None, :]
     gamma = initial_gamma(
         np, None if alpha0 is None else alpha0[:, None], 1, g, blen
-    )[0]
-    r = 0.0
+    )
+    r = np.zeros(1)
     mu = np.zeros(n)
+    ws = NullWorkspace()
     history: list = []
     iterations = 0
     converged = False
 
     for it in range(1, settings.max_iter + 1):
         iterations = it
-        bmat, binv, logdet_b = ar1_blocks(np, np.array([r]), blen)
-        m_mat = G.copy()
-        mview = m_mat.reshape(g, blen, g, blen)
-        mview[idx, :, idx, :] += binv[0][None, :, :] / gamma[:, None, None]
-
-        rhs = np.concatenate([b_vec[:, None], G], axis=1)
-        sol = np.linalg.solve(m_mat, rhs)
-        mu_new = sol[:, 0]
-        w_mat = sol[:, 1:]
-
-        _, logdet_m = np.linalg.slogdet(m_mat)
-        logdet_gamma = blen * float(np.sum(np.log(gamma))) + g * float(logdet_b[0])
-        history.append(
-            logdet_r
-            + logdet_gamma
-            + float(logdet_m)
-            + y_quad
-            - float(b_vec @ mu_new)
+        mu_new, num, den, logdet = measurement_estep(
+            HOST, ws, a, y[None, :], noise_var, c_stack, quant_var, gamma, r
         )
+        mu_new = mu_new[0]
+        resid = y - a @ mu_new
+        quad = float(resid @ resid) / noise_var + float(gamma[0] @ num[0])
+        if c_vec is not None:
+            quad += float(np.sum((c_vec - mu_new) ** 2)) / quant_var
+        history.append(logdet_r + float(logdet[0]) + quad)
 
-        q = b_vec - G @ mu_new
-        qb = q.reshape(g, blen)
-        num = np.einsum("gb,bc,gc->g", qb, bmat[0], qb)
-        gw = np.einsum("ibn,nie->ibe", G.reshape(g, blen, n), w_mat.reshape(n, g, blen))
-        den = np.einsum("bc,gcb->g", bmat[0], gdiag - gw)
         gamma_prev = gamma
         gamma = np.maximum(
             gamma * bo_gamma_factor(np, num, den), settings.gamma_floor
@@ -322,13 +434,8 @@ def _em_information_form(
             break
 
         if settings.learn_correlation and blen > 1:
-            r = float(
-                ar1_estimate(
-                    np,
-                    mu.reshape(1, g, blen),
-                    gamma_prev[None, :],
-                    settings.corr_limit,
-                )[0]
+            r = ar1_estimate(
+                np, mu.reshape(1, g, blen), gamma_prev, settings.corr_limit
             )
 
     return mu, iterations, converged, history
@@ -406,12 +513,8 @@ def solve_bsbl(
         raise ValueError("noise_var must be positive")
     settings = settings or BsblSettings()
     problem, y, alpha0 = _check_inputs(phi, basis, y, problem, alpha0)
-    G = problem.gram() / noise_var
-    b_vec = problem.adjoint(y) / noise_var
-    y_quad = float(y @ y) / noise_var
-    logdet_r = problem.m * float(np.log(noise_var))
-    mu, iterations, converged, history = _em_information_form(
-        G, b_vec, y_quad, logdet_r, settings, alpha0
+    mu, iterations, converged, history = _em_measurement_space(
+        problem.a, y, noise_var, None, None, settings, alpha0
     )
     return _finish(
         problem,
@@ -442,11 +545,11 @@ def solve_bsbl_dequant(
 
     ``x_mid`` holds the per-sample cell midpoints, shape ``(n,)`` in the
     same centered units as the solver domain, and ``quant_var`` the
-    shared cell variance — both from :func:`lowres_cell_stats`.  Because Ψ is orthonormal the extra
-    channel contributes ``I / quant_var`` to ``G`` and
-    ``Ψ^T x_mid / quant_var`` to ``b``; everything else is the plain
-    BSBL iteration, so the de-quantizer inherits its convergence and
-    batching behavior unchanged.
+    shared cell variance — both from :func:`lowres_cell_stats`.  Because
+    Ψ is orthonormal the extra channel contributes ``I / quant_var`` to
+    the prior precision and ``Ψ^T x_mid / quant_var`` to ``b``;
+    everything else is the plain BSBL iteration, so the de-quantizer
+    inherits its convergence and batching behavior unchanged.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
@@ -456,16 +559,9 @@ def solve_bsbl_dequant(
     problem, y, alpha0 = _check_inputs(phi, basis, y, problem, alpha0)
     x_mid = check_finite(np.asarray(x_mid, dtype=float), name="x_mid")
     x_mid = check_shape(x_mid, (problem.n,), name="x_mid")
-    n = problem.n
-    G = problem.gram() / noise_var + np.eye(n) / quant_var
-    c_vec = problem.basis.analyze(x_mid)
-    b_vec = problem.adjoint(y) / noise_var + c_vec / quant_var
-    y_quad = float(y @ y) / noise_var + float(x_mid @ x_mid) / quant_var
-    logdet_r = problem.m * float(np.log(noise_var)) + n * float(
-        np.log(quant_var)
-    )
-    mu, iterations, converged, history = _em_information_form(
-        G, b_vec, y_quad, logdet_r, settings, alpha0
+    mu, iterations, converged, history = _em_measurement_space(
+        problem.a, y, noise_var, problem.basis.analyze(x_mid), quant_var,
+        settings, alpha0,
     )
     return _finish(
         problem,

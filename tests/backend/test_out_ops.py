@@ -1,7 +1,7 @@
 """The ``out=``-capable hot-loop operations of the backend protocol.
 
 The workspace engines route every per-iteration temporary into leased
-buffers through ``matmul``/``solve``/``soft_threshold`` — these tests
+buffers through ``matmul``/``soft_threshold`` — these tests
 pin the contract that makes that safe: the ``out=`` form of each op is
 bit-identical to its expression form (signed zeros included), writes
 into exactly the passed buffer, and leaves its inputs untouched.
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.backend import HOST
-from repro.backend.base import ArrayBackend
 
 
 @pytest.fixture
@@ -40,48 +39,6 @@ class TestMatmul:
         HOST.matmul(a, b, out=np.empty((5, 5)))
         assert np.array_equal(a, a0)
         assert np.array_equal(b, b0)
-
-
-class TestSolve:
-    def _spd_system(self, rng, batch=None):
-        n = 6
-        shape = (n, n) if batch is None else (batch, n, n)
-        g = rng.standard_normal(shape)
-        a = g @ np.swapaxes(g, -1, -2) + n * np.eye(n)
-        b = rng.standard_normal((n, 4) if batch is None else (batch, n, 4))
-        return a, b
-
-    def test_out_form_bit_identical_to_reference(self, rng):
-        a, b = self._spd_system(rng)
-        out = np.empty_like(b)
-        result = HOST.solve(a, b, out=out)
-        assert result is out
-        assert np.array_equal(out, np.linalg.solve(a, b))
-
-    def test_batched_out_form(self, rng):
-        a, b = self._spd_system(rng, batch=3)
-        out = np.empty_like(b)
-        HOST.solve(a, b, out=out)
-        assert np.array_equal(out, np.linalg.solve(a, b))
-
-    def test_inputs_untouched(self, rng):
-        a, b = self._spd_system(rng)
-        a0, b0 = a.copy(), b.copy()
-        HOST.solve(a, b, out=np.empty_like(b))
-        assert np.array_equal(a, a0)
-        assert np.array_equal(b, b0)
-
-    def test_base_class_fallback_matches(self, rng):
-        # Force the protocol default (solve + copy) on the numpy
-        # namespace: the path any minimal backend inherits.
-        a, b = self._spd_system(rng)
-        out = np.empty_like(b)
-        result = ArrayBackend.solve(HOST, a, b, out=out)
-        assert result is out
-        assert np.array_equal(out, np.linalg.solve(a, b))
-        assert np.array_equal(
-            ArrayBackend.solve(HOST, a, b), np.linalg.solve(a, b)
-        )
 
 
 class TestSoftThreshold:

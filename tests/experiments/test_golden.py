@@ -214,7 +214,7 @@ class TestBsblGolden:
 
     Pins the full dispatch path (engine → receiver → EM solver) for
     ``"bsbl"`` and ``"bsbl-dequant"`` so a prior tweak, a gamma-rule
-    change or an information-form bug shows up as quality drift."""
+    change or an E-step bug shows up as quality drift."""
 
     @pytest.fixture(scope="class")
     def computed(self):

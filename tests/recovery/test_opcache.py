@@ -190,9 +190,9 @@ class TestProblemForConfig:
 
 class TestMixedMethodSweepCounters:
     """A mixed convex+Bayesian sweep shares one operator set per
-    (problem, backend, precision): the Gram/factorization memos built for
-    ADMM are the same objects BSBL's information matrix reads, so adding
-    a method to a sweep costs operator *hits*, never rebuilds."""
+    (problem, backend, precision): the operator stack and memos built for
+    ADMM are the same objects BSBL reads ``A`` from, so adding a method
+    to a sweep costs operator *hits*, never rebuilds."""
 
     def test_operator_counters_across_mixed_sweep(self):
         from repro.backend import BackendSettings
@@ -226,8 +226,8 @@ class TestMixedMethodSweepCounters:
         assert stats["operator_misses"] == 2
         assert stats["operator_hits"] == 4
 
-        # The exact-path set exposes the problem's own Gram memo, so the
-        # matrix BSBL normalized was the one ADMM factorized.
+        # The exact-path set exposes the problem's own Gram memo, not a
+        # copy of it.
         for problem in problems:
             ops = PROBLEM_CACHE.operators(problem, BackendSettings())
             assert ops.gram() is problem.gram()
