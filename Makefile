@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-smoke bench-encode-smoke bench-bsbl-smoke bench-backend-smoke bench-full profile-smoke stream-smoke loadtest-smoke report examples clean-cache
+.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-smoke bench-encode-smoke bench-bsbl-smoke bench-full stream-smoke loadtest-smoke report examples clean-cache
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -63,24 +63,6 @@ bench-encode-smoke:
 bench-bsbl-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --smoke --bsbl-only \
 		--workers 2 --bsbl-output benchmarks/results/BENCH_bsbl.json
-
-# Per-backend microbenchmarks: the solver/encode grids run twice per
-# cell — the exact numpy/float64 arm (which feeds the gated aggregates)
-# plus the numpy/float32 fast arm, whose deviation metrics land in the
-# artifacts' by_backend sections (see docs/backends.md).
-bench-backend-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --smoke --workers 2 \
-		--backend numpy --precision float32 \
-		--output benchmarks/results/BENCH_sweep.json
-
-# Workspace/allocation profile of the hot kernels: every batched engine
-# runs twice — fresh allocations vs pooled workspaces — plus a traced
-# tracemalloc pass. Writes benchmarks/results/BENCH_profile.json, whose
-# gates (zero output deviation, >=5x solver allocation reduction) CI
-# asserts; see docs/performance.md.
-profile-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli profile --smoke \
-		--output benchmarks/results/BENCH_profile.json
 
 # 4-patient online streaming run over a 10% lossy link through the
 # multi-session gateway; writes the final telemetry snapshot.

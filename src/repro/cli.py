@@ -40,45 +40,6 @@ from repro.recovery.methods import method_names
 __all__ = ["build_parser", "main"]
 
 
-def _add_backend_options(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` / ``--precision`` knobs.
-
-    Selects the array backend + precision carried on
-    ``FrontEndConfig.backend`` (see ``docs/backends.md``).  The default
-    (numpy/float64) is the exact path; ``repro bench`` benches any
-    non-default selection *alongside* the exact arm rather than instead
-    of it, so the artifacts always contain the gated reference cells.
-    """
-    from repro.backend import PRECISIONS, backend_names
-
-    parser.add_argument(
-        "--backend", default="numpy", choices=backend_names(),
-        help="array backend for the batched engines (default: numpy)",
-    )
-    parser.add_argument(
-        "--precision", default="float64", choices=list(PRECISIONS),
-        help="engine dtype policy (default: float64, the exact path)",
-    )
-
-
-def _backend_settings(args: argparse.Namespace):
-    """The ``BackendSettings`` an argparse namespace selects (validated)."""
-    from repro.backend import (
-        BackendSettings,
-        BackendUnavailableError,
-        get_backend,
-    )
-
-    settings = BackendSettings(name=args.backend, precision=args.precision)
-    try:
-        get_backend(settings.name)  # fail fast if the backend is unavailable
-    except BackendUnavailableError as exc:
-        # Surface as the CLI's clean `error:` path (it is user input, not
-        # a bug), keeping the distinct type for library callers.
-        raise ValueError(str(exc)) from exc
-    return settings
-
-
 def _add_workers_option(parser: argparse.ArgumentParser, default: int = 1) -> None:
     """The one shared ``--workers`` knob (resolved by executor_from_workers).
 
@@ -140,7 +101,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         n_measurements=args.measurements,
         lowres_bits=args.lowres_bits,
         solver=PdhgSettings(max_iter=args.max_iter),
-        backend=_backend_settings(args),
     )
     outcome = run_record(
         record,
@@ -263,15 +223,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     workers = resolve_worker_count(args.workers)
     methods = ("hybrid", "normal")
 
-    # Microbench backend arms: always the exact reference, plus the
-    # selected backend/precision when it differs.
-    from repro.backend import BackendSettings
-
-    bench_backends = [BackendSettings()]
-    selected = _backend_settings(args)
-    if selected != bench_backends[0]:
-        bench_backends.append(selected)
-
     config = FrontEndConfig(
         window_len=args.window,
         lowres_bits=args.lowres_bits,
@@ -279,7 +230,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     if args.encode_only:
-        _write_encode_bench(args, config, crs, records[0], bench_backends)
+        _write_encode_bench(args, config, crs, records[0])
         return 0
 
     if args.bsbl_only:
@@ -426,12 +377,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         record_name=records[0],
         n_windows=4 if args.smoke else 12,
         duration_s=args.duration,
-        backends=bench_backends,
     )
     for c in cells:
         print(
-            f"solver {c.solver:<6} CR {c.cr_percent:5.1f}% "
-            f"[{c.backend_label}]: "
+            f"solver {c.solver:<6} CR {c.cr_percent:5.1f}%: "
             f"loop {c.loop_windows_per_sec:6.1f} w/s | "
             f"batched {c.batched_windows_per_sec:6.1f} w/s | "
             f"speedup {c.speedup:5.2f}x | "
@@ -447,7 +396,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     # Encoder microbenchmark: the batched encode engine + vectorized
     # synthesis kernels against their scalar reference loops.
-    _write_encode_bench(args, config, crs, records[0], bench_backends)
+    _write_encode_bench(args, config, crs, records[0])
 
     # Bayesian-family comparison: BSBL / de-quantization vs the hybrid
     # baseline on the smoke CR grid, plus batched-vs-scalar agreement.
@@ -504,11 +453,10 @@ def _write_bsbl_bench(args, workers) -> None:
     print(f"wrote {out}")
 
 
-def _write_encode_bench(args, config, crs, record_name, backends=None) -> None:
+def _write_encode_bench(args, config, crs, record_name) -> None:
     """Run the encoder/synthesis microbenchmark and write BENCH_encode.json."""
     import json
 
-    from repro.backend import BackendSettings
     from repro.experiments.encode_bench import (
         encode_bench_payload,
         run_encode_bench,
@@ -521,12 +469,10 @@ def _write_encode_bench(args, config, crs, record_name, backends=None) -> None:
         record_name=record_name,
         n_windows=16 if args.smoke else 32,
         duration_s=args.duration,
-        backends=backends or (BackendSettings(),),
     )
     for c in encode_cells:
         print(
-            f"encode {c.method:<6} CR {c.cr_percent:5.1f}% "
-            f"[{c.backend_label}]: "
+            f"encode {c.method:<6} CR {c.cr_percent:5.1f}%: "
             f"loop {c.loop_windows_per_sec:7.1f} w/s | "
             f"batched {c.batched_windows_per_sec:7.1f} w/s | "
             f"speedup {c.speedup:5.2f}x | "
@@ -552,64 +498,6 @@ def _write_encode_bench(args, config, crs, record_name, backends=None) -> None:
     print(f"wrote {encode_out}")
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.config import FrontEndConfig
-    from repro.experiments.profile_bench import (
-        profile_bench_payload,
-        run_profile_bench,
-    )
-    from repro.perf import pool_stats
-    from repro.recovery.opcache import PROBLEM_CACHE
-    from repro.runtime.stages import recovery_cache_stats
-
-    if args.cache_size is not None:
-        PROBLEM_CACHE.resize(args.cache_size)
-
-    n_windows = args.windows if args.windows is not None else (
-        4 if args.smoke else 8
-    )
-    repeats = args.repeats if args.repeats is not None else (
-        2 if args.smoke else 3
-    )
-    config = FrontEndConfig(window_len=args.window)
-    cells, profiler_rows = run_profile_bench(
-        config,
-        cr_percent=args.cr,
-        record_name=args.record,
-        n_windows=n_windows,
-        duration_s=args.duration,
-        repeats=repeats,
-        solver_max_iter=60 if args.smoke else 120,
-        bsbl_max_iter=6 if args.smoke else 10,
-        synth_duration_s=2.0 if args.smoke else 4.0,
-    )
-    for c in cells:
-        print(
-            f"kernel {c.kernel:<7}: "
-            f"baseline {c.baseline_units_per_sec:9.1f} {c.units}/s | "
-            f"workspace {c.workspace_units_per_sec:9.1f} {c.units}/s | "
-            f"speedup {c.speedup:5.2f}x | "
-            f"alloc {c.baseline_alloc_bytes:>10} B -> "
-            f"{c.workspace_alloc_bytes:>4} B "
-            f"({c.alloc_reduction:9.0f}x) | "
-            f"max dev {c.max_abs_dev:.1e}"
-        )
-    payload = profile_bench_payload(
-        cells,
-        profiler_rows,
-        smoke=bool(args.smoke),
-        cache_stats=recovery_cache_stats(),
-        workspace_stats=pool_stats(),
-    )
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
-    return 0
-
-
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.core.config import FrontEndConfig
     from repro.recovery.pdhg import PdhgSettings
@@ -621,7 +509,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         n_measurements=args.measurements,
         lowres_bits=args.lowres_bits,
         solver=PdhgSettings(max_iter=args.max_iter),
-        backend=_backend_settings(args),
     )
     scenario = StreamScenario(
         patients=args.patients,
@@ -682,7 +569,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         n_measurements=args.measurements,
         lowres_bits=args.lowres_bits,
         solver=PdhgSettings(max_iter=args.max_iter),
-        backend=_backend_settings(args),
     )
     scenario = LoadScenario(
         patients=args.patients,
@@ -842,7 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-windows", type=int, default=4)
     p.add_argument("--max-iter", type=int, default=3000)
     _add_workers_option(p, default=1)
-    _add_backend_options(p)
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser(
@@ -882,36 +767,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only the Bayesian-family comparison "
                         "(the `make bench-bsbl-smoke` configuration)")
     p.add_argument("--cache-size", type=int, default=None,
-                   help="resize the process problem/operator LRU cache "
+                   help="resize the process problem LRU cache "
                         "before benchmarking (entries beyond the new size "
                         "are evicted oldest-first)")
-    _add_backend_options(p)
     p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
-        "profile",
-        help="workspace/allocation profile of the hot kernels; writes "
-             "BENCH_profile.json",
-    )
-    p.add_argument("--record", default="100", help="synthetic record name")
-    p.add_argument("--cr", type=float, default=50.0,
-                   help="CS-channel CR in percent for the solver kernels")
-    p.add_argument("--window", type=int, default=256)
-    p.add_argument("--windows", type=int, default=None,
-                   help="windows per solve stack (default 8, smoke 4)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timed runs per arm (default 3, smoke 2)")
-    p.add_argument("--duration", type=float, default=30.0)
-    p.add_argument("--smoke", action="store_true",
-                   help="small fixed configuration "
-                        "(the `make profile-smoke` configuration)")
-    p.add_argument("--cache-size", type=int, default=None,
-                   help="resize the process problem/operator LRU cache "
-                        "before profiling")
-    p.add_argument("--output", "-o",
-                   default="benchmarks/results/BENCH_profile.json",
-                   help="where to write the machine-readable result")
-    p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
         "stream",
@@ -945,7 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poll-every", type=int, default=8,
                    help="gateway poll cadence, in playback chunks")
     _add_workers_option(p, default=1)
-    _add_backend_options(p)
     p.add_argument("--output", "-o",
                    help="also write the final gateway snapshot as JSON")
     p.set_defaults(func=_cmd_stream)
@@ -989,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print a snapshot line after every gateway poll")
     _add_workers_option(p, default=1)
-    _add_backend_options(p)
     p.add_argument("--output", "-o",
                    default="benchmarks/results/BENCH_gateway.json",
                    help="where to write the machine-readable result")

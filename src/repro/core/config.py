@@ -10,7 +10,7 @@ makes the end-to-end pipeline bit-faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from repro.backend import BackendSettings
+
 from repro.core.encode_batch import EncodeEngineSettings
 from repro.metrics.compression import ORIGINAL_RESOLUTION_BITS, cs_channel_cr
 from repro.recovery.opcache import RecoveryEngineSettings
@@ -55,17 +55,10 @@ class FrontEndConfig:
         receiver-efficiency knob — it never changes what the node
         transmits, so it is safe to vary per deployment.
     encode:
-        Node-side engine controls: whether whole window stacks go
-        through the batched encode engine (bit-identical to the scalar
-        path; see ``docs/encoding.md``) and its quantizer boundary
-        guard.  Like ``recovery``, an efficiency knob only.
-    backend:
-        Array backend + precision the batched engines execute on (see
-        ``docs/backends.md``).  The default (NumPy/float64) is the exact
-        path; anything else is a fast path whose deviation from the
-        exact outputs is measured, not assumed — unlike ``recovery`` /
-        ``encode`` this knob *can* change transmitted bytes and
-        recovered samples within the documented differential bounds.
+        Node-side engine controls: the quantizer boundary guard of the
+        batched encode engine (bit-identical to the scalar path; see
+        ``docs/encoding.md``).  Like ``recovery``, an efficiency knob
+        only.
     """
 
     window_len: int = 512
@@ -81,7 +74,6 @@ class FrontEndConfig:
         default_factory=RecoveryEngineSettings
     )
     encode: EncodeEngineSettings = field(default_factory=EncodeEngineSettings)
-    backend: BackendSettings = field(default_factory=BackendSettings)
 
     def __post_init__(self) -> None:
         if self.window_len <= 0:
@@ -121,14 +113,6 @@ class FrontEndConfig:
     def with_lowres_bits(self, bits: int) -> "FrontEndConfig":
         """Same config at a different low-res resolution (ablations)."""
         return replace(self, lowres_bits=bits)
-
-    def with_backend(
-        self, name: str, precision: str = "float64"
-    ) -> "FrontEndConfig":
-        """Same config on a different backend/precision (bench comparisons)."""
-        return replace(
-            self, backend=BackendSettings(name=name, precision=precision)
-        )
 
     def for_cr(self, cr_percent: float) -> "FrontEndConfig":
         """Config whose measurement count realises the given CS-channel CR."""

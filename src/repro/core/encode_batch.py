@@ -19,29 +19,16 @@ edge (guard ≫ the ~1e-12 GEMM/GEMV deviation, ≪ any honest cell
 clearance) and recomputes exactly those rows with the scalar GEMV before
 quantizing, making the batched codes deterministically equal to the
 scalar ones.
-
-**Backend seam:** the GEMM consumes :mod:`repro.backend` instead of
-numpy directly.  On a fast path (float32 or a non-NumPy backend) only
-the bulk GEMM runs in the selected backend/precision; the quantizer
-scaling and the boundary-guard detection *always* run in float64 on the
-host, and every near-edge row is recomputed with the exact float64
-GEMV.  So a fast-path code can differ from the exact path only where
-GEMM precision honestly moves a measurement across a quantizer cell —
-never from guard logic running at reduced precision — and the encode
-bench reports exactly how often that happens (byte-identity fraction
-and max code delta per cell).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.backend import BackendSettings, HOST, ndarray, resolve
-from repro.perf import lease_workspace, profiled
+import numpy as np
+
+from repro.perf import profiled
 from repro.sensing.quantizers import UniformQuantizer
-
-__backend_seam__ = True
 
 __all__ = ["EncodeEngineSettings", "measure_window_stack"]
 
@@ -56,9 +43,6 @@ class EncodeEngineSettings:
 
     Attributes
     ----------
-    batched:
-        Process whole window stacks through the batch engine (default).
-        ``False`` forces the scalar per-window reference path everywhere.
     boundary_guard:
         Scaled-measurement distance to a quantizer cell edge below which
         a window is recomputed with the scalar GEMV.  Must sit well above
@@ -66,7 +50,6 @@ class EncodeEngineSettings:
         of magnitude of margin on both sides.
     """
 
-    batched: bool = True
     boundary_guard: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -76,51 +59,26 @@ class EncodeEngineSettings:
 
 @profiled("core.encode_batch")
 def measure_window_stack(
-    phi: ndarray,
+    phi: np.ndarray,
     quantizer: UniformQuantizer,
-    centered: ndarray,
+    centered: np.ndarray,
     boundary_guard: float = EncodeEngineSettings.boundary_guard,
-    *,
-    settings: Optional[BackendSettings] = None,
-) -> ndarray:
+) -> np.ndarray:
     """Measurement codes for a stack of centered windows; shape ``(w, m)``.
 
     One GEMM for the stack, then the boundary guard described in the
     module docstring: rows with any scaled measurement within
     ``boundary_guard`` of a quantizer cell edge are recomputed with the
     per-window float64 GEMV.  ``centered`` must be C-contiguous float64 —
-    each guarded row is then the exact array the scalar path sees.  With
-    default/exact ``settings`` every code equals the scalar path's bit
-    for bit; on a fast path only the bulk GEMM runs in the selected
-    backend/precision while guard detection and recomputation stay
-    float64 (host), as does the quantizer.
+    each guarded row is then the exact array the scalar path sees — and
+    every code equals the scalar path's bit for bit.
     """
-    host = HOST.xp
-    centered = host.ascontiguousarray(centered, dtype=host.float64)
+    centered = np.ascontiguousarray(centered, dtype=np.float64)
     if centered.ndim != 2:
         raise ValueError("expected a (windows, n) stack of centered windows")
-    backend, _, dtype, settings = resolve(settings)
-    w = centered.shape[0]
-    m = phi.shape[0]
-    # The guard pipeline always runs in host float64, so the workspace
-    # lease is pinned to the exact settings even on a fast-path GEMM.
-    with lease_workspace(None, f"encode:{m}x{phi.shape[1]}") as ws:
-        y = ws.buf("y", (w, m))
-        if settings.is_exact:
-            HOST.matmul(centered, phi.T, out=y)
-        else:
-            phi_dev = backend.asarray(phi, dtype=dtype)
-            centered_dev = backend.asarray(centered, dtype=dtype)
-            y[...] = backend.to_numpy(centered_dev @ phi_dev.T)
-        scaled = ws.buf("scaled", (w, m))
-        host.add(y, quantizer.full_scale, out=scaled)
-        scaled /= quantizer.step
-        edge = ws.buf("edge", (w, m))
-        host.rint(scaled, out=edge)
-        host.subtract(scaled, edge, out=edge)
-        host.abs(edge, out=edge)
-        near_edge = edge < boundary_guard
-        for row in host.flatnonzero(near_edge.any(axis=1)):
-            y[row] = phi @ centered[row]
-        # quantize() returns a fresh array, so nothing leased escapes.
-        return quantizer.quantize(y)
+    y = centered @ phi.T
+    scaled = (y + quantizer.full_scale) / quantizer.step
+    near_edge = np.abs(scaled - np.rint(scaled)) < boundary_guard
+    for row in np.flatnonzero(near_edge.any(axis=1)):
+        y[row] = phi @ centered[row]
+    return quantizer.quantize(y)

@@ -22,7 +22,8 @@ reference (:meth:`process_window` / :meth:`process_record_loop`) and the
 batch engine (:meth:`encode_windows`), which stacks windows into a
 matrix and runs measurement, requantization and entropy coding as array
 kernels — bit-identical output, see ``docs/encoding.md``.  Record- and
-stream-level entry points dispatch on ``config.encode.batched``.
+stream-level entry points use the batch engine; the scalar path stays as
+the differential oracle.
 """
 
 from __future__ import annotations
@@ -99,9 +100,7 @@ class _CsPath:
 
         One GEMM plus the quantizer boundary guard of
         :func:`repro.core.encode_batch.measure_window_stack`, so every row
-        equals ``measure(windows[i])`` bit for bit at the default (exact)
-        ``config.backend``; fast backends trade bounded code deltas for
-        throughput (see ``docs/backends.md``).
+        equals ``measure(windows[i])`` bit for bit.
         """
         centered = windows.astype(float) - self.center
         return measure_window_stack(
@@ -109,7 +108,6 @@ class _CsPath:
             self.quantizer,
             centered,
             self.config.encode.boundary_guard,
-            settings=self.config.backend,
         )
 
 
@@ -198,28 +196,20 @@ class HybridFrontEnd:
     def process_stream(self, samples: Iterable[np.ndarray]) -> List[WindowPacket]:
         """Frame an arbitrary chunked sample stream into packets."""
         framer = WindowFramer(self.config.window_len)
-        if self.config.encode.batched:
-            windows = [
-                window
-                for chunk in samples
-                for window in framer.push(np.asarray(chunk))
-            ]
-            if not windows:
-                return []
-            return self.encode_windows(np.stack(windows))
-        packets: List[WindowPacket] = []
-        for chunk in samples:
-            for window in framer.push(np.asarray(chunk)):
-                packets.append(self.process_window(window, len(packets)))
-        return packets
+        windows = [
+            window
+            for chunk in samples
+            for window in framer.push(np.asarray(chunk))
+        ]
+        if not windows:
+            return []
+        return self.encode_windows(np.stack(windows))
 
     def process_record(
         self, record: Record, max_windows: Optional[int] = None
     ) -> List[WindowPacket]:
-        """Process a whole record (batch engine unless ``encode.batched`` off)."""
+        """Process a whole record through the batch engine."""
         windows = _collect_record_windows(self.config, record, max_windows)
-        if not self.config.encode.batched:
-            return [self.process_window(w, idx) for idx, w in enumerate(windows)]
         if not windows:
             return []
         return self.encode_windows(np.stack(windows))
@@ -281,10 +271,8 @@ class NormalCsFrontEnd:
     def process_record(
         self, record: Record, max_windows: Optional[int] = None
     ) -> List[WindowPacket]:
-        """Process a whole record (batch engine unless ``encode.batched`` off)."""
+        """Process a whole record through the batch engine."""
         windows = _collect_record_windows(self.config, record, max_windows)
-        if not self.config.encode.batched:
-            return [self.process_window(w, idx) for idx, w in enumerate(windows)]
         if not windows:
             return []
         return self.encode_windows(np.stack(windows))

@@ -94,9 +94,9 @@ class HybridReceiver:
         self.method_spec: Optional[MethodSpec] = (
             None if method is None else resolve_method(method)
         )
-        # Composed operator — pulled from the process-wide ProblemCache
-        # when ``config.recovery.cache_problems`` is on, so receivers at
-        # the same operating point share one ΦΨ and its factorizations.
+        # Composed operator — pulled from the process-wide ProblemCache,
+        # so receivers at the same operating point share one ΦΨ and its
+        # factorizations.
         self.problem = problem_for_config(config)
         self.basis = self.problem.basis
         self.phi = self.problem.phi

@@ -12,7 +12,7 @@ layering check by omission.
 The declared order refines the coarse sketch in ``docs/architecture.md``
 to what the tree actually enforces (measured, then pinned):
 
-    devtools  ⇣  backend  ⇣  perf  ⇣
+    devtools  ⇣  perf  ⇣
     signals/sensing/wavelets/metrics/coding  ⇣  recovery
     ⇣  core/power  ⇣  runtime  ⇣  experiments  ⇣  stream  ⇣  cli
 
@@ -96,10 +96,8 @@ class LayerConfig:
 REPRO_LAYERS = LayerConfig(
     [
         ("devtools", ["repro.devtools"]),
-        ("backend", ["repro.backend"]),
-        # The workspace/profiler engine sits directly on the backend
-        # seam (it hands out backend arrays) and below everything that
-        # runs a hot loop, so any kernel layer may lease from it.
+        # The profiler sits below everything that runs a hot loop, so
+        # any kernel layer may wrap its functions with @profiled.
         ("perf", ["repro.perf"]),
         (
             "foundation",

@@ -172,10 +172,6 @@ class ModuleSummary:
     functions: List[FunctionFacts] = field(default_factory=list)
     line_disables: Dict[int, List[str]] = field(default_factory=dict)
     file_disables: List[str] = field(default_factory=list)
-    #: Module declares ``__backend_seam__ = True`` at top level: it has
-    #: been ported onto the :mod:`repro.backend` seam and RL105 holds it
-    #: to the no-direct-array-library-imports discipline.
-    backend_seam: bool = False
 
     def to_dict(self) -> Dict[str, object]:
         """A plain-JSON mapping (tuples become lists)."""
@@ -223,7 +219,6 @@ class ModuleSummary:
                 for k, v in dict(data.get("line_disables", {})).items()
             },
             file_disables=list(data.get("file_disables", [])),
-            backend_seam=bool(data.get("backend_seam", False)),
         )
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
@@ -551,20 +546,6 @@ def summarize_module(ctx: FileContext, module: Optional[str] = None) -> ModuleSu
     scanner = _PayloadScanner()
     scanner.visit(tree)
 
-    backend_seam = False
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and isinstance(stmt.value, ast.Constant)
-            and stmt.value.value is True
-            and any(
-                isinstance(t, ast.Name) and t.id == "__backend_seam__"
-                for t in stmt.targets
-            )
-        ):
-            backend_seam = True
-            break
-
     return ModuleSummary(
         module=module or module_name_for(ctx.path),
         path=str(ctx.path),
@@ -575,7 +556,6 @@ def summarize_module(ctx: FileContext, module: Optional[str] = None) -> ModuleSu
         functions=_collect_functions(tree),
         line_disables={k: sorted(v) for k, v in ctx.line_disables.items()},
         file_disables=sorted(ctx.file_disables),
-        backend_seam=backend_seam,
     )
 
 

@@ -1,4 +1,4 @@
-"""The whole-program rule family (RL100–RL105).
+"""The whole-program rule family (RL100–RL104).
 
 Where RL001–RL007 audit one file at a time, these rules audit the
 invariants the parallel runtime actually depends on, which span files:
@@ -18,12 +18,7 @@ invariants the parallel runtime actually depends on, which span files:
 * drift between runtime shape contracts and docstrings (RL104) — a
   function that *enforces* a shape with ``contracts.check_shape`` but
   does not *document* one invites callers to learn the contract by
-  crashing;
-* the array-backend seam (RL105) — a module that declares
-  ``__backend_seam__ = True`` promises all its array work goes through
-  :mod:`repro.backend`, so a direct ``import numpy`` there silently
-  pins one code path to the host and breaks the per-backend
-  differential accounting.
+  crashing.
 
 Each subclass implements ``check_program(project)`` over the
 :class:`~repro.devtools.reprolint.project.ProjectModel`; suppression
@@ -51,7 +46,6 @@ __all__ = [
     "ExecutorPayloadRule",
     "SharedStateMutationRule",
     "ContractDocRule",
-    "BackendSeamImportRule",
 ]
 
 
@@ -270,50 +264,3 @@ class ContractDocRule(ProgramRule):
                     "docs cannot drift",
                 )
 
-
-@register
-class BackendSeamImportRule(ProgramRule):
-    """RL105: seam-declared modules must not import array libraries."""
-
-    rule_id = "RL105"
-    title = "direct array-library import in a backend-seam module"
-    rationale = (
-        "A module that declares __backend_seam__ = True promises that "
-        "all its array operations flow through repro.backend, where the "
-        "backend/precision policy and the exact/fast dispatch live; a "
-        "direct numpy/scipy (or cupy/torch) import there creates a "
-        "host-pinned side channel the per-backend differential "
-        "verification never sees."
-    )
-
-    #: Import roots a seam module must obtain via :mod:`repro.backend`.
-    ARRAY_LIBRARIES = frozenset({"numpy", "scipy", "cupy", "torch", "jax"})
-
-    @staticmethod
-    def _is_backend_module(module: str) -> bool:
-        """Whether the module lives in a ``backend`` (sub)package.
-
-        The backend package itself is the one place allowed to touch the
-        array libraries directly — that is its whole job.
-        """
-        return "backend" in module.split(".")
-
-    def check_program(self, project: ProjectModel) -> Iterator[Finding]:
-        for summary in project.ordered():
-            if not summary.backend_seam:
-                continue
-            if self._is_backend_module(summary.module):
-                continue
-            for rec in sorted(summary.imports, key=lambda r: (r.line, r.col)):
-                root = rec.module.split(".")[0]
-                if root not in self.ARRAY_LIBRARIES:
-                    continue
-                yield self.program_finding(
-                    summary,
-                    rec.line,
-                    rec.col,
-                    f"{summary.module} declares __backend_seam__ but "
-                    f"imports {rec.module} directly; route array "
-                    "operations through repro.backend so the "
-                    "backend/precision policy applies",
-                )

@@ -21,22 +21,17 @@ the result as ``BENCH_encode.json``.  Two kernels are timed:
   with bit-identity recorded alongside samples/sec.
 
 CI gates on ``min_encode_speedup`` (hybrid cells) ≥ 2x, byte identity,
-and database-synthesis speedup ≥ 5x.  With extra ``backends`` the batch
-engine additionally runs per :class:`~repro.backend.BackendSettings`;
-those fast-path cells report their byte-identity *fraction* and worst
-measurement-code delta against the scalar oracle (``docs/backends.md``)
-and are excluded from the gated exact aggregates.
+and database-synthesis speedup ≥ 5x.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.backend import BackendSettings
 from repro.core.codebooks import CodebookKey, build_codebook
 from repro.core.config import FrontEndConfig
 from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
@@ -62,7 +57,7 @@ BENCH_METHODS = ("hybrid", "normal")
 
 @dataclass(frozen=True)
 class EncodeBenchCell:
-    """Timings and byte agreement for one (method, CR, backend) cell."""
+    """Timings and byte agreement for one (method, CR) cell."""
 
     method: str
     cr_percent: float
@@ -71,23 +66,6 @@ class EncodeBenchCell:
     loop_s: float
     batched_s: float
     bytes_identical: bool
-    backend: str = "numpy"
-    precision: str = "float64"
-    #: Fraction of windows whose packet bytes match the scalar oracle
-    #: exactly (1.0 on the exact path by contract).
-    identical_fraction: float = 1.0
-    #: Worst absolute measurement-code difference vs the scalar oracle
-    #: (0 on the exact path by contract).
-    max_code_delta: int = 0
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether this cell ran the exact (NumPy/float64) path."""
-        return self.backend == "numpy" and self.precision == "float64"
-
-    @property
-    def backend_label(self) -> str:
-        return f"{self.backend}/{self.precision}"
 
     @property
     def loop_windows_per_sec(self) -> float:
@@ -135,18 +113,13 @@ def run_encode_bench(
     n_windows: int = 32,
     duration_s: float = 60.0,
     methods: Sequence[str] = BENCH_METHODS,
-    backends: Sequence[BackendSettings] = (BackendSettings(),),
 ) -> List[EncodeBenchCell]:
-    """Time scalar vs batched encoding over a (method, CR, backend) grid.
+    """Time scalar vs batched encoding over a (method, CR) grid.
 
     One record's first ``n_windows`` windows are encoded at every CR by
-    every front-end variant through both paths; the batch engine
-    additionally runs once per entry of ``backends`` (default: exact
-    only), every batch arm compared against the one scalar oracle run
-    (whose timing the cells share).  Each cell records whole-run byte
-    identity plus the per-window identity fraction and the worst
-    measurement-code delta.  Cells come back method-major in input
-    order.
+    every front-end variant through both paths, and each cell records
+    whether the two runs' packet bytes match.  Cells come back
+    method-major in input order.
     """
     record = load_record(record_name, duration_s=duration_s)
     cells: List[EncodeBenchCell] = []
@@ -174,59 +147,24 @@ def run_encode_bench(
             )
             loop_s = time.perf_counter() - start
 
-            for settings in backends:
-                if settings == config.backend:
-                    frontend_b = frontend
-                else:
-                    config_b = replace(config, backend=settings)
-                    if method == "hybrid":
-                        frontend_b = HybridFrontEnd(config_b, codebook)
-                    else:
-                        frontend_b = NormalCsFrontEnd(config_b)
+            start = time.perf_counter()
+            batched_packets = frontend.process_record(
+                record, max_windows=n_windows
+            )
+            batched_s = time.perf_counter() - start
 
-                start = time.perf_counter()
-                batched_packets = frontend_b.process_record(
-                    record, max_windows=n_windows
+            cells.append(
+                EncodeBenchCell(
+                    method=method,
+                    cr_percent=float(config.cs_cr_percent),
+                    n_measurements=config.n_measurements,
+                    n_windows=len(loop_packets),
+                    loop_s=loop_s,
+                    batched_s=batched_s,
+                    bytes_identical=[p.to_bytes() for p in loop_packets]
+                    == [p.to_bytes() for p in batched_packets],
                 )
-                batched_s = time.perf_counter() - start
-
-                matches = sum(
-                    lp.to_bytes() == bp.to_bytes()
-                    for lp, bp in zip(loop_packets, batched_packets)
-                )
-                code_delta = max(
-                    (
-                        int(
-                            np.max(
-                                np.abs(
-                                    np.asarray(bp.measurement_codes)
-                                    - np.asarray(lp.measurement_codes)
-                                )
-                            )
-                        )
-                        for lp, bp in zip(loop_packets, batched_packets)
-                    ),
-                    default=0,
-                )
-                cells.append(
-                    EncodeBenchCell(
-                        method=method,
-                        cr_percent=float(config.cs_cr_percent),
-                        n_measurements=config.n_measurements,
-                        n_windows=len(loop_packets),
-                        loop_s=loop_s,
-                        batched_s=batched_s,
-                        bytes_identical=matches == len(loop_packets),
-                        backend=settings.name,
-                        precision=settings.precision,
-                        identical_fraction=(
-                            matches / len(loop_packets)
-                            if loop_packets
-                            else 1.0
-                        ),
-                        max_code_delta=code_delta,
-                    )
-                )
+            )
     return cells
 
 
@@ -298,44 +236,11 @@ def encode_bench_payload(
     *,
     smoke: bool,
 ) -> Dict[str, object]:
-    """The ``BENCH_encode.json`` document for the two cell lists.
-
-    The gated aggregates (``min_encode_speedup`` /
-    ``all_bytes_identical``) cover the *exact* cells only; a fast
-    backend's byte-identity fraction and worst code delta are reported
-    per label under ``by_backend``.
-    """
-    exact = [c for c in encode_cells if c.is_exact]
-    hybrid_speedups = [c.speedup for c in exact if c.method == "hybrid"]
+    """The ``BENCH_encode.json`` document for the two cell lists."""
+    hybrid_speedups = [c.speedup for c in encode_cells if c.method == "hybrid"]
     database_speedups = [
         c.speedup for c in synth_cells if c.kind == "database"
     ]
-    by_backend: Dict[str, Dict[str, object]] = {}
-    for c in encode_cells:
-        group = by_backend.setdefault(
-            c.backend_label,
-            {
-                "cells": 0,
-                "min_speedup": None,
-                "all_bytes_identical": True,
-                "min_identical_fraction": None,
-                "max_code_delta": 0,
-            },
-        )
-        group["cells"] = int(group["cells"]) + 1
-        if group["min_speedup"] is None or c.speedup < group["min_speedup"]:
-            group["min_speedup"] = c.speedup
-        group["all_bytes_identical"] = bool(
-            group["all_bytes_identical"] and c.bytes_identical
-        )
-        if (
-            group["min_identical_fraction"] is None
-            or c.identical_fraction < group["min_identical_fraction"]
-        ):
-            group["min_identical_fraction"] = c.identical_fraction
-        group["max_code_delta"] = max(
-            int(group["max_code_delta"]), c.max_code_delta
-        )
     return {
         "schema": "repro-bench-encode/v1",
         "smoke": bool(smoke),
@@ -345,8 +250,6 @@ def encode_bench_payload(
                 "cr_percent": c.cr_percent,
                 "n_measurements": c.n_measurements,
                 "n_windows": c.n_windows,
-                "backend": c.backend,
-                "precision": c.precision,
                 "loop": {
                     "wall_clock_s": c.loop_s,
                     "windows_per_sec": c.loop_windows_per_sec,
@@ -357,16 +260,13 @@ def encode_bench_payload(
                 },
                 "speedup": c.speedup,
                 "bytes_identical": c.bytes_identical,
-                "identical_fraction": c.identical_fraction,
-                "max_code_delta": c.max_code_delta,
             }
             for c in encode_cells
         ],
         "min_encode_speedup": (
             min(hybrid_speedups) if hybrid_speedups else None
         ),
-        "all_bytes_identical": all(c.bytes_identical for c in exact),
-        "by_backend": by_backend,
+        "all_bytes_identical": all(c.bytes_identical for c in encode_cells),
         "synth": {
             "cells": [
                 {

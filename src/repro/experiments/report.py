@@ -23,14 +23,12 @@ __all__ = [
     "BENCH_ENCODE_STEM",
     "BENCH_GATEWAY_STEM",
     "BENCH_BSBL_STEM",
-    "BENCH_PROFILE_STEM",
     "ReportSection",
     "bench_sweep_section",
     "bench_solvers_section",
     "bench_encode_section",
     "bench_gateway_section",
     "bench_bsbl_section",
-    "bench_profile_section",
     "build_report",
     "write_report",
 ]
@@ -49,9 +47,6 @@ BENCH_GATEWAY_STEM = "BENCH_gateway"
 
 #: Stem of the optional Bayesian-family comparison (`repro bench`).
 BENCH_BSBL_STEM = "BENCH_bsbl"
-
-#: Stem of the optional workspace/allocation profile (`repro profile`).
-BENCH_PROFILE_STEM = "BENCH_profile"
 
 #: (artifact stem, section heading) in paper order.
 EXPECTED_ARTIFACTS: Tuple[Tuple[str, str], ...] = (
@@ -158,30 +153,6 @@ def bench_sweep_section(results_dir: Path) -> str:
     return "\n".join(lines)
 
 
-def _backend_comparison_lines(by_backend, describe) -> list:
-    """Markdown bullets comparing backend arms, [] when only one ran.
-
-    ``describe(group)`` renders the arm's deviation metric — PRD for the
-    solver artifact, byte identity for the encode artifact.
-    """
-    if not by_backend or len(by_backend) < 2:
-        return []
-    lines = ["", "### Backend comparison", ""]
-    for label in sorted(by_backend):
-        group = by_backend[label]
-        min_speedup = group.get("min_speedup")
-        speedup_txt = (
-            f"min speedup {min_speedup:.2f}x"
-            if min_speedup is not None
-            else "min speedup n/a"
-        )
-        lines.append(
-            f"- `{label}` ({group.get('cells')} cells): {speedup_txt}, "
-            f"{describe(group)}"
-        )
-    return lines
-
-
 def bench_solvers_section(results_dir: Path) -> str:
     """Markdown for the solver-microbenchmark artifact, or "" when absent.
 
@@ -200,20 +171,15 @@ def bench_solvers_section(results_dir: Path) -> str:
     lines = [
         "## Solver engines (`repro bench`)",
         "",
-        "| solver | CR % | backend | loop w/s | batched w/s | speedup | max PRD dev % |",
-        "|---|---|---|---|---|---|---|",
+        "| solver | CR % | loop w/s | batched w/s | speedup | max PRD dev % |",
+        "|---|---|---|---|---|---|",
     ]
     for cell in data.get("cells", []):
         loop = cell.get("loop", {})
         batched = cell.get("batched", {})
-        label = (
-            f"{cell.get('backend', 'numpy')}/"
-            f"{cell.get('precision', 'float64')}"
-        )
         lines.append(
             f"| {cell.get('solver')} "
             f"| {cell.get('cr_percent', 0):.1f} "
-            f"| {label} "
             f"| {loop.get('windows_per_sec', 0):.1f} "
             f"| {batched.get('windows_per_sec', 0):.1f} "
             f"| {cell.get('speedup', 0):.2f}x "
@@ -223,13 +189,9 @@ def bench_solvers_section(results_dir: Path) -> str:
     if min_speedup is not None:
         lines += [
             "",
-            f"- minimum exact-path speedup (batched+cached over "
-            f"per-window loop): {min_speedup:.2f}x",
+            f"- minimum speedup (batched+cached over per-window loop): "
+            f"{min_speedup:.2f}x",
         ]
-    lines += _backend_comparison_lines(
-        data.get("by_backend"),
-        lambda group: f"max PRD dev {group.get('max_prd_dev_percent', 0):.2e}%",
-    )
     cache = data.get("problem_cache")
     if cache:
         lines.append(
@@ -260,20 +222,15 @@ def bench_encode_section(results_dir: Path) -> str:
     lines = [
         "## Encode engine (`repro bench`)",
         "",
-        "| method | CR % | backend | loop w/s | batched w/s | speedup | bytes identical |",
-        "|---|---|---|---|---|---|---|",
+        "| method | CR % | loop w/s | batched w/s | speedup | bytes identical |",
+        "|---|---|---|---|---|---|",
     ]
     for cell in data.get("cells", []):
         loop = cell.get("loop", {})
         batched = cell.get("batched", {})
-        label = (
-            f"{cell.get('backend', 'numpy')}/"
-            f"{cell.get('precision', 'float64')}"
-        )
         lines.append(
             f"| {cell.get('method')} "
             f"| {cell.get('cr_percent', 0):.1f} "
-            f"| {label} "
             f"| {loop.get('windows_per_sec', 0):.1f} "
             f"| {batched.get('windows_per_sec', 0):.1f} "
             f"| {cell.get('speedup', 0):.2f}x "
@@ -287,14 +244,6 @@ def bench_encode_section(results_dir: Path) -> str:
             f"loop): {min_speedup:.2f}x "
             f"(all bytes identical: {data.get('all_bytes_identical')})",
         ]
-    lines += _backend_comparison_lines(
-        data.get("by_backend"),
-        lambda group: (
-            f"byte-identical fraction "
-            f"{group.get('min_identical_fraction', 1.0):.3f}, "
-            f"max code delta {group.get('max_code_delta', 0)}"
-        ),
-    )
     synth = data.get("synth") or {}
     synth_cells = synth.get("cells", [])
     if synth_cells:
@@ -447,91 +396,6 @@ def bench_bsbl_section(results_dir: Path) -> str:
     return "\n".join(lines)
 
 
-def bench_profile_section(results_dir: Path) -> str:
-    """Markdown for the workspace/allocation profile, or "" when absent.
-
-    ``BENCH_profile.json`` compares every hot kernel with pooled
-    workspaces against the same code on fresh allocations (see
-    ``docs/performance.md``); informational, like the other bench
-    artifacts.
-    """
-    path = Path(results_dir) / f"{BENCH_PROFILE_STEM}.json"
-    if not path.exists():
-        return ""
-    try:
-        data = json.loads(path.read_text())
-    except ValueError:
-        return ""
-    lines = [
-        "## Hot-path profile (`repro profile`)",
-        "",
-        "| kernel | baseline /s | workspace /s | speedup | alloc B/run | warm alloc B | reduction | max dev |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for cell in data.get("kernels", []):
-        baseline = cell.get("baseline", {})
-        workspace = cell.get("workspace", {})
-        lines.append(
-            f"| {cell.get('kernel')} ({cell.get('units', 'windows')}) "
-            f"| {baseline.get('units_per_sec', 0):.1f} "
-            f"| {workspace.get('units_per_sec', 0):.1f} "
-            f"| {cell.get('speedup', 0):.2f}x "
-            f"| {baseline.get('alloc_bytes', 0)} "
-            f"| {workspace.get('alloc_bytes', 0)} "
-            f"| {cell.get('alloc_reduction', 0):.0f}x "
-            f"| {cell.get('max_abs_dev', 0):.1e} |"
-        )
-    reduction = data.get("min_alloc_reduction")
-    if reduction is not None:
-        lines += [
-            "",
-            f"- minimum solver-kernel allocation reduction (fresh over "
-            f"warm workspaces): {reduction:.0f}x",
-        ]
-    max_dev = data.get("max_abs_dev")
-    if max_dev is not None:
-        lines.append(
-            f"- worst reuse-vs-fresh output deviation: {max_dev:.1e} "
-            f"(the exact path must report 0.0)"
-        )
-    pool = data.get("workspace_pool")
-    if pool:
-        lines.append(
-            f"- workspace pool: {pool.get('leases')} leases "
-            f"({pool.get('null_leases')} baseline), "
-            f"{pool.get('workspaces_created')} workspaces created, "
-            f"reuse fraction {pool.get('reuse_fraction', 0):.3f}"
-        )
-    cache = data.get("recovery_cache")
-    if cache:
-        lines.append(
-            f"- operator cache: {cache.get('hits')} hits / "
-            f"{cache.get('misses')} misses "
-            f"(hit rate {cache.get('hit_rate', 0):.2f}, "
-            f"operator-set hit rate "
-            f"{cache.get('operator_hit_rate', 0):.2f})"
-        )
-    profiler = data.get("profiler") or []
-    if profiler:
-        lines += [
-            "",
-            "### Traced pass (tracemalloc cross-check)",
-            "",
-            "| kernel | calls | wall s | net alloc B | peak B |",
-            "|---|---|---|---|---|",
-        ]
-        for row in profiler:
-            lines.append(
-                f"| {row.get('name')} "
-                f"| {row.get('calls')} "
-                f"| {row.get('wall_s', 0):.3f} "
-                f"| {row.get('alloc_bytes')} "
-                f"| {row.get('peak_bytes')} |"
-            )
-    lines.append("")
-    return "\n".join(lines)
-
-
 def build_report(results_dir: Path) -> Tuple[str, int, int]:
     """Render the Markdown report.
 
@@ -570,7 +434,6 @@ def build_report(results_dir: Path) -> Tuple[str, int, int]:
         bench_encode_section(results_dir),
         bench_gateway_section(results_dir),
         bench_bsbl_section(results_dir),
-        bench_profile_section(results_dir),
     ):
         if bench:
             body_parts.append(bench)

@@ -20,14 +20,6 @@ the PRD of each batched reconstruction against its loop twin, worst
 window): the batched engine is the same arithmetic reordered, so this
 sits at BLAS-rounding level (~1e-10 %), far below the 1e-6 acceptance
 bound the CI checks.
-
-With extra ``backends`` the batched path also runs per
-:class:`~repro.backend.BackendSettings` (the loop oracle always stays
-scalar float64), producing one cell per (solver, CR, backend).  Only
-exact (NumPy/float64) cells feed the gated top-level aggregates
-(``min_speedup`` / ``max_prd_dev_percent``); fast-path cells report
-their measured deviation under ``by_backend`` instead (see
-``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import BackendSettings
 from repro.core.config import FrontEndConfig
 from repro.metrics.quality import prd as prd_metric
 from repro.recovery.batched import recover_windows, recover_windows_loop
@@ -60,7 +51,7 @@ _BENCH_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SolverBenchCell:
-    """Timings and agreement for one (solver, CR, backend) cell."""
+    """Timings and agreement for one (solver, CR) cell."""
 
     solver: str
     cr_percent: float
@@ -70,17 +61,6 @@ class SolverBenchCell:
     batched_s: float
     max_abs_alpha_dev: float
     max_prd_dev_percent: float
-    backend: str = "numpy"
-    precision: str = "float64"
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether this cell ran the exact (NumPy/float64) path."""
-        return self.backend == "numpy" and self.precision == "float64"
-
-    @property
-    def backend_label(self) -> str:
-        return f"{self.backend}/{self.precision}"
 
     @property
     def loop_windows_per_sec(self) -> float:
@@ -115,14 +95,11 @@ def _signal_windows(
     return windows
 
 
-def _bench_cells(
-    config: FrontEndConfig,
-    solver: str,
-    xs: Sequence[np.ndarray],
-    backends: Sequence[BackendSettings],
-) -> List[SolverBenchCell]:
-    """Time one (solver, CR) grid point: the loop oracle once, then the
-    batched engine once per backend (all cells share the loop timing)."""
+def _bench_cell(
+    config: FrontEndConfig, solver: str, xs: Sequence[np.ndarray]
+) -> SolverBenchCell:
+    """Time one (solver, CR) grid point through the loop and the batched
+    engine."""
     problem = problem_for_config(config)
     ys = [problem.measure_signal(x) for x in xs]
 
@@ -150,37 +127,30 @@ def _bench_cells(
     # are paid once per process, not once per benchmark).
     if solver == "admm":
         problem.admm_factor()
-    cells = []
-    for settings in backends:
-        start = time.perf_counter()
-        batch_results = recover_windows(problem, ys, settings=settings, **kwargs)
-        batched_s = time.perf_counter() - start
+    start = time.perf_counter()
+    batch_results = recover_windows(problem, ys, **kwargs)
+    batched_s = time.perf_counter() - start
 
-        alpha_dev = max(
-            float(np.max(np.abs(b.alpha - s.alpha)))
-            for b, s in zip(batch_results, loop_results)
-        )
-        prd_dev = max(
-            float(prd_metric(s.x, b.x))
-            if float(np.linalg.norm(s.x)) > 0
-            else 0.0
-            for b, s in zip(batch_results, loop_results)
-        )
-        cells.append(
-            SolverBenchCell(
-                solver=solver,
-                cr_percent=float(config.cs_cr_percent),
-                n_measurements=config.n_measurements,
-                n_windows=len(ys),
-                loop_s=loop_s,
-                batched_s=batched_s,
-                max_abs_alpha_dev=alpha_dev,
-                max_prd_dev_percent=prd_dev,
-                backend=settings.name,
-                precision=settings.precision,
-            )
-        )
-    return cells
+    alpha_dev = max(
+        float(np.max(np.abs(b.alpha - s.alpha)))
+        for b, s in zip(batch_results, loop_results)
+    )
+    prd_dev = max(
+        float(prd_metric(s.x, b.x))
+        if float(np.linalg.norm(s.x)) > 0
+        else 0.0
+        for b, s in zip(batch_results, loop_results)
+    )
+    return SolverBenchCell(
+        solver=solver,
+        cr_percent=float(config.cs_cr_percent),
+        n_measurements=config.n_measurements,
+        n_windows=len(ys),
+        loop_s=loop_s,
+        batched_s=batched_s,
+        max_abs_alpha_dev=alpha_dev,
+        max_prd_dev_percent=prd_dev,
+    )
 
 
 def run_solver_bench(
@@ -191,25 +161,21 @@ def run_solver_bench(
     n_windows: int = 12,
     duration_s: float = 30.0,
     solvers: Sequence[str] = BENCH_SOLVERS,
-    backends: Sequence[BackendSettings] = (BackendSettings(),),
 ) -> List[SolverBenchCell]:
     """Run the batched-vs-loop microbenchmark over a CR grid.
 
     One record's first ``n_windows`` windows are solved at every CR by
-    every solver, through both engines; the batched engine additionally
-    runs once per entry of ``backends`` (default: exact only).  Returns
-    one cell per (solver, CR, backend), solver-major, in input order.
+    every solver, through both engines.  Returns one cell per
+    (solver, CR), solver-major, in input order.
     """
     xs = _signal_windows(
         record_name, base_config.window_len, n_windows, duration_s
     )
-    cells = []
-    for solver in solvers:
-        for cr in cr_values:
-            cells.extend(
-                _bench_cells(base_config.for_cr(cr), solver, xs, backends)
-            )
-    return cells
+    return [
+        _bench_cell(base_config.for_cr(cr), solver, xs)
+        for solver in solvers
+        for cr in cr_values
+    ]
 
 
 def solver_bench_payload(
@@ -218,29 +184,7 @@ def solver_bench_payload(
     smoke: bool,
     cache_stats: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """The ``BENCH_solvers.json`` document for a cell list.
-
-    Gated aggregates (``min_speedup`` / ``max_prd_dev_percent``) are
-    computed over the *exact* cells only — a fast backend's measured
-    deviation is reported per label under ``by_backend``, never mixed
-    into the bit-identity gate.
-    """
-    exact = [c for c in cells if c.is_exact]
-    speedups = [c.speedup for c in exact]
-    by_backend: Dict[str, Dict[str, object]] = {}
-    for c in cells:
-        group = by_backend.setdefault(
-            c.backend_label,
-            {"cells": 0, "min_speedup": None, "max_prd_dev_percent": None},
-        )
-        group["cells"] = int(group["cells"]) + 1
-        if group["min_speedup"] is None or c.speedup < group["min_speedup"]:
-            group["min_speedup"] = c.speedup
-        if (
-            group["max_prd_dev_percent"] is None
-            or c.max_prd_dev_percent > group["max_prd_dev_percent"]
-        ):
-            group["max_prd_dev_percent"] = c.max_prd_dev_percent
+    """The ``BENCH_solvers.json`` document for a cell list."""
     return {
         "schema": "repro-bench-solvers/v1",
         "smoke": bool(smoke),
@@ -252,8 +196,6 @@ def solver_bench_payload(
                 "cr_percent": c.cr_percent,
                 "n_measurements": c.n_measurements,
                 "n_windows": c.n_windows,
-                "backend": c.backend,
-                "precision": c.precision,
                 "loop": {
                     "wall_clock_s": c.loop_s,
                     "windows_per_sec": c.loop_windows_per_sec,
@@ -268,10 +210,9 @@ def solver_bench_payload(
             }
             for c in cells
         ],
-        "min_speedup": min(speedups) if speedups else None,
-        "max_prd_dev_percent": (
-            max(c.max_prd_dev_percent for c in exact) if exact else None
+        "min_speedup": min((c.speedup for c in cells), default=None),
+        "max_prd_dev_percent": max(
+            (c.max_prd_dev_percent for c in cells), default=None
         ),
-        "by_backend": by_backend,
         "problem_cache": dict(cache_stats) if cache_stats is not None else None,
     }

@@ -13,13 +13,10 @@ Two caveats, by design rather than accident:
   kernel's seconds *include* its profiled children — read the report as
   inclusive timings, not a flat decomposition.
 * tracemalloc instruments the Python allocator, so enabling
-  ``trace_alloc`` slows the measured code substantially.  The profile
-  bench therefore times and traces in separate passes; the
-  deterministic workspace counters (:mod:`repro.perf.workspace`) are
-  the primary allocation metric and tracemalloc is the cross-check.
+  ``trace_alloc`` slows the measured code substantially: time and
+  trace in separate passes.
 
-Everything here is stdlib-only so the profiler can wrap backend code
-without joining the backend seam.
+Everything here is stdlib-only, so any layer can import it.
 """
 
 from __future__ import annotations
@@ -125,7 +122,7 @@ class Profiler:
             return self._stats.get(name)
 
     def report(self) -> List[Dict[str, Any]]:
-        """JSON-ready rows for the ``BENCH_profile.json`` payload."""
+        """JSON-ready rows, one per profiled name (see :meth:`stats`)."""
         return [stat.to_dict() for stat in self.stats()]
 
     def clear(self) -> None:

@@ -33,25 +33,20 @@ without serializing the batch.  :func:`recover_windows_loop` implements
 the identical schedule window-by-window, which is both the benchmark
 baseline and the differential-test reference.
 
-**Backend seam:** the engines consume :mod:`repro.backend` (the ``xp``
-namespace protocol) instead of numpy directly; every solver takes an
-optional :class:`~repro.backend.BackendSettings`.  ``None`` or
-NumPy/float64 is the exact path — ``xp`` *is* the numpy module there,
-so results stay bit-identical to the pre-seam code — while float32 (or
-a GPU backend) is the fast path, with its operator stack and ADMM
-factorization pulled per ``(backend, precision)`` from
-:func:`repro.recovery.opcache.operators_for`.  Results always return as
-host float64 :class:`~repro.recovery.result.RecoveryResult` objects, so
-warm-start carries and downstream metrics are backend-agnostic.
+Operator state comes straight from the shared :class:`CsProblem`
+(``problem.a``, ``problem.admm_factor()``), so every engine solves
+against the same cached objects as the scalar solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.backend import BackendSettings, HOST, ndarray, resolve
-from repro.perf import lease_workspace, profiled
+import numpy as np
+from scipy.linalg import cho_solve
+
+from repro.perf import profiled
 from repro.recovery.admm import solve_bpdn_admm
 from repro.recovery.bsbl import (
     BsblSettings,
@@ -63,11 +58,9 @@ from repro.recovery.bsbl import (
     solve_bsbl_dequant,
 )
 from repro.recovery.fista import solve_fista
-from repro.recovery.opcache import OperatorSet, operators_for
 from repro.recovery.problem import CsProblem
+from repro.recovery.prox import soft_threshold
 from repro.recovery.result import RecoveryResult
-
-__backend_seam__ = True
 
 __all__ = [
     "stack_measurements",
@@ -94,48 +87,36 @@ _COMPACT_FRACTION = 0.25
 
 
 def stack_measurements(
-    problem: CsProblem,
-    ys: Sequence[ndarray],
-    *,
-    settings: Optional[BackendSettings] = None,
-) -> Any:
-    """Validate and stack window measurements as columns, shape ``(m, k)``.
-
-    The stack lives on the settings' backend in the settings' dtype (the
-    engine dtype policy — float64 on the default exact path).
-    """
+    problem: CsProblem, ys: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Validate and stack window measurements as columns, shape ``(m, k)``."""
     if len(ys) == 0:
         raise ValueError("need at least one measurement vector")
-    _, xp, dtype, _ = resolve(settings)
     cols = []
     for j, y in enumerate(ys):
-        arr = xp.asarray(y, dtype=dtype)
+        arr = np.asarray(y, dtype=float)
         if arr.shape != (problem.m,):
             raise ValueError(
                 f"window {j}: expected {problem.m} measurements, got shape {arr.shape}"
             )
         cols.append(arr)
-    return xp.stack(cols, axis=1)
+    return np.stack(cols, axis=1)
 
 
 def _stack_alpha0(
-    problem: CsProblem,
-    alpha0: Optional[ndarray],
-    k: int,
-    xp: Any,
-    dtype: Any,
-) -> Any:
-    """Initial coefficient stack, shape ``(n, k)``, in the engine dtype.
+    problem: CsProblem, alpha0: Optional[np.ndarray], k: int
+) -> np.ndarray:
+    """Initial coefficient stack, shape ``(n, k)``.
 
     ``alpha0`` may be ``None`` (cold start at zero), one ``(n,)`` vector
     (broadcast to every column — the chunk warm-start shape) or a full
     ``(n, k)`` stack.
     """
     if alpha0 is None:
-        return xp.zeros((problem.n, k), dtype=dtype)
-    arr = xp.asarray(alpha0, dtype=dtype)
+        return np.zeros((problem.n, k))
+    arr = np.asarray(alpha0, dtype=float)
     if arr.shape == (problem.n,):
-        return xp.repeat(arr[:, None], k, axis=1)
+        return np.repeat(arr[:, None], k, axis=1)
     if arr.shape == (problem.n, k):
         return arr.copy()
     raise ValueError(
@@ -144,34 +125,19 @@ def _stack_alpha0(
 
 
 def _finalize(
-    ops: OperatorSet,
-    alphas: Any,
-    ys: Any,
-    iterations: Any,
-    converged: Any,
+    problem: CsProblem,
+    alphas: np.ndarray,
+    ys: np.ndarray,
+    iterations: np.ndarray,
+    converged: np.ndarray,
     solver: str,
     info: dict,
 ) -> List[RecoveryResult]:
-    """Per-window :class:`RecoveryResult` objects from the solved stack.
-
-    The device→host boundary: whatever backend/dtype solved the stack,
-    results come back as float64 numpy arrays (coefficients, synthesized
-    windows, norms), so callers never see backend types.
-    """
-    problem = ops.problem
-    xp = ops.backend.xp
-    host = HOST.xp
-    residuals = ops.backend.to_numpy(
-        xp.linalg.norm(ops.a @ alphas - ys, axis=0)
-    )
-    alphas_host = host.asarray(
-        ops.backend.to_numpy(alphas), dtype=host.float64
-    )
-    iterations = ops.backend.to_numpy(iterations)
-    converged = ops.backend.to_numpy(converged)
+    """Per-window :class:`RecoveryResult` objects from the solved stack."""
+    residuals = np.linalg.norm(problem.a @ alphas - ys, axis=0)
     results = []
-    for j in range(alphas_host.shape[1]):
-        alpha = alphas_host[:, j].copy()
+    for j in range(alphas.shape[1]):
+        alpha = alphas[:, j].copy()
         results.append(
             RecoveryResult(
                 alpha=alpha,
@@ -179,7 +145,7 @@ def _finalize(
                 iterations=int(iterations[j]),
                 converged=bool(converged[j]),
                 residual_norm=float(residuals[j]),
-                objective=float(host.sum(host.abs(alpha))),
+                objective=float(np.sum(np.abs(alpha))),
                 solver=solver,
                 info=dict(info),
             )
@@ -190,102 +156,72 @@ def _finalize(
 @profiled("recovery.fista_batch")
 def solve_fista_batch(
     problem: CsProblem,
-    ys: Sequence[ndarray],
+    ys: Sequence[np.ndarray],
     lam: float,
     *,
     max_iter: int = 2000,
     tol: float = 1e-6,
-    alpha0: Optional[ndarray] = None,
-    settings: Optional[BackendSettings] = None,
+    alpha0: Optional[np.ndarray] = None,
 ) -> List[RecoveryResult]:
     """Vectorized :func:`~repro.recovery.fista.solve_fista` over a stack.
 
     One GEMM pair per iteration over the active columns; Nesterov's
     ``t_k`` sequence is data-independent, so it is shared by every
-    column exactly as in the scalar solver.  Per-iteration temporaries
-    live in a leased workspace (fresh allocations only while the lease
-    is cold), with the iterate/momentum stacks double-buffered by
-    iteration parity.  A converged column is frozen — its result and
-    iteration count recorded immediately — but the compaction copy is
-    deferred until :data:`_COMPACT_FRACTION` of the stack is frozen.
-    Returns one result per input window, in order.
+    column exactly as in the scalar solver.  A converged column is
+    frozen — its result and iteration count recorded immediately — but
+    the compaction copy is deferred until :data:`_COMPACT_FRACTION` of
+    the stack is frozen.  Returns one result per input window, in order.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    backend, xp, dtype, settings = resolve(settings)
-    y_stack = stack_measurements(problem, ys, settings=settings)
+    y_stack = stack_measurements(problem, ys)
     k = y_stack.shape[1]
-    ops = operators_for(problem, settings)
-    a = ops.a
-    a_t = a.T
-    m, n = a.shape
-    step = 1.0 / ops.opnorm_sq()
+    a = problem.a
+    step = 1.0 / problem.opnorm_sq()
 
-    alpha = _stack_alpha0(problem, alpha0, k, xp, dtype)
+    alpha = _stack_alpha0(problem, alpha0, k)
     momentum = alpha.copy()
     t_k = 1.0
 
     # Per-window bookkeeping; ``frozen`` marks converged columns of the
     # current active stack whose compaction is still pending.
-    final = xp.empty_like(alpha)
-    iterations = xp.zeros(k, dtype=xp.int64)
-    converged = xp.zeros(k, dtype=xp.bool_)
-    active = xp.arange(k)
-    frozen = xp.zeros(k, dtype=xp.bool_)
+    final = np.empty_like(alpha)
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    frozen = np.zeros(k, dtype=bool)
     y_act = y_stack  # full active set: the stack itself, no copy
 
-    with lease_workspace(settings, f"fista:{m}x{n}") as ws:
-        for it in range(1, max_iter + 1):
-            ka = int(active.size)
-            resid = ws.buf("resid", (m, ka), dtype)
-            backend.matmul(a, momentum, out=resid)
-            resid -= y_act
-            grad = ws.buf("grad", (n, ka), dtype)
-            backend.matmul(a_t, resid, out=grad)
-            prox = ws.buf("prox", (n, ka), dtype)
-            xp.multiply(grad, step, out=prox)
-            xp.subtract(momentum, prox, out=prox)
-            # alpha persists into the next iteration (the momentum and
-            # change terms read it), so the new iterate alternates
-            # between two named buffers by iteration parity.
-            alpha_new = ws.buf(
-                "alpha_a" if it % 2 else "alpha_b", (n, ka), dtype
-            )
-            backend.soft_threshold(prox, step * lam, out=alpha_new)
-            t_next = (1.0 + xp.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-            diff = ws.buf("diff", (n, ka), dtype)
-            xp.subtract(alpha_new, alpha, out=diff)
-            change = xp.linalg.norm(diff, axis=0)
-            # momentum was last read computing resid/prox above, so its
-            # buffer is safe to overwrite in place here.
-            mom_new = ws.buf("momentum", (n, ka), dtype)
-            xp.multiply(diff, (t_k - 1.0) / t_next, out=mom_new)
-            xp.add(alpha_new, mom_new, out=mom_new)
-            scale = xp.maximum(xp.linalg.norm(alpha_new, axis=0), 1.0)
-            alpha = alpha_new
-            momentum = mom_new
-            t_k = t_next
+    for it in range(1, max_iter + 1):
+        ka = int(active.size)
+        grad = a.T @ (a @ momentum - y_act)
+        alpha_new = soft_threshold(momentum - grad * step, step * lam)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
+        diff = alpha_new - alpha
+        change = np.linalg.norm(diff, axis=0)
+        momentum = alpha_new + diff * ((t_k - 1.0) / t_next)
+        scale = np.maximum(np.linalg.norm(alpha_new, axis=0), 1.0)
+        alpha = alpha_new
+        t_k = t_next
 
-            done = change <= tol * scale
-            newly = done & ~frozen
-            if xp.any(newly):
-                cols = active[newly]
-                final[:, cols] = alpha[:, newly]
-                iterations[cols] = it
-                converged[cols] = True
-                frozen = frozen | newly
-            nfrozen = int(frozen.sum())
-            if nfrozen == ka or nfrozen >= _COMPACT_FRACTION * ka:
-                keep = ~frozen
-                active = active[keep]
-                if active.size == 0:
-                    break
-                # Fancy indexing yields owned copies, ending any
-                # aliasing with the parity buffers above.
-                alpha = alpha[:, keep]
-                momentum = momentum[:, keep]
-                y_act = y_stack[:, active]
-                frozen = xp.zeros(active.size, dtype=xp.bool_)
+        done = change <= tol * scale
+        newly = done & ~frozen
+        if np.any(newly):
+            cols = active[newly]
+            final[:, cols] = alpha[:, newly]
+            iterations[cols] = it
+            converged[cols] = True
+            frozen = frozen | newly
+        nfrozen = int(frozen.sum())
+        if nfrozen == ka or nfrozen >= _COMPACT_FRACTION * ka:
+            keep = ~frozen
+            active = active[keep]
+            if active.size == 0:
+                break
+            alpha = alpha[:, keep]
+            momentum = momentum[:, keep]
+            y_act = y_stack[:, active]
+            frozen = np.zeros(active.size, dtype=bool)
 
     if active.size:
         left = ~frozen
@@ -294,46 +230,26 @@ def solve_fista_batch(
             final[:, cols] = alpha[:, left]
             iterations[cols] = max_iter
 
-    info = {
-        "lam": float(lam),
-        "step": float(step),
-        "batch": float(k),
-        "backend": settings.label,
-    }
+    info = {"lam": float(lam), "step": float(step), "batch": float(k)}
     return _finalize(
-        ops, final, y_stack, iterations, converged, "fista-lasso-batch", info
+        problem, final, y_stack, iterations, converged, "fista-lasso-batch", info
     )
 
 
 def _project_l2_ball_columns(
-    xp: Any,
-    v: Any,
-    centers: Any,
-    radius: float,
-    out: Any = None,
-    diff_buf: Any = None,
-) -> Any:
+    v: np.ndarray, centers: np.ndarray, radius: float
+) -> np.ndarray:
     """Column-wise Euclidean projection onto ``||z - center_j|| <= radius``.
 
     The vectorized twin of :func:`repro.recovery.prox.project_l2_ball`,
     including its "already inside (or at the center): return unchanged"
     branch, so each column matches the scalar projection bit-for-bit.
-    ``out``/``diff_buf`` route the result and the ``v - centers``
-    temporary into workspace buffers; both start as full copies/
-    overwrites, so the values are identical to the allocating form.
     """
-    if diff_buf is None:
-        diff = v - centers
-    else:
-        diff = diff_buf
-        xp.subtract(v, centers, out=diff)
-    norms = xp.linalg.norm(diff, axis=0)
-    if out is None:
-        out = v.copy()
-    else:
-        out[...] = v
+    diff = v - centers
+    norms = np.linalg.norm(diff, axis=0)
+    out = v.copy()
     shrink = (norms > radius) & (norms > 0.0)
-    if xp.any(shrink):
+    if np.any(shrink):
         out[:, shrink] = centers[:, shrink] + diff[:, shrink] * (
             radius / norms[shrink]
         )
@@ -343,129 +259,87 @@ def _project_l2_ball_columns(
 @profiled("recovery.admm_batch")
 def solve_bpdn_admm_batch(
     problem: CsProblem,
-    ys: Sequence[ndarray],
+    ys: Sequence[np.ndarray],
     sigma: float,
     *,
     rho: float = 1.0,
     max_iter: int = 3000,
     tol: float = 1e-5,
-    alpha0: Optional[ndarray] = None,
-    settings: Optional[BackendSettings] = None,
+    alpha0: Optional[np.ndarray] = None,
 ) -> List[RecoveryResult]:
     """Vectorized :func:`~repro.recovery.admm.solve_bpdn_admm` over a stack.
 
-    The ``alpha``-step solves against the *cached* Cholesky factor of
-    ``I + A^T A`` — held per ``(backend, precision)`` by the operator
-    cache — with a multi-column right-hand side, so the whole stack
-    costs one factorization ever (per process and precision) and two
+    The ``alpha``-step solves against the problem's *cached* Cholesky
+    factor of ``I + A^T A`` with a multi-column right-hand side, so the
+    whole stack costs one factorization ever (per process) and two
     triangular GEMM solves per iteration.
     """
     if sigma < 0:
         raise ValueError("sigma cannot be negative")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    backend, xp, dtype, settings = resolve(settings)
-    y_stack = stack_measurements(problem, ys, settings=settings)
+    y_stack = stack_measurements(problem, ys)
     k = y_stack.shape[1]
-    ops = operators_for(problem, settings)
-    a = ops.a
-    a_t = a.T
-    m, n = a.shape
+    a = problem.a
+    chol = problem.admm_factor()
 
-    alpha = _stack_alpha0(problem, alpha0, k, xp, dtype)
+    alpha = _stack_alpha0(problem, alpha0, k)
     w = alpha.copy()
     z = y_stack.copy()
-    u_w = xp.zeros_like(alpha)
-    u_z = xp.zeros_like(y_stack)
+    u_w = np.zeros_like(alpha)
+    u_z = np.zeros_like(y_stack)
 
-    final = xp.empty_like(alpha)
-    iterations = xp.zeros(k, dtype=xp.int64)
-    converged = xp.zeros(k, dtype=xp.bool_)
-    active = xp.arange(k)
-    frozen = xp.zeros(k, dtype=xp.bool_)
+    final = np.empty_like(alpha)
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    frozen = np.zeros(k, dtype=bool)
     y_act = y_stack  # full active set: the stack itself, no copy
 
-    with lease_workspace(settings, f"admm:{m}x{n}") as ws:
-        for it in range(1, max_iter + 1):
-            ka = int(active.size)
-            # rhs = (w - u_w) + a.T @ (z - u_z), accumulated in place.
-            zt = ws.buf("zt", (m, ka), dtype)
-            xp.subtract(z, u_z, out=zt)
-            rhs = ws.buf("rhs", (n, ka), dtype)
-            backend.matmul(a_t, zt, out=rhs)
-            wd = ws.buf("wd", (n, ka), dtype)
-            xp.subtract(w, u_w, out=wd)
-            xp.add(wd, rhs, out=rhs)
-            # The triangular solves allocate their solution internally
-            # (LAPACK copies a C-ordered rhs regardless); rhs itself is
-            # dead after this call, hence overwrite_b.
-            alpha = ops.cho_solve(rhs, overwrite_b=True)
-            a_alpha = ws.buf("a_alpha", (m, ka), dtype)
-            backend.matmul(a, alpha, out=a_alpha)
-            wsum = ws.buf("wsum", (n, ka), dtype)
-            xp.add(alpha, u_w, out=wsum)
-            # w and z persist across iterations (read at the top and in
-            # the dual residual), so their successors alternate between
-            # parity-named buffers.
-            w_new = ws.buf("w_a" if it % 2 else "w_b", (n, ka), dtype)
-            backend.soft_threshold(wsum, 1.0 / rho, out=w_new)
-            zsum = ws.buf("zsum", (m, ka), dtype)
-            xp.add(a_alpha, u_z, out=zsum)
-            z_new = _project_l2_ball_columns(
-                xp,
-                zsum,
-                y_act,
-                sigma,
-                out=ws.buf("z_a" if it % 2 else "z_b", (m, ka), dtype),
-                diff_buf=ws.buf("zdiff", (m, ka), dtype),
-            )
-            # Each difference is computed once and reused for the dual
-            # update and the residual norm (identical values to the
-            # original's two evaluations of the same expression).
-            dw = ws.buf("dw", (n, ka), dtype)
-            xp.subtract(alpha, w_new, out=dw)
-            u_w += dw
-            dz = ws.buf("dz", (m, ka), dtype)
-            xp.subtract(a_alpha, z_new, out=dz)
-            u_z += dz
+    for it in range(1, max_iter + 1):
+        ka = int(active.size)
+        rhs = (w - u_w) + a.T @ (z - u_z)
+        alpha = cho_solve(chol, rhs)
+        a_alpha = a @ alpha
+        w_new = soft_threshold(alpha + u_w, 1.0 / rho)
+        z_new = _project_l2_ball_columns(a_alpha + u_z, y_act, sigma)
+        # Each difference is computed once and reused for the dual
+        # update and the residual norm.
+        dw = alpha - w_new
+        u_w += dw
+        dz = a_alpha - z_new
+        u_z += dz
 
-            primal = xp.sqrt(
-                xp.linalg.norm(dw, axis=0) ** 2
-                + xp.linalg.norm(dz, axis=0) ** 2
-            )
-            zdel = ws.buf("zdel", (m, ka), dtype)
-            xp.subtract(z_new, z, out=zdel)
-            atzd = ws.buf("atzd", (n, ka), dtype)
-            backend.matmul(a_t, zdel, out=atzd)
-            wdel = ws.buf("wdel", (n, ka), dtype)
-            xp.subtract(w_new, w, out=wdel)
-            dual = rho * xp.sqrt(
-                xp.linalg.norm(wdel, axis=0) ** 2
-                + xp.linalg.norm(atzd, axis=0) ** 2
-            )
-            w, z = w_new, z_new
-            scale = xp.maximum(xp.linalg.norm(w, axis=0), 1.0)
+        primal = np.sqrt(
+            np.linalg.norm(dw, axis=0) ** 2 + np.linalg.norm(dz, axis=0) ** 2
+        )
+        dual = rho * np.sqrt(
+            np.linalg.norm(w_new - w, axis=0) ** 2
+            + np.linalg.norm(a.T @ (z_new - z), axis=0) ** 2
+        )
+        w, z = w_new, z_new
+        scale = np.maximum(np.linalg.norm(w, axis=0), 1.0)
 
-            done = (primal <= tol * scale) & (dual <= tol * scale)
-            newly = done & ~frozen
-            if xp.any(newly):
-                cols = active[newly]
-                final[:, cols] = w[:, newly]
-                iterations[cols] = it
-                converged[cols] = True
-                frozen = frozen | newly
-            nfrozen = int(frozen.sum())
-            if nfrozen == ka or nfrozen >= _COMPACT_FRACTION * ka:
-                keep = ~frozen
-                active = active[keep]
-                if active.size == 0:
-                    break
-                w = w[:, keep]
-                z = z[:, keep]
-                u_w = u_w[:, keep]
-                u_z = u_z[:, keep]
-                y_act = y_stack[:, active]
-                frozen = xp.zeros(active.size, dtype=xp.bool_)
+        done = (primal <= tol * scale) & (dual <= tol * scale)
+        newly = done & ~frozen
+        if np.any(newly):
+            cols = active[newly]
+            final[:, cols] = w[:, newly]
+            iterations[cols] = it
+            converged[cols] = True
+            frozen = frozen | newly
+        nfrozen = int(frozen.sum())
+        if nfrozen == ka or nfrozen >= _COMPACT_FRACTION * ka:
+            keep = ~frozen
+            active = active[keep]
+            if active.size == 0:
+                break
+            w = w[:, keep]
+            z = z[:, keep]
+            u_w = u_w[:, keep]
+            u_z = u_z[:, keep]
+            y_act = y_stack[:, active]
+            frozen = np.zeros(active.size, dtype=bool)
 
     if active.size:
         left = ~frozen
@@ -474,9 +348,9 @@ def solve_bpdn_admm_batch(
             final[:, cols] = w[:, left]
             iterations[cols] = max_iter
 
-    info = {"rho": float(rho), "batch": float(k), "backend": settings.label}
+    info = {"rho": float(rho), "batch": float(k)}
     return _finalize(
-        ops, final, y_stack, iterations, converged, "admm-bpdn-batch", info
+        problem, final, y_stack, iterations, converged, "admm-bpdn-batch", info
     )
 
 
@@ -497,13 +371,13 @@ def _bsbl_overrides(
 
 @profiled("recovery.bsbl_batch")
 def _solve_bsbl_stack(
-    ops: OperatorSet,
-    y_stack: Any,
+    problem: CsProblem,
+    y_stack: np.ndarray,
     noise_var: float,
-    c_stack: Any,
+    c_stack: Optional[np.ndarray],
     quant_var: Optional[float],
     bsbl: BsblSettings,
-    alpha0: Optional[ndarray],
+    alpha0: Optional[np.ndarray],
     solver: str,
     info: dict,
 ) -> List[RecoveryResult]:
@@ -512,138 +386,124 @@ def _solve_bsbl_stack(
     Mirrors ``repro.recovery.bsbl._em_measurement_space``
     column-for-column: each iteration is one
     :func:`~repro.recovery.bsbl.measurement_estep` over the active
-    windows — a stack of ``m x m`` Cholesky factors whose ``(k, m, n)``
-    and ``(k, m, m + n + 1)`` temporaries live in a leased workspace —
-    then the shared BO gamma rule and AR(1) correlation re-estimate, with
+    windows — a stack of ``m x m`` Cholesky factors — then the shared BO
+    gamma rule and AR(1) correlation re-estimate, with
     the engine's usual convergence masking: a converged window is frozen
     and compacted out of the active stack.  The evidence bookkeeping
     (scalar ``objective_history``) is skipped; it never feeds back into
     the iteration.  The per-window arithmetic is the scalar loop's
     (measured: bit-identical results).
     """
-    problem = ops.problem
-    backend = ops.backend
-    xp = backend.xp
-    dtype = y_stack.dtype
-    m, n = ops.a.shape
+    a = problem.a
+    n = problem.n
     k = y_stack.shape[1]
     blen = bsbl.block_len
     g = bsbl.blocks_for(n)
 
     alpha0_stack = (
-        None if alpha0 is None else _stack_alpha0(problem, alpha0, k, xp, dtype)
+        None if alpha0 is None else _stack_alpha0(problem, alpha0, k)
     )
-    gamma = xp.asarray(initial_gamma(xp, alpha0_stack, k, g, blen), dtype=dtype)
-    r = xp.zeros(k, dtype=dtype)
-    mu = xp.zeros((k, n), dtype=dtype)
+    gamma = initial_gamma(alpha0_stack, k, g, blen)
+    r = np.zeros(k)
+    mu = np.zeros((k, n))
     y_act = y_stack.T
     c_act = c_stack
 
-    final = xp.empty_like(mu)
-    iterations = xp.zeros(k, dtype=xp.int64)
-    converged = xp.zeros(k, dtype=xp.bool_)
-    active = xp.arange(k)
+    final = np.empty_like(mu)
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
 
-    with lease_workspace(ops.settings, f"bsbl:{m}x{n}:b{blen}") as ws:
-        for it in range(1, bsbl.max_iter + 1):
-            mu_new, num, den, _ = measurement_estep(
-                backend, ws, ops.a, y_act, noise_var, c_act, quant_var,
-                gamma, r,
+    for it in range(1, bsbl.max_iter + 1):
+        mu_new, num, den, _ = measurement_estep(
+            a, y_act, noise_var, c_act, quant_var, gamma, r
+        )
+        gamma_prev = gamma
+        gamma = np.maximum(gamma * bo_gamma_factor(num, den), bsbl.gamma_floor)
+
+        change = np.linalg.norm(mu_new - mu, axis=1)
+        scale = np.maximum(np.linalg.norm(mu_new, axis=1), 1e-12)
+        mu = mu_new
+
+        done = change <= bsbl.tol * scale
+        if np.any(done):
+            cols = active[done]
+            final[cols] = mu[done]
+            iterations[cols] = it
+            converged[cols] = True
+            keep = ~done
+            active = active[keep]
+            if active.size == 0:
+                break
+            mu = mu[keep]
+            gamma = gamma[keep]
+            gamma_prev = gamma_prev[keep]
+            y_act = y_act[keep]
+            if c_act is not None:
+                c_act = c_act[keep]
+            r = r[keep]
+
+        if bsbl.learn_correlation and blen > 1:
+            r = ar1_estimate(
+                mu.reshape(-1, g, blen), gamma_prev, bsbl.corr_limit
             )
-            gamma_prev = gamma
-            gamma = xp.maximum(
-                gamma * bo_gamma_factor(xp, num, den), bsbl.gamma_floor
-            )
-
-            change = xp.linalg.norm(mu_new - mu, axis=1)
-            scale = xp.maximum(xp.linalg.norm(mu_new, axis=1), 1e-12)
-            mu = mu_new
-
-            done = change <= bsbl.tol * scale
-            if xp.any(done):
-                cols = active[done]
-                final[cols] = mu[done]
-                iterations[cols] = it
-                converged[cols] = True
-                keep = ~done
-                active = active[keep]
-                if active.size == 0:
-                    break
-                mu = mu[keep]
-                gamma = gamma[keep]
-                gamma_prev = gamma_prev[keep]
-                y_act = y_act[keep]
-                if c_act is not None:
-                    c_act = c_act[keep]
-                r = r[keep]
-
-            if bsbl.learn_correlation and blen > 1:
-                r = ar1_estimate(
-                    xp, mu.reshape(-1, g, blen), gamma_prev, bsbl.corr_limit
-                )
 
     if active.size:
         final[active] = mu
         iterations[active] = bsbl.max_iter
 
     return _finalize(
-        ops, final.T, y_stack, iterations, converged, solver, info
+        problem, final.T, y_stack, iterations, converged, solver, info
     )
 
 
 def solve_bsbl_batch(
     problem: CsProblem,
-    ys: Sequence[ndarray],
+    ys: Sequence[np.ndarray],
     noise_var: float,
     *,
     bsbl: Optional[BsblSettings] = None,
-    alpha0: Optional[ndarray] = None,
+    alpha0: Optional[np.ndarray] = None,
     max_iter: Optional[int] = None,
     tol: Optional[float] = None,
-    settings: Optional[BackendSettings] = None,
 ) -> List[RecoveryResult]:
     """Vectorized :func:`~repro.recovery.bsbl.solve_bsbl` over a stack.
 
-    The operator ``A`` comes from the operator cache per ``(backend,
-    precision)``; each EM iteration is one stack of ``m x m`` Cholesky
-    factorizations over the active windows.
+    Each EM iteration is one stack of ``m x m`` Cholesky factorizations
+    over the active windows.
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-    _, _, _, settings = resolve(settings)
-    y_stack = stack_measurements(problem, ys, settings=settings)
-    ops = operators_for(problem, settings)
+    y_stack = stack_measurements(problem, ys)
     em = _bsbl_overrides(bsbl, max_iter, tol)
     info = {
         "noise_var": float(noise_var),
         "block_len": float(em.block_len),
         "batch": float(y_stack.shape[1]),
-        "backend": settings.label,
     }
     return _solve_bsbl_stack(
-        ops, y_stack, noise_var, None, None, em, alpha0, "bsbl-bo-batch", info
+        problem, y_stack, noise_var, None, None, em, alpha0, "bsbl-bo-batch", info
     )
 
 
 def solve_bsbl_dequant_batch(
     problem: CsProblem,
-    ys: Sequence[ndarray],
+    ys: Sequence[np.ndarray],
     noise_var: float,
-    x_mids: Sequence[ndarray],
+    x_mids: Sequence[np.ndarray],
     quant_var: float,
     *,
     bsbl: Optional[BsblSettings] = None,
-    alpha0: Optional[ndarray] = None,
+    alpha0: Optional[np.ndarray] = None,
     max_iter: Optional[int] = None,
     tol: Optional[float] = None,
-    settings: Optional[BackendSettings] = None,
 ) -> List[RecoveryResult]:
     """Vectorized :func:`~repro.recovery.bsbl.solve_bsbl_dequant`.
 
     ``x_mids`` holds one low-res cell-midpoint vector per window (same
     centered units as the solver domain).  The analysis transforms run
-    per window on the host — bit-identical to the scalar path — and the
-    coefficient stack ``Ψ^T x_mid`` enters the shared E-step as
+    per window — bit-identical to the scalar path — and the coefficient
+    stack ``Ψ^T x_mid`` enters the shared E-step as
     pseudo-observations.
     """
     if noise_var <= 0:
@@ -652,48 +512,43 @@ def solve_bsbl_dequant_batch(
         raise ValueError("quant_var must be positive")
     if len(x_mids) != len(ys):
         raise ValueError("need one x_mid vector per measurement window")
-    _, xp, dtype, settings = resolve(settings)
-    y_stack = stack_measurements(problem, ys, settings=settings)
-    ops = operators_for(problem, settings)
+    y_stack = stack_measurements(problem, ys)
     em = _bsbl_overrides(bsbl, max_iter, tol)
-    host = HOST.xp
     c_cols = []
     for j, x_mid in enumerate(x_mids):
-        arr = host.asarray(x_mid, dtype=host.float64)
+        arr = np.asarray(x_mid, dtype=float)
         if arr.shape != (problem.n,):
             raise ValueError(
                 f"window {j}: expected {problem.n} midpoints, got shape {arr.shape}"
             )
         c_cols.append(problem.basis.analyze(arr))
-    c_stack = xp.asarray(host.stack(c_cols, axis=0), dtype=dtype)
+    c_stack = np.stack(c_cols, axis=0)
     info = {
         "noise_var": float(noise_var),
         "quant_var": float(quant_var),
         "block_len": float(em.block_len),
         "batch": float(y_stack.shape[1]),
-        "backend": settings.label,
     }
     return _solve_bsbl_stack(
-        ops, y_stack, noise_var, c_stack, quant_var, em, alpha0,
+        problem, y_stack, noise_var, c_stack, quant_var, em, alpha0,
         "bsbl-bo-dequant-batch", info,
     )
 
 
 def solve_batch(
     problem: CsProblem,
-    ys: Sequence[ndarray],
+    ys: Sequence[np.ndarray],
     *,
     method: str = "admm",
     sigma: Optional[float] = None,
     lam: Optional[float] = None,
     noise_var: Optional[float] = None,
-    x_mids: Optional[Sequence[ndarray]] = None,
+    x_mids: Optional[Sequence[np.ndarray]] = None,
     quant_var: Optional[float] = None,
     bsbl: Optional[BsblSettings] = None,
-    alpha0: Optional[ndarray] = None,
+    alpha0: Optional[np.ndarray] = None,
     max_iter: Optional[int] = None,
     tol: Optional[float] = None,
-    settings: Optional[BackendSettings] = None,
 ) -> List[RecoveryResult]:
     """One batched solve over a window stack, dispatching on ``method``.
 
@@ -703,7 +558,7 @@ def solve_batch(
     additionally takes the low-res channel (``x_mids``, ``quant_var``).
     Unset iteration controls fall back to each solver's own defaults.
     """
-    kwargs: dict = {"settings": settings}
+    kwargs: dict = {}
     if max_iter is not None:
         kwargs["max_iter"] = max_iter
     if tol is not None:
@@ -741,20 +596,19 @@ def _chunks(count: int, size: int):
 
 def recover_windows(
     problem: CsProblem,
-    ys: Sequence[ndarray],
+    ys: Sequence[np.ndarray],
     *,
     method: str = "admm",
     sigma: Optional[float] = None,
     lam: Optional[float] = None,
     noise_var: Optional[float] = None,
-    x_mids: Optional[Sequence[ndarray]] = None,
+    x_mids: Optional[Sequence[np.ndarray]] = None,
     quant_var: Optional[float] = None,
     bsbl: Optional[BsblSettings] = None,
     batch_size: int = 32,
     warm_start: bool = True,
     max_iter: Optional[int] = None,
     tol: Optional[float] = None,
-    settings: Optional[BackendSettings] = None,
 ) -> List[RecoveryResult]:
     """Solve a record's window sequence through the batched engine.
 
@@ -763,9 +617,7 @@ def recover_windows(
     solution of the *last window of the previous stack* (the newest
     solution that temporally precedes the whole stack).  The schedule is
     a pure function of the window sequence, so results are deterministic
-    regardless of hardware or timing.  Warm-start carries are host
-    float64 regardless of ``settings``; each chunk re-casts them to the
-    engine dtype.  For ``method="bsbl-dequant"`` the per-window
+    regardless of hardware or timing.  For ``method="bsbl-dequant"`` the per-window
     ``x_mids`` sequence is chunked in lockstep with ``ys``.
     """
     if batch_size < 1:
@@ -773,7 +625,7 @@ def recover_windows(
     if x_mids is not None and len(x_mids) != len(ys):
         raise ValueError("need one x_mid vector per measurement window")
     results: List[RecoveryResult] = []
-    carry: Optional[ndarray] = None
+    carry: Optional[np.ndarray] = None
     for chunk in _chunks(len(ys), batch_size):
         batch = [ys[j] for j in chunk]
         mids = None if x_mids is None else [x_mids[j] for j in chunk]
@@ -791,7 +643,6 @@ def recover_windows(
             alpha0=alpha0,
             max_iter=max_iter,
             tol=tol,
-            settings=settings,
         )
         results.extend(solved)
         carry = solved[-1].alpha
@@ -800,13 +651,13 @@ def recover_windows(
 
 def recover_windows_loop(
     problem: CsProblem,
-    ys: Sequence[ndarray],
+    ys: Sequence[np.ndarray],
     *,
     method: str = "admm",
     sigma: Optional[float] = None,
     lam: Optional[float] = None,
     noise_var: Optional[float] = None,
-    x_mids: Optional[Sequence[ndarray]] = None,
+    x_mids: Optional[Sequence[np.ndarray]] = None,
     quant_var: Optional[float] = None,
     bsbl: Optional[BsblSettings] = None,
     batch_size: int = 32,
@@ -819,9 +670,7 @@ def recover_windows_loop(
 
     Identical warm-start schedule (chunk boundaries included), one scalar
     solve per window.  This is the benchmark baseline and the
-    differential-test oracle — including for the fast-path backends,
-    which is why it takes no backend settings: the oracle is always the
-    scalar float64 path.  ``fresh_problem=True`` additionally rebuilds
+    differential-test oracle.  ``fresh_problem=True`` additionally rebuilds
     the composed operator per window, reproducing the pre-cache cost
     model the benchmarks compare against.
     """
@@ -830,7 +679,7 @@ def recover_windows_loop(
     if x_mids is not None and len(x_mids) != len(ys):
         raise ValueError("need one x_mid vector per measurement window")
     results: List[RecoveryResult] = []
-    carry: Optional[ndarray] = None
+    carry: Optional[np.ndarray] = None
     kwargs: dict = {}
     if max_iter is not None:
         kwargs["max_iter"] = max_iter

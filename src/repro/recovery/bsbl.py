@@ -61,13 +61,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import HOST
 from repro.devtools.contracts import check_finite, check_shape
-from repro.perf.workspace import NullWorkspace
 from repro.recovery.problem import CsProblem
 from repro.recovery.result import RecoveryResult
 from repro.wavelets.operators import SynthesisBasis
@@ -185,23 +183,21 @@ def lowres_cell_stats(
     return mid, max(var, 1.0 / 12.0)
 
 
-def ar1_precision(xp: Any, r: Any, block_len: int) -> Any:
+def ar1_precision(r: np.ndarray, block_len: int) -> np.ndarray:
     """Closed-form inverse of the AR(1) Toeplitz block ``B[i, j] = r^|i-j|``.
 
     ``r`` is a stack of correlations, shape ``(k,)``; returns ``B^{-1}``,
     shape ``(k, b, b)``: the classical tridiagonal
     ``(1/(1-r^2)) tridiag(-r; 1, 1+r^2, ..., 1+r^2, 1; -r)``, exact, so
-    no ``B`` is ever formed or factorized.  Parameterized on the array
-    namespace ``xp`` so the backend-seam batched engine shares the
-    arithmetic.
+    no ``B`` is ever formed or factorized.
     """
-    r = xp.asarray(r)
+    r = np.asarray(r)
     k = r.shape[0]
     b = int(block_len)
     if b == 1:
-        return xp.ones((k, 1, 1), dtype=r.dtype)
-    idx = xp.arange(b)
-    binv = xp.zeros((k, b, b), dtype=r.dtype)
+        return np.ones((k, 1, 1), dtype=r.dtype)
+    idx = np.arange(b)
+    binv = np.zeros((k, b, b), dtype=r.dtype)
     binv[:, idx, idx] = (1.0 + r * r)[:, None]
     binv[:, 0, 0] = 1.0
     binv[:, b - 1, b - 1] = 1.0
@@ -210,7 +206,7 @@ def ar1_precision(xp: Any, r: Any, block_len: int) -> Any:
     return binv / (1.0 - r * r)[:, None, None]
 
 
-def bo_gamma_factor(xp: Any, num: Any, den: Any) -> Any:
+def bo_gamma_factor(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """The BO multiplicative update ``sqrt(num / den)``, guarded.
 
     ``num = q^T B q >= 0`` and ``den = tr(B H) > 0`` in exact arithmetic;
@@ -218,11 +214,13 @@ def bo_gamma_factor(xp: Any, num: Any, den: Any) -> Any:
     block, and are shared verbatim by the scalar and batched loops so the
     two stay aligned elementwise.
     """
-    safe_den = xp.maximum(den, _TINY)
-    return xp.sqrt(xp.maximum(num, 0.0) / safe_den)
+    safe_den = np.maximum(den, _TINY)
+    return np.sqrt(np.maximum(num, 0.0) / safe_den)
 
 
-def ar1_estimate(xp: Any, mub: Any, gamma: Any, corr_limit: float) -> Any:
+def ar1_estimate(
+    mub: np.ndarray, gamma: np.ndarray, corr_limit: float
+) -> np.ndarray:
     """Per-window AR(1) correlation from posterior-mean blocks.
 
     ``mub`` has shape ``(k, g, b)`` and ``gamma`` ``(k, g)``; returns the
@@ -230,18 +228,20 @@ def ar1_estimate(xp: Any, mub: Any, gamma: Any, corr_limit: float) -> Any:
     practical ``B`` re-estimation from the scale-whitened empirical block
     covariance, reduced to its Toeplitz (lag-averaged) form.
     """
-    inv_gamma = 1.0 / xp.maximum(gamma, _TINY)
-    diag = xp.einsum("kgb,kgb,kg->k", mub, mub, inv_gamma)
-    off = xp.einsum("kgb,kgb,kg->k", mub[:, :, :-1], mub[:, :, 1:], inv_gamma)
+    inv_gamma = 1.0 / np.maximum(gamma, _TINY)
+    diag = np.einsum("kgb,kgb,kg->k", mub, mub, inv_gamma)
+    off = np.einsum("kgb,kgb,kg->k", mub[:, :, :-1], mub[:, :, 1:], inv_gamma)
     b = mub.shape[2]
     diag_mean = diag / b
     off_mean = off / max(b - 1, 1)
-    raw = xp.where(diag_mean > _TINY, off_mean / xp.maximum(diag_mean, _TINY), 0.0)
-    raw = xp.where(xp.isfinite(raw), raw, 0.0)
-    return xp.clip(raw, -corr_limit, corr_limit)
+    raw = np.where(diag_mean > _TINY, off_mean / np.maximum(diag_mean, _TINY), 0.0)
+    raw = np.where(np.isfinite(raw), raw, 0.0)
+    return np.clip(raw, -corr_limit, corr_limit)
 
 
-def initial_gamma(xp: Any, alpha0: Any, k: int, g: int, block_len: int) -> Any:
+def initial_gamma(
+    alpha0: Optional[np.ndarray], k: int, g: int, block_len: int
+) -> np.ndarray:
     """Block scales seeding the EM: flat 1.0 cold, energy-based warm.
 
     ``alpha0`` is ``None`` (cold start) or an ``(n, k)`` coefficient
@@ -249,12 +249,12 @@ def initial_gamma(xp: Any, alpha0: Any, k: int, g: int, block_len: int) -> Any:
     so a zero warm-start block can still wake up.
     """
     if alpha0 is None:
-        return xp.ones((k, g))
-    blocks = xp.transpose(alpha0).reshape(k, g, block_len)
-    return xp.mean(blocks * blocks, axis=2) + 1e-2
+        return np.ones((k, g))
+    blocks = np.transpose(alpha0).reshape(k, g, block_len)
+    return np.mean(blocks * blocks, axis=2) + 1e-2
 
 
-def cholesky_forward(xp: Any, t: Any, leaf: int = 32) -> Any:
+def cholesky_forward(t: np.ndarray, leaf: int = 32) -> np.ndarray:
     """Factor ``S = L L^T`` and overwrite ``X`` with ``L^{-1} X``, in place.
 
     ``t`` is a ``(k, m, m + p)`` stack laid out as ``[S | X]`` with ``S``
@@ -264,32 +264,30 @@ def cholesky_forward(xp: Any, t: Any, leaf: int = 32) -> Any:
     GEMM with those rows downdates ``[S22 | X2]`` (Schur complement and
     right-hand side together), and the bottom rows recurse.  Only
     ``leaf``-sized blocks are factored and inverted directly, so nearly
-    every flop of the ``O(m^3 + m^2 p)`` total is a matrix multiply, on
-    any array namespace (NumPy has no batched triangular solve).
+    every flop of the ``O(m^3 + m^2 p)`` total is a matrix multiply
+    (NumPy has no batched triangular solve).
     """
     m = t.shape[1]
     if m <= leaf:
-        lower = xp.linalg.cholesky(t[:, :, :m])
-        t[:, :, m:] = xp.matmul(xp.linalg.inv(lower), t[:, :, m:])
-        return xp.diagonal(lower, axis1=1, axis2=2)
+        lower = np.linalg.cholesky(t[:, :, :m])
+        t[:, :, m:] = np.matmul(np.linalg.inv(lower), t[:, :, m:])
+        return np.diagonal(lower, axis1=1, axis2=2)
     h = m // 2
-    top = cholesky_forward(xp, t[:, :h], leaf)
-    t[:, h:, h:] -= xp.matmul(xp.swapaxes(t[:, :h, h:m], 1, 2), t[:, :h, h:])
-    bottom = cholesky_forward(xp, t[:, h:, h:], leaf)
-    return xp.concatenate([top, bottom], axis=1)
+    top = cholesky_forward(t[:, :h], leaf)
+    t[:, h:, h:] -= np.matmul(np.swapaxes(t[:, :h, h:m], 1, 2), t[:, :h, h:])
+    bottom = cholesky_forward(t[:, h:, h:], leaf)
+    return np.concatenate([top, bottom], axis=1)
 
 
 def measurement_estep(
-    backend: Any,
-    ws: Any,
-    a: Any,
-    y: Any,
+    a: np.ndarray,
+    y: np.ndarray,
     noise_var: float,
-    c_vec: Any,
+    c_vec: Optional[np.ndarray],
     quant_var: Optional[float],
-    gamma: Any,
-    r: Any,
-) -> Tuple[Any, Any, Any, Any]:
+    gamma: np.ndarray,
+    r: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One BSBL-BO E-step in measurement space for a stack of windows.
 
     ``a`` is the shared ``(m, n)`` operator ``A``; ``y`` ``(k, m)``,
@@ -312,57 +310,53 @@ def measurement_estep(
     ``tr(B H_ii) = blen / gamma_i - tr(B^{-1} Sigma_ii) / gamma_i^2``,
     both ``(k, g)``; and ``log|Gamma M|`` per window, the evidence's
     determinant term, from ``log|M| = sum log d + log|S| - m log lambda``.
-    The ``(k, m, n)`` and ``(k, m, m + n + 1)`` stacks come from ``ws``;
-    the cost is ``O(k m^2 n)``.
+    The cost is ``O(k m^2 n)``.
     """
-    xp = backend.xp
     m, n = a.shape
     k, g = gamma.shape
     blen = n // g
-    dtype = y.dtype
     inv_quant_var = 0.0 if c_vec is None else 1.0 / quant_var
-    beta, u = xp.linalg.eigh(ar1_precision(xp, r, blen))
+    beta, u = np.linalg.eigh(ar1_precision(r, blen))
     d = beta[:, None, :] / gamma[:, :, None] + inv_quant_var
-    scale = 1.0 / xp.sqrt(d.reshape(k, n))
+    scale = 1.0 / np.sqrt(d.reshape(k, n))
 
-    aw = ws.buf("aw", (k, m, n), dtype)
-    backend.matmul(a.reshape(1, m * g, blen), u, out=aw.reshape(k, m * g, blen))
+    aw = np.matmul(a.reshape(1, m * g, blen), u).reshape(k, m, n)
     # [S | F | z], factored in one pass into [. | V | L^{-1} z], where z is
     # the data the prior mean p does not explain.
-    t = ws.buf("t", (k, m, m + n + 1), dtype)
+    t = np.empty((k, m, m + n + 1))
     f = t[:, :, m : m + n]
-    xp.multiply(aw, scale[:, None, :], out=f)
+    np.multiply(aw, scale[:, None, :], out=f)
     if c_vec is None:
         t[:, :, m + n] = y
     else:
-        c_rot = xp.einsum("kgb,kbc->kgc", c_vec.reshape(k, g, blen), u)
+        c_rot = np.einsum("kgb,kbc->kgc", c_vec.reshape(k, g, blen), u)
         prior_mu = (inv_quant_var * c_rot / d).reshape(k, n)
-        t[:, :, m + n] = y - xp.matmul(aw, prior_mu[:, :, None])[:, :, 0]
-    backend.matmul(f, xp.swapaxes(f, 1, 2), out=t[:, :, :m])
-    diag = xp.arange(m)
+        t[:, :, m + n] = y - np.matmul(aw, prior_mu[:, :, None])[:, :, 0]
+    np.matmul(f, np.swapaxes(f, 1, 2), out=t[:, :, :m])
+    diag = np.arange(m)
     t[:, diag, diag] += noise_var
-    chol_diag = cholesky_forward(xp, t)
+    chol_diag = cholesky_forward(t)
     v = f  # now L^{-1} F
 
-    mu_rot = xp.matmul(t[:, :, m + n][:, None, :], v)[:, 0] * scale
+    mu_rot = np.matmul(t[:, :, m + n][:, None, :], v)[:, 0] * scale
     if c_vec is not None:
         mu_rot = mu_rot + prior_mu
     mu_rot = mu_rot.reshape(k, g, blen)
-    mu = xp.einsum("kgc,kbc->kgb", mu_rot, u).reshape(k, n)
+    mu = np.einsum("kgc,kbc->kgb", mu_rot, u).reshape(k, n)
 
-    num = xp.einsum("kb,kgb->kg", beta, mu_rot * mu_rot) / (gamma * gamma)
+    num = np.einsum("kb,kgb->kg", beta, mu_rot * mu_rot) / (gamma * gamma)
     # blen/gamma - sum_j beta_j (1 - |v_ij|^2) / (d_ij gamma^2), with the
     # cancellation done in closed form: exact for dead blocks too.
-    vnorm = xp.einsum("kmn,kmn->kn", v, v).reshape(k, g, blen)
-    den = xp.sum(
+    vnorm = np.einsum("kmn,kmn->kn", v, v).reshape(k, g, blen)
+    den = np.sum(
         (inv_quant_var + beta[:, None, :] * vnorm / gamma[:, :, None]) / d,
         axis=2,
     ) / gamma
     # log|Gamma| + sum log d = sum log(1 + gamma_i / (quant_var beta_j)).
-    prior = xp.log1p(gamma[:, :, None] * inv_quant_var / beta[:, None, :])
+    prior = np.log1p(gamma[:, :, None] * inv_quant_var / beta[:, None, :])
     logdet = (
-        xp.sum(prior, axis=(1, 2))
-        + 2.0 * xp.sum(xp.log(chol_diag), axis=1)
+        np.sum(prior, axis=(1, 2))
+        + 2.0 * np.sum(np.log(chol_diag), axis=1)
         - m * math.log(noise_var)
     )
     return mu, num, den, logdet
@@ -400,11 +394,10 @@ def _em_measurement_space(
         logdet_r += n * math.log(quant_var)
         c_stack = c_vec[None, :]
     gamma = initial_gamma(
-        np, None if alpha0 is None else alpha0[:, None], 1, g, blen
+        None if alpha0 is None else alpha0[:, None], 1, g, blen
     )
     r = np.zeros(1)
     mu = np.zeros(n)
-    ws = NullWorkspace()
     history: list = []
     iterations = 0
     converged = False
@@ -412,7 +405,7 @@ def _em_measurement_space(
     for it in range(1, settings.max_iter + 1):
         iterations = it
         mu_new, num, den, logdet = measurement_estep(
-            HOST, ws, a, y[None, :], noise_var, c_stack, quant_var, gamma, r
+            a, y[None, :], noise_var, c_stack, quant_var, gamma, r
         )
         mu_new = mu_new[0]
         resid = y - a @ mu_new
@@ -423,7 +416,7 @@ def _em_measurement_space(
 
         gamma_prev = gamma
         gamma = np.maximum(
-            gamma * bo_gamma_factor(np, num, den), settings.gamma_floor
+            gamma * bo_gamma_factor(num, den), settings.gamma_floor
         )
 
         change = float(np.linalg.norm(mu_new - mu))
@@ -435,7 +428,7 @@ def _em_measurement_space(
 
         if settings.learn_correlation and blen > 1:
             r = ar1_estimate(
-                np, mu.reshape(1, g, blen), gamma_prev, settings.corr_limit
+                mu.reshape(1, g, blen), gamma_prev, settings.corr_limit
             )
 
     return mu, iterations, converged, history

@@ -13,8 +13,8 @@ window (or even per receiver) is the dominant fixed cost of a sweep:
 measurement count × window length × basis), with a second-level basis
 memo so two cache cells at different compression ratios still share one
 dense Ψ.  Construction is deterministic, so a cached problem is
-bit-identical to a freshly built one — callers opt in for speed, never
-for different numerics (the differential test suite pins this).
+bit-identical to a freshly built one (the differential test suite pins
+this).
 
 Cache **keying**: the full :class:`ProblemKey` tuple; two configs that
 differ in any keyed field never share state.  **Invalidation**: entries
@@ -22,14 +22,6 @@ are evicted least-recently-used beyond ``maxsize``; there is no dirty
 state to invalidate because problems are immutable once built (their lazy
 factorizations are pure functions of the key).  ``clear()`` exists for
 tests and long-lived processes that change workload shape.
-
-Since the array-backend seam (:mod:`repro.backend`) the cache also holds
-**operator sets**: the backend-resident copy of ``A`` and its ADMM
-factorization for one ``(problem, backend, precision)`` triple, keyed by
-all three — a float32 solve and a float64 solve of the same problem
-never share a factorization.  The exact NumPy/float64 set is a pure
-delegate to the problem's own lazily cached state, so the bit-identity
-contract is untouched.
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.backend import BackendSettings, get_backend
 from repro.recovery.bsbl import BsblSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import SensingSpec
@@ -47,11 +38,9 @@ from repro.wavelets.operators import SynthesisBasis, make_basis
 __all__ = [
     "ProblemKey",
     "ProblemCache",
-    "OperatorSet",
     "RecoveryEngineSettings",
     "PROBLEM_CACHE",
     "problem_for_config",
-    "operators_for",
 ]
 
 
@@ -86,80 +75,6 @@ class ProblemKey:
         )
 
 
-class OperatorSet:
-    """Backend-resident operator state for one ``(problem, backend, dtype)``.
-
-    The batched solvers consume this instead of touching ``problem.a`` /
-    ``problem.admm_factor()`` directly.  On the exact NumPy/float64 path
-    every accessor *delegates* to the problem's own lazily cached state —
-    same objects, same numerics, so factor sharing and bit-identity are
-    preserved.  On a fast path the set owns a converted copy of ``A`` and
-    a factorization of ``I + AᵀA`` computed natively in the target
-    precision on the target backend (a float32 solve uses a float32
-    Cholesky, not a demoted float64 one).
-    """
-
-    def __init__(self, problem: CsProblem, settings: BackendSettings) -> None:
-        self.problem = problem
-        self.settings = settings
-        self.backend = get_backend(settings.name)
-        self.dtype = self.backend.dtype(settings.precision)
-        self._a = None
-        self._gram = None
-        self._admm_factor = None
-
-    @property
-    def a(self):
-        """The composed operator ``A = Φ Ψ`` on this backend/precision;
-        shape ``(m, n)``."""
-        if self.settings.is_exact:
-            return self.problem.a
-        if self._a is None:
-            self._a = self.backend.asarray(self.problem.a, dtype=self.dtype)
-        return self._a
-
-    def opnorm_sq(self) -> float:
-        """``||A||_2^2`` (scalar step sizes stay host floats everywhere)."""
-        return self.problem.opnorm_sq()
-
-    def gram(self):
-        """The Gram matrix ``AᵀA`` on this backend/precision; ``(n, n)``.
-
-        The block-structured Bayesian solvers build their information
-        matrix from this each solve, so it is memoized per operator set —
-        exactly once per ``(problem, backend, precision)``, like the ADMM
-        factor.  The exact path delegates to the problem's own cached
-        Gram, so scalar and batched BSBL share one bit-identical matrix.
-        """
-        if self.settings.is_exact:
-            return self.problem.gram()
-        if self._gram is None:
-            a = self.a
-            self._gram = a.T @ a
-        return self._gram
-
-    def admm_factor(self):
-        """Cholesky factor of ``I + AᵀA`` in this backend/precision."""
-        if self.settings.is_exact:
-            return self.problem.admm_factor()
-        if self._admm_factor is None:
-            xp = self.backend.xp
-            a = self.a
-            self._admm_factor = self.backend.cho_factor(
-                xp.eye(a.shape[1], dtype=self.dtype) + self.gram()
-            )
-        return self._admm_factor
-
-    def cho_solve(self, rhs, overwrite_b: bool = False):
-        """Solve ``(I + AᵀA) x = rhs`` through the cached factorization;
-        ``rhs`` may be an ``(n, k)`` stack.  ``overwrite_b=True`` lets
-        the backend use ``rhs`` as scratch (identical solution values;
-        pass it only for right-hand sides you are done reading)."""
-        return self.backend.cho_solve(
-            self.admm_factor(), rhs, overwrite_b=overwrite_b
-        )
-
-
 class ProblemCache:
     """Bounded LRU of :class:`CsProblem` instances, with hit accounting.
 
@@ -183,17 +98,8 @@ class ProblemCache:
         self.maxsize = int(maxsize)
         self._problems: "OrderedDict[ProblemKey, CsProblem]" = OrderedDict()
         self._bases: Dict[Tuple[int, str], SynthesisBasis] = {}
-        # Operator sets keyed by (problem identity, backend, precision).
-        # The OperatorSet holds a strong reference to its problem, so the
-        # id() stays valid for exactly as long as the entry lives (the
-        # same identity-keyed pattern as the runtime's inline link memo).
-        self._operators: "OrderedDict[Tuple[int, str, str], OperatorSet]" = (
-            OrderedDict()
-        )
         self.hits = 0
         self.misses = 0
-        self.operator_hits = 0
-        self.operator_misses = 0
 
     def __len__(self) -> int:
         return len(self._problems)
@@ -227,50 +133,22 @@ class ProblemCache:
             self._problems.popitem(last=False)
         return problem
 
-    def operators(self, problem: CsProblem, settings: BackendSettings) -> OperatorSet:
-        """The cached :class:`OperatorSet` for a problem at given settings.
-
-        Keyed by ``(problem, backend name, precision)`` — all three
-        participate, so switching backend *or* dtype never reuses a
-        factorization computed for another combination.
-        """
-        okey = (id(problem), settings.name, settings.precision)
-        hit = self._operators.get(okey)
-        if hit is not None:
-            self.operator_hits += 1
-            self._operators.move_to_end(okey)
-            return hit
-        self.operator_misses += 1
-        ops = OperatorSet(problem, settings)
-        self._operators[okey] = ops
-        while len(self._operators) > self.maxsize:
-            self._operators.popitem(last=False)
-        return ops
-
     def stats(self) -> Dict[str, float]:
         """Hit/miss accounting (reported by ``repro bench``)."""
         total = self.hits + self.misses
-        op_total = self.operator_hits + self.operator_misses
         return {
             "size": len(self._problems),
             "maxsize": self.maxsize,
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": (self.hits / total) if total else 0.0,
-            "operator_sets": len(self._operators),
-            "operator_hits": self.operator_hits,
-            "operator_misses": self.operator_misses,
-            "operator_hit_rate": (
-                (self.operator_hits / op_total) if op_total else 0.0
-            ),
         }
 
     def resize(self, maxsize: int) -> None:
         """Change the LRU bound, evicting least-recently-used overflow.
 
         Serves the ``--cache-size`` bench knob: shrinking below the live
-        population evicts immediately (problems and operator sets both),
-        so hit-rate experiments see the new bound without a restart.
+        population evicts immediately, so hit-rate experiments see the new bound without a restart.
         Counters are kept — resizing is an observation change, not a
         reset.
         """
@@ -279,18 +157,13 @@ class ProblemCache:
         self.maxsize = int(maxsize)
         while len(self._problems) > self.maxsize:
             self._problems.popitem(last=False)
-        while len(self._operators) > self.maxsize:
-            self._operators.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters (test isolation)."""
         self._problems.clear()
         self._bases.clear()
-        self._operators.clear()
         self.hits = 0
         self.misses = 0
-        self.operator_hits = 0
-        self.operator_misses = 0
 
 
 @dataclass(frozen=True)
@@ -301,11 +174,6 @@ class RecoveryEngineSettings:
 
     Attributes
     ----------
-    cache_problems:
-        Pull the receiver's :class:`CsProblem` from the process-wide
-        :data:`PROBLEM_CACHE` instead of building a private one.  Exact:
-        problem construction is deterministic, so results are
-        bit-identical either way.  Default on.
     warm_start_streams:
         Streaming sessions seed each window's solve from the previous
         window's recovered coefficients when that solution has already
@@ -319,7 +187,6 @@ class RecoveryEngineSettings:
         (:mod:`repro.recovery.bsbl`); ignored by the convex methods.
     """
 
-    cache_problems: bool = True
     warm_start_streams: bool = True
     batch_size: int = 32
     bsbl: BsblSettings = field(default_factory=BsblSettings)
@@ -334,36 +201,9 @@ PROBLEM_CACHE = ProblemCache()
 
 
 def problem_for_config(config, cache: Optional[ProblemCache] = None) -> CsProblem:
-    """The (usually cached) recovery problem for a front-end config.
-
-    Honors ``config.recovery.cache_problems``: when the flag is off a
-    fresh private :class:`CsProblem` is built, which is what the flag's
-    bit-identity guarantee is tested against.
-    """
+    """The cached recovery problem for a front-end config."""
     key = ProblemKey.from_config(config)
-    settings = getattr(config, "recovery", None)
-    if settings is not None and not settings.cache_problems:
-        return CsProblem(
-            key.sensing.build(key.m, key.n), make_basis(key.n, key.basis_spec)
-        )
     # Explicit None test: an *empty* cache is falsy (it has __len__), and
     # `cache or PROBLEM_CACHE` would silently redirect it to the singleton.
     return (PROBLEM_CACHE if cache is None else cache).get(key)
 
-
-def operators_for(
-    problem: CsProblem,
-    settings: Optional[BackendSettings] = None,
-    cache: Optional[ProblemCache] = None,
-) -> OperatorSet:
-    """The (cached) operator set for a problem at given backend settings.
-
-    ``None`` settings mean the exact NumPy/float64 default.  Every call
-    goes through the operator store, so repeated solves at the same
-    ``(backend, precision)`` reuse one converted operator and one
-    factorization, while differing combinations get distinct sets.
-    """
-    if settings is None:
-        settings = BackendSettings()
-    store = PROBLEM_CACHE if cache is None else cache
-    return store.operators(problem, settings)

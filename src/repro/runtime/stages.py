@@ -19,10 +19,10 @@ distinct config, not once per window.
 
 Below the link memo sits the process-wide operator cache
 (:data:`repro.recovery.opcache.PROBLEM_CACHE`): every receiver built
-here pulls its :class:`~repro.recovery.problem.CsProblem` from it (when
-``config.recovery.cache_problems`` is on), so links that differ only in
-method or codebook — e.g. the hybrid and normal arms of one sweep cell —
-share a single ΦΨ composition and its factorizations.
+here pulls its :class:`~repro.recovery.problem.CsProblem` from it, so
+links that differ only in method or codebook — e.g. the hybrid and
+normal arms of one sweep cell — share a single ΦΨ composition and its
+factorizations.
 :func:`recovery_cache_stats` exposes both layers' hit accounting for the
 benchmarks.
 """
@@ -141,8 +141,7 @@ def recovery_cache_stats() -> dict:
     """Hit accounting for this process's receiver-side caches.
 
     Combines the operator cache (shared ΦΨ compositions and their
-    factorizations, including the per-``(backend, precision)`` operator
-    sets of the array-backend seam) with the sizes of both link memos;
+    factorizations) with the sizes of both link memos;
     the solver microbenchmark records this alongside its timings so
     cache effectiveness is visible in ``BENCH_solvers.json``.
     """
@@ -178,11 +177,7 @@ def encode_batch(
     All tasks must share one link (same ``config``/``method``/codebook) —
     the batch is a stack of windows through a single front-end.  Output
     is bit-identical to mapping :func:`encode` over the tasks (see
-    ``docs/encoding.md``) at the default exact ``config.backend``; when
-    ``config.encode.batched`` is off the scalar map is exactly what
-    runs.  A fast ``config.backend`` (e.g. float32) threads through the
-    front-end's measurement GEMM here, with its boundary guard still
-    verified in float64 (``docs/backends.md``).
+    ``docs/encoding.md``); a single task takes the scalar path.
     """
     if not tasks:
         return []
@@ -195,7 +190,7 @@ def encode_batch(
         ):
             raise ValueError("encode_batch tasks must share one link")
     link = link or link_for(first)
-    if not first.config.encode.batched or len(tasks) == 1:
+    if len(tasks) == 1:
         return [encode(task, link) for task in tasks]
     return link.frontend.encode_windows(
         np.stack([task.codes for task in tasks]),

@@ -30,17 +30,6 @@ Three integrators are provided:
 
 All return the waveform in millivolts; quantization to ADC units happens in
 :mod:`repro.signals.database`.
-
-**Backend seam:** the synthesis kernels consume :mod:`repro.backend`
-(``_xp`` below is the host reference namespace) instead of importing
-numpy/scipy directly; :func:`synthesize_ecg` takes an optional
-:class:`~repro.backend.BackendSettings` to run the per-sample kernels —
-the Gaussian wave drive and the exponential-integrator IIR — on a fast
-backend/precision.  Randomness stays on the host by policy (the RR
-tachogram and phase draw are identical for every backend), so a fast
-path differs from the exact one only by kernel rounding, which the
-differential tests bound.  The oracles (:func:`synthesize_loop`,
-:func:`integrate_reference`) are host-float64 by definition.
 """
 
 from __future__ import annotations
@@ -49,21 +38,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from repro.backend import (
-    BackendSettings,
-    Generator,
-    HOST,
-    default_rng,
-    ndarray,
-    resolve,
-)
-from repro.perf import lease_workspace, profiled
+import numpy as np
+from scipy import signal as sps
 
-__backend_seam__ = True
-
-#: Host reference namespace (numpy for the process lifetime); every
-#: exact-path computation and all randomness goes through it.
-_xp = HOST.xp
+from repro.perf import profiled
 
 __all__ = [
     "EcgMorphology",
@@ -105,12 +83,12 @@ class EcgMorphology:
         """Return a copy with all wave amplitudes multiplied by a factor."""
         return replace(self, a=tuple(amplitude * ai for ai in self.a))
 
-    def arrays(self) -> Tuple[ndarray, ndarray, ndarray]:
-        """The three parameter tuples as host float arrays."""
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three parameter tuples as float arrays."""
         return (
-            _xp.asarray(self.theta_rad, dtype=float),
-            _xp.asarray(self.a, dtype=float),
-            _xp.asarray(self.b, dtype=float),
+            np.asarray(self.theta_rad, dtype=float),
+            np.asarray(self.a, dtype=float),
+            np.asarray(self.b, dtype=float),
         )
 
 
@@ -181,15 +159,13 @@ def rr_tachogram(
     n_samples: int,
     fs_hz: float,
     params: RRParameters,
-    rng: Generator,
-) -> ndarray:
+    rng: np.random.Generator,
+) -> np.ndarray:
     """Generate an RR-interval time series sampled at ``fs_hz``.
 
     Uses the ECGSYN spectral-synthesis recipe: build the bimodal amplitude
     spectrum, attach uniformly random phases, inverse-FFT, then rescale to
-    the requested RR mean and standard deviation.  Host-side by policy —
-    randomness never runs on a fast backend, so every backend consumes
-    the identical tachogram.
+    the requested RR mean and standard deviation.
 
     Returns
     -------
@@ -198,10 +174,10 @@ def rr_tachogram(
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    freqs = _xp.fft.rfftfreq(n_samples, d=1.0 / fs_hz)
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs_hz)
 
-    def gaussian(f0: float, sd: float, power: float) -> ndarray:
-        return power * _xp.exp(-((freqs - f0) ** 2) / (2.0 * sd**2))
+    def gaussian(f0: float, sd: float, power: float) -> np.ndarray:
+        return power * np.exp(-((freqs - f0) ** 2) / (2.0 * sd**2))
 
     # Power split between LF and HF bands according to the ratio.
     lf_power = params.lf_hf_ratio / (1.0 + params.lf_hf_ratio)
@@ -209,76 +185,41 @@ def rr_tachogram(
     spectrum = gaussian(params.lf_hz, params.lf_std_hz, lf_power) + gaussian(
         params.hf_hz, params.hf_std_hz, hf_power
     )
-    amplitude = _xp.sqrt(spectrum)
+    amplitude = np.sqrt(spectrum)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=amplitude.size)
     # DC and (for even n) Nyquist bins must be real for a real series.
     phases[0] = 0.0
     if n_samples % 2 == 0:
         phases[-1] = 0.0
-    series = _xp.fft.irfft(amplitude * _xp.exp(1j * phases), n=n_samples)
+    series = np.fft.irfft(amplitude * np.exp(1j * phases), n=n_samples)
 
-    std = float(_xp.std(series))
+    std = float(np.std(series))
     mean_rr = params.mean_rr_s
     std_rr = params.std_hr_bpm * 60.0 / params.mean_hr_bpm**2
     if std > 0 and std_rr > 0:
         series = series / std * std_rr
     else:
-        series = _xp.zeros(n_samples)
+        series = np.zeros(n_samples)
     rr = mean_rr + series
     # Physiological floor: never let an RR interval collapse to <= 0.2 s.
-    return _xp.maximum(rr, 0.2)
+    return np.maximum(rr, 0.2)
 
 
 def _gaussian_wave_drive(
-    theta: ndarray,
-    omega: ndarray,
-    morphology: EcgMorphology,
-    xp=_xp,
-    dtype=None,
-    ws=None,
-) -> ndarray:
+    theta: np.ndarray, omega: np.ndarray, morphology: EcgMorphology
+) -> np.ndarray:
     """The z-forcing term of the dynamical model at given phases.
 
     ``-sum_i a_i * dtheta_i * exp(-dtheta_i^2 / (2 b_i^2))`` where
     ``dtheta_i = (theta - theta_i)`` wrapped to ``[-pi, pi)``.  The ``a_i``
     here follow the ECGSYN convention where the drive is additionally scaled
     by the angular velocity (so faster beats are narrower in time, not in
-    phase).  ``xp``/``dtype`` select the namespace and precision the bumps
-    are evaluated in (host float64 by default — the exact path).  ``ws``
-    routes the two ``(n, waves)`` temporaries and the returned drive
-    through workspace buffers with the identical operation sequence
-    (each step matches the expression form bitwise: commuted scalar
-    multiplies, ``x**2`` = ``x*x``, ``(-omega)*s`` = ``-(omega*s)``).
+    phase).
     """
     th, a, b = morphology.arrays()
-    if xp is not _xp or dtype is not None:
-        th = xp.asarray(th, dtype=dtype)
-        a = xp.asarray(a, dtype=dtype)
-        b = xp.asarray(b, dtype=dtype)
-    if ws is None:
-        dtheta = (theta[:, None] - th[None, :] + math.pi) % (2.0 * math.pi) - math.pi
-        bumps = a[None, :] * dtheta * xp.exp(-(dtheta**2) / (2.0 * b[None, :] ** 2))
-        return -omega * xp.sum(bumps, axis=1)
-    n = theta.shape[0]
-    waves = th.shape[0]
-    dtheta = ws.buf("dtheta", (n, waves))
-    xp.subtract(theta[:, None], th[None, :], out=dtheta)
-    dtheta += math.pi
-    xp.remainder(dtheta, 2.0 * math.pi, out=dtheta)
-    dtheta -= math.pi
-    expterm = ws.buf("expterm", (n, waves))
-    xp.multiply(dtheta, dtheta, out=expterm)
-    xp.negative(expterm, out=expterm)
-    expterm /= 2.0 * b[None, :] ** 2
-    xp.exp(expterm, out=expterm)
-    bumps = ws.buf("bumps", (n, waves))
-    xp.multiply(a[None, :], dtheta, out=bumps)
-    bumps *= expterm
-    drive = ws.buf("drive", (n,))
-    xp.sum(bumps, axis=1, out=drive)
-    drive *= omega
-    xp.negative(drive, out=drive)
-    return drive
+    dtheta = (theta[:, None] - th[None, :] + math.pi) % (2.0 * math.pi) - math.pi
+    bumps = a[None, :] * dtheta * np.exp(-(dtheta**2) / (2.0 * b[None, :] ** 2))
+    return -omega * np.sum(bumps, axis=1)
 
 
 @profiled("signals.ecgsyn")
@@ -293,9 +234,8 @@ def synthesize_ecg(
     resp_rate_hz: float = 0.25,
     resp_amplitude_mv: float = 0.005,
     seed: Optional[int] = None,
-    rng: Optional[Generator] = None,
-    settings: Optional[BackendSettings] = None,
-) -> ndarray:
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
     """Synthesize an ECG waveform in millivolts (fast phase-domain path).
 
     Parameters
@@ -317,15 +257,11 @@ def synthesize_ecg(
         Respiratory baseline coupling of the model's ``z0(t)`` term.
     seed, rng:
         Randomness control; pass ``rng`` to share a generator, else ``seed``.
-        Draws happen on the host for every backend.
-    settings:
-        Backend/precision for the synthesis kernels (drive + IIR);
-        ``None`` or NumPy/float64 is the exact, bit-stable path.
 
     Returns
     -------
     numpy.ndarray
-        Millivolt samples (host float64), shape
+        Millivolt samples, shape
         ``(round(duration_s * fs_hz),)``.
     """
     if duration_s <= 0:
@@ -333,64 +269,35 @@ def synthesize_ecg(
     if fs_hz <= 0:
         raise ValueError("fs_hz must be positive")
     if rng is None:
-        rng = default_rng(seed)
+        rng = np.random.default_rng(seed)
     n = int(round(duration_s * fs_hz))
     dt = 1.0 / fs_hz
-    backend, xp, dtype, settings = resolve(settings)
 
-    # The integrator state lives in a leased workspace; every buffer is
-    # fully overwritten before use and each in-place step is bitwise
-    # equal to the expression it replaced, so the loop oracle's
-    # bit-identity gate holds unchanged.  Randomness and the exact-path
-    # math stay on the host, hence the ``None`` (exact) lease settings.
-    with lease_workspace(None, f"ecgsyn:{n}") as ws:
-        # RR process, resampled onto the output grid, gives the
-        # instantaneous angular velocity omega(t) = 2*pi / RR(t).
-        rr = rr_tachogram(n, fs_hz, rr_params, rng)
-        omega = ws.buf("omega", (n,))
-        _xp.divide(2.0 * math.pi, rr, out=omega)
+    # RR process, resampled onto the output grid, gives the instantaneous
+    # angular velocity omega(t) = 2*pi / RR(t).
+    rr = rr_tachogram(n, fs_hz, rr_params, rng)
+    omega = 2.0 * math.pi / rr
 
-        # Phase integration: on the limit cycle dtheta/dt = omega exactly.
-        theta = ws.buf("theta", (n,))
-        theta0 = rng.uniform(-math.pi, math.pi)
-        theta[0] = theta0
-        if n > 1:
-            _xp.cumsum(omega[:-1], out=theta[1:])
-            theta[1:] *= dt
-            theta[1:] += theta0
-        theta += math.pi
-        theta %= 2.0 * math.pi
-        theta -= math.pi
+    # Phase integration: on the limit cycle dtheta/dt = omega exactly.
+    theta = np.empty(n)
+    theta0 = rng.uniform(-math.pi, math.pi)
+    theta[0] = theta0
+    if n > 1:
+        theta[1:] = theta0 + np.cumsum(omega[:-1]) * dt
+    theta = (theta + math.pi) % (2.0 * math.pi) - math.pi
 
-        # z obeys z' = drive(t) - (z - z0(t)).  Exact discretization of
-        # the linear part: z[k+1] = e^{-dt} z[k] + (1 - e^{-dt}) u[k]
-        # with u = z0 + drive, implemented as a first-order IIR filter.
-        z0 = ws.buf("z0", (n,))
-        _xp.multiply(_xp.arange(n), dt, out=z0)
-        z0 *= 2.0 * math.pi * resp_rate_hz
-        _xp.sin(z0, out=z0)
-        z0 *= resp_amplitude_mv
-        decay = float(_xp.exp(-dt))
-        zi_gain = 1.0 - decay
-        if settings.is_exact:
-            drive = _gaussian_wave_drive(theta, omega, morphology, ws=ws)
-            drive += z0
-            z = HOST.first_order_iir(zi_gain, decay, drive)
-        else:
-            theta_dev = backend.asarray(theta, dtype=dtype)
-            omega_dev = backend.asarray(omega, dtype=dtype)
-            drive = _gaussian_wave_drive(
-                theta_dev, omega_dev, morphology, xp=xp, dtype=dtype
-            )
-            u = backend.asarray(z0, dtype=dtype) + drive
-            z = _xp.asarray(
-                backend.to_numpy(backend.first_order_iir(zi_gain, decay, u)),
-                dtype=_xp.float64,
-            )
+    # z obeys z' = drive(t) - (z - z0(t)).  Exact discretization of the
+    # linear part: z[k+1] = e^{-dt} z[k] + (1 - e^{-dt}) u[k] with
+    # u = z0 + drive, implemented as a first-order IIR filter.
+    t = np.arange(n) * dt
+    z0 = resp_amplitude_mv * np.sin(2.0 * math.pi * resp_rate_hz * t)
+    u = z0 + _gaussian_wave_drive(theta, omega, morphology)
+    decay = float(np.exp(-dt))
+    zi_gain = 1.0 - decay
+    z = sps.lfilter([zi_gain], [1.0, -decay], u)
 
-    # Rescale so the R peak sits near amplitude_mv (z is the filter's
-    # own fresh output, so nothing leased escapes the block above).
-    peak = float(_xp.max(_xp.abs(z)))
+    # Rescale so the R peak sits near amplitude_mv.
+    peak = float(np.max(np.abs(z)))
     if peak > 0:
         z = z * (amplitude_mv / peak)
     return z + z_baseline_mv
@@ -407,27 +314,25 @@ def synthesize_loop(
     resp_rate_hz: float = 0.25,
     resp_amplitude_mv: float = 0.005,
     seed: Optional[int] = None,
-    rng: Optional[Generator] = None,
-) -> ndarray:
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
     """Per-sample scalar oracle for :func:`synthesize_ecg`.
 
     Same model, same randomness, same discretization — but the phase
     accumulation, forcing evaluation and exponential-integrator update
     run one sample at a time in Python.  The output is **bit-identical**
-    to the vectorized path at default (exact) backend settings: the
-    accumulations it unrolls (``cumsum``, the 5-wave bump sum, the
-    first-order IIR) match numpy's sequential semantics exactly, and
-    numpy's elementwise transcendentals are length-independent.  Kept as
-    the differential-testing oracle — for the fast backends too, which
-    is why it takes no backend settings — and as the throughput baseline
-    of the synthesis microbenchmark.
+    to the vectorized path: the accumulations it unrolls (``cumsum``, the
+    5-wave bump sum, the first-order IIR) match numpy's sequential
+    semantics exactly, and numpy's elementwise transcendentals are
+    length-independent.  Kept as the differential-testing oracle and as
+    the throughput baseline of the synthesis microbenchmark.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     if fs_hz <= 0:
         raise ValueError("fs_hz must be positive")
     if rng is None:
-        rng = default_rng(seed)
+        rng = np.random.default_rng(seed)
     n = int(round(duration_s * fs_hz))
     dt = 1.0 / fs_hz
 
@@ -436,20 +341,20 @@ def synthesize_loop(
     omega = 2.0 * math.pi / rr
     theta0 = rng.uniform(-math.pi, math.pi)
 
-    theta = _xp.empty(n)
+    theta = np.empty(n)
     accumulated = omega.dtype.type(0.0)
     theta[0] = (theta0 + math.pi) % (2.0 * math.pi) - math.pi
     for k in range(1, n):
         accumulated = accumulated + omega[k - 1]
         theta[k] = (theta0 + accumulated * dt + math.pi) % (2.0 * math.pi) - math.pi
 
-    decay = float(_xp.exp(-dt))
+    decay = float(np.exp(-dt))
     zi_gain = 1.0 - decay
     two_pi_resp = 2.0 * math.pi * resp_rate_hz
-    z = _xp.empty(n)
+    z = np.empty(n)
     state = 0.0
     for k in range(n):
-        z0_k = resp_amplitude_mv * _xp.sin(two_pi_resp * (_xp.float64(k) * dt))
+        z0_k = resp_amplitude_mv * np.sin(two_pi_resp * (np.float64(k) * dt))
         drive_k = _gaussian_wave_drive(
             theta[k : k + 1], omega[k : k + 1], morphology
         )[0]
@@ -458,7 +363,7 @@ def synthesize_loop(
         state = decay * y_k
         z[k] = y_k
 
-    peak = float(_xp.max(_xp.abs(z)))
+    peak = float(np.max(np.abs(z)))
     if peak > 0:
         z = z * (amplitude_mv / peak)
     return z + z_baseline_mv
@@ -473,7 +378,7 @@ def integrate_reference(
     amplitude_mv: float = 1.0,
     oversample: int = 2,
     warmup_s: float = 3.0,
-) -> ndarray:
+) -> np.ndarray:
     """Reference RK4 integration of the full three-state ECGSYN ODE.
 
     Deterministic (fixed heart rate, no HRV) and slow; exists so the test
@@ -491,22 +396,22 @@ def integrate_reference(
     th, a, b = morphology.arrays()
     omega = 2.0 * math.pi * mean_hr_bpm / 60.0
 
-    def rhs(state: ndarray) -> ndarray:
+    def rhs(state: np.ndarray) -> np.ndarray:
         x, y, z = state
-        alpha = 1.0 - _xp.hypot(x, y)
-        theta = _xp.arctan2(y, x)
+        alpha = 1.0 - np.hypot(x, y)
+        theta = np.arctan2(y, x)
         dtheta = (theta - th + math.pi) % (2.0 * math.pi) - math.pi
         dz = -float(
-            _xp.sum(a * omega * dtheta * _xp.exp(-(dtheta**2) / (2.0 * b**2)))
+            np.sum(a * omega * dtheta * np.exp(-(dtheta**2) / (2.0 * b**2)))
         ) - z
-        return _xp.array([alpha * x - omega * y, alpha * y + omega * x, dz])
+        return np.array([alpha * x - omega * y, alpha * y + omega * x, dz])
 
     n_out = int(round(duration_s * fs_hz))
     n_warm = int(round(warmup_s * fs_hz))
     h = 1.0 / (fs_hz * oversample)
     # Start at theta = -pi on the unit circle (beginning of a cycle).
-    state = _xp.array([-1.0, 0.0, 0.0])
-    out = _xp.empty(n_out)
+    state = np.array([-1.0, 0.0, 0.0])
+    out = np.empty(n_out)
     for k in range(n_warm + n_out):
         if k >= n_warm:
             out[k - n_warm] = state[2]
@@ -516,8 +421,8 @@ def integrate_reference(
             k3 = rhs(state + 0.5 * h * k2)
             k4 = rhs(state + h * k3)
             state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = out - float(_xp.mean(out))
-    peak = float(_xp.max(_xp.abs(out)))
+    out = out - float(np.mean(out))
+    peak = float(np.max(np.abs(out)))
     if peak > 0:
         out = out * (amplitude_mv / peak)
     return out

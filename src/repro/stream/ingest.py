@@ -161,7 +161,7 @@ class IngestSession:
         if not windows:
             return []
         base = self._framer.windows_emitted - len(windows)
-        if self.config.encode.batched and len(windows) > 1:
+        if len(windows) > 1:
             # One engine call for every window this chunk completed —
             # bit-identical to the per-window path (docs/encoding.md).
             packets = self._frontend.encode_windows(

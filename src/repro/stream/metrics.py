@@ -172,7 +172,7 @@ class GatewaySnapshot:
     shed_frames: int = 0
     per_session: Tuple[SessionSnapshot, ...] = ()
     #: Process-wide recovery cache counters (``PROBLEM_CACHE`` hit/miss
-    #: rates, operator-set occupancy, link memo sizes) at snapshot time;
+    #: rates and occupancy, link memo sizes) at snapshot time;
     #: ``None`` when the producer did not sample them.  The recovery
     #: cache is per process, so a multi-shard snapshot reports it once —
     #: summing per-shard views of the same singleton would double count.

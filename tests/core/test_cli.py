@@ -157,22 +157,17 @@ class TestBench:
         args = build_parser().parse_args(["bench", "--cache-size", "4"])
         assert args.cache_size == 4
 
-
-class TestProfileParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.record == "100"
-        assert args.cr == 50.0
-        assert args.window == 256
-        assert args.windows is None  # resolved from --smoke at run time
-        assert args.repeats is None
-        assert args.smoke is False
-        assert args.cache_size is None
-        assert args.output.endswith("BENCH_profile.json")
-
-    def test_smoke_flag(self):
-        args = build_parser().parse_args(["profile", "--smoke"])
-        assert args.smoke is True
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile"],
+            ["compress", "--backend", "numpy"],
+            ["bench", "--precision", "float32"],
+        ],
+    )
+    def test_no_backend_or_profile_surface(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_bench_writes_machine_readable_json(self, tmp_path, capsys):
         import json

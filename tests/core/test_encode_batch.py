@@ -4,8 +4,6 @@ The batch path must be byte-identical to the scalar per-window path for
 both front-end variants at every CR (docs/encoding.md).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -31,7 +29,6 @@ def _packet_bytes(packets):
 class TestSettings:
     def test_defaults(self):
         settings = EncodeEngineSettings()
-        assert settings.batched
         assert 0 < settings.boundary_guard < 0.5
 
     def test_hashable_for_config_caching(self):
@@ -89,18 +86,6 @@ class TestBatchedFrontEnds:
             p.window_index for p in loop
         ]
         assert _packet_bytes(batch) == _packet_bytes(loop)
-
-    @pytest.mark.parametrize("method", ["hybrid", "normal"])
-    def test_batched_off_dispatches_to_loop(self, record_100, method):
-        config = dataclasses.replace(
-            FrontEndConfig(), encode=EncodeEngineSettings(batched=False)
-        )
-        frontend = _frontend(config, method)
-        assert _packet_bytes(
-            frontend.process_record(record_100, max_windows=4)
-        ) == _packet_bytes(
-            frontend.process_record_loop(record_100, max_windows=4)
-        )
 
     def test_stream_matches_record(self, record_100):
         config = FrontEndConfig()

@@ -3,10 +3,8 @@
 The fixture project under ``fixtures/program/proj`` is a two-layer
 miniature of the real tree: ``proj.low`` owns state, ``proj.high``
 consumes it, ``proj.contracts`` plays the role of
-``repro.runtime.contracts``, ``proj.cyc_a``/``proj.cyc_b`` form the
-one deliberate import cycle, and ``proj.backend`` plus the
-``seam_good``/``seam_bad`` pair exercise the RL105 backend-seam
-discipline.
+``repro.runtime.contracts``, and ``proj.cyc_a``/``proj.cyc_b`` form the
+one deliberate import cycle.
 """
 
 from pathlib import Path
@@ -135,34 +133,6 @@ class TestContractDocs:
 
     def test_rl104_negative_documented_private_or_uncalled(self):
         assert "good_contract.py" not in by_file(program_findings("RL104"))
-
-
-class TestBackendSeam:
-    def test_rl105_flags_direct_array_imports(self):
-        files = by_file(program_findings("RL105"))
-        assert set(files) == {"seam_bad.py"}
-        messages = [f.message for f in files["seam_bad.py"]]
-        assert len(messages) == 2  # numpy and scipy.linalg
-        joined = "\n".join(messages)
-        assert "proj.seam_bad" in joined
-        assert "numpy" in joined and "scipy.linalg" in joined
-        assert all("repro.backend" in m for m in messages)
-
-    def test_rl105_negative_seam_via_backend(self):
-        # A seam module that routes through the backend package is clean.
-        assert "seam_good.py" not in by_file(program_findings("RL105"))
-
-    def test_rl105_backend_package_exempt(self):
-        # The backend package itself may (must) import the libraries.
-        files = by_file(program_findings("RL105"))
-        assert "impl.py" not in files
-        assert "__init__.py" not in files
-
-    def test_rl105_unmarked_modules_exempt(self):
-        # Modules without the marker may import numpy freely — the rule
-        # audits the declared seam, not the whole tree.
-        files = by_file(program_findings("RL105"))
-        assert set(files) == {"seam_bad.py"}
 
 
 class TestLayerConfig:

@@ -1,1 +1,1 @@
-"""Tests for the repro.perf workspace/profiler engine."""
+"""Tests for the repro.perf profiler."""

@@ -16,8 +16,6 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from repro.backend import HOST
-from repro.perf.workspace import NullWorkspace
 from repro.recovery.bsbl import (
     BsblSettings,
     ar1_precision,
@@ -44,7 +42,7 @@ def ar1_blocks(r, blen):
     """AR(1) ``B = [r^|i-j|]``, ``B^{-1}`` and ``log|B| = (b-1) log(1-r^2)``."""
     idx = np.arange(blen)
     bmat = r ** np.abs(idx[:, None] - idx[None, :])
-    binv = ar1_precision(np, np.array([r]), blen)[0]
+    binv = ar1_precision(np.array([r]), blen)[0]
     return bmat, binv, (blen - 1) * np.log(1.0 - r * r)
 
 
@@ -60,7 +58,7 @@ def em_information_form(G, b_vec, y_quad, logdet_r, settings, alpha0):
     idx = np.arange(g)
     gdiag = G.reshape(g, blen, g, blen)[idx, :, idx, :]
     gamma = initial_gamma(
-        np, None if alpha0 is None else alpha0[:, None], 1, g, blen
+        None if alpha0 is None else alpha0[:, None], 1, g, blen
     )[0]
     r = 0.0
     mu = np.zeros(n)
@@ -96,7 +94,7 @@ def em_information_form(G, b_vec, y_quad, logdet_r, settings, alpha0):
         den = np.einsum("bc,gcb->g", bmat, gdiag - gw)
         gamma_prev = gamma
         gamma = np.maximum(
-            gamma * bo_gamma_factor(np, num, den), settings.gamma_floor
+            gamma * bo_gamma_factor(num, den), settings.gamma_floor
         )
 
         change = float(np.linalg.norm(mu_new - mu))
@@ -109,7 +107,7 @@ def em_information_form(G, b_vec, y_quad, logdet_r, settings, alpha0):
         if settings.learn_correlation and blen > 1:
             r = float(
                 ar1_estimate(
-                    np, mu.reshape(1, g, blen), gamma_prev[None, :],
+                    mu.reshape(1, g, blen), gamma_prev[None, :],
                     settings.corr_limit,
                 )[0]
             )
@@ -195,7 +193,7 @@ def test_cholesky_forward_matches_factor_and_solve(m):
     spd = g @ np.swapaxes(g, 1, 2) + m * np.eye(m)
     rhs = rng.standard_normal((2, m, 9))
     t = np.concatenate([spd, rhs], axis=2)
-    diag = cholesky_forward(np, t)
+    diag = cholesky_forward(t)
     lower = np.linalg.cholesky(spd)
     np.testing.assert_allclose(
         diag, np.diagonal(lower, axis1=1, axis2=2), rtol=1e-12
@@ -218,7 +216,7 @@ class TestConditioning:
         gamma[0, : g // 2] = BsblSettings().gamma_floor
         c_vec = _BASIS.analyze(x_mid)[None, :] if dequant else None
         mu, num, den, logdet = measurement_estep(
-            HOST, NullWorkspace(), problem.a, y[None, :], NOISE_VAR,
+            problem.a, y[None, :], NOISE_VAR,
             c_vec, QUANT_VAR if dequant else None, gamma, np.array([0.9]),
         )
         for out in (mu, num, den, logdet):

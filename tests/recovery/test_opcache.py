@@ -123,20 +123,6 @@ class TestResize:
         assert cache.stats()["size"] == 1
         assert cache.get(_key(m=48)) is kept  # survivor is the MRU entry
 
-    def test_shrink_evicts_operator_sets_too(self):
-        from repro.backend import BackendSettings
-
-        cache = ProblemCache(maxsize=4)
-        basis = make_basis(128, "db4")
-        problems = [
-            CsProblem(SensingSpec(seed=0).build(m, 128), basis)
-            for m in (32, 40, 48)
-        ]
-        for problem in problems:
-            cache.operators(problem, BackendSettings())
-        cache.resize(1)
-        assert cache.stats()["operator_sets"] == 1
-
     def test_grow_keeps_entries(self):
         cache = ProblemCache(maxsize=2)
         a = cache.get(_key(m=32))
@@ -168,17 +154,16 @@ class TestProblemForConfig:
         assert a is b
         assert PROBLEM_CACHE.get(ProblemKey.from_config(config)) is a
 
-    def test_flag_off_builds_fresh(self):
-        config = FrontEndConfig(
-            window_len=128,
-            n_measurements=48,
-            recovery=RecoveryEngineSettings(cache_problems=False),
+    def test_cached_matches_direct_build(self):
+        config = FrontEndConfig(window_len=128, n_measurements=48)
+        cached = problem_for_config(config)
+        key = ProblemKey.from_config(config)
+        direct = CsProblem(
+            key.sensing.build(key.m, key.n), make_basis(key.n, key.basis_spec)
         )
-        a = problem_for_config(config)
-        b = problem_for_config(config)
-        assert a is not b
-        # Same operating point, so the *values* still agree exactly.
-        assert np.array_equal(a.a, b.a)
+        assert cached is not direct
+        # Construction is deterministic: the values agree exactly.
+        assert np.array_equal(cached.a, direct.a)
 
     def test_explicit_cache_overrides_singleton(self):
         cache = ProblemCache()
@@ -189,23 +174,19 @@ class TestProblemForConfig:
 
 
 class TestMixedMethodSweepCounters:
-    """A mixed convex+Bayesian sweep shares one operator set per
-    (problem, backend, precision): the operator stack and memos built for
-    ADMM are the same objects BSBL reads ``A`` from, so adding a method
-    to a sweep costs operator *hits*, never rebuilds."""
+    """A mixed convex+Bayesian sweep shares one problem per CR: the
+    operator and memos built for ADMM are the same objects BSBL reads
+    ``A`` from, so adding a method to a sweep never rebuilds."""
 
     def test_operator_counters_across_mixed_sweep(self):
-        from repro.backend import BackendSettings
         from repro.recovery.batched import recover_windows
 
         PROBLEM_CACHE.clear()
         rng = np.random.default_rng(0)
         base = FrontEndConfig(window_len=64, n_measurements=32)
-        problems = []
         for m in (32, 16):
             config = base.with_measurements(m)
             problem = problem_for_config(config)
-            problems.append(problem)
             ys = [
                 problem.measure_signal(rng.standard_normal(64))
                 for _ in range(3)
@@ -220,24 +201,11 @@ class TestMixedMethodSweepCounters:
         # One problem build per CR; every method run reuses it.
         assert stats["misses"] == 2
         assert stats["size"] == 2
-        # One operator set per (problem, backend): first method misses,
-        # the other two hit — per CR.
-        assert stats["operator_sets"] == 2
-        assert stats["operator_misses"] == 2
-        assert stats["operator_hits"] == 4
-
-        # The exact-path set exposes the problem's own Gram memo, not a
-        # copy of it.
-        for problem in problems:
-            ops = PROBLEM_CACHE.operators(problem, BackendSettings())
-            assert ops.gram() is problem.gram()
-        assert PROBLEM_CACHE.stats()["operator_hits"] == 6
 
 
 class TestRecoveryEngineSettings:
     def test_defaults_on(self):
         settings = RecoveryEngineSettings()
-        assert settings.cache_problems
         assert settings.warm_start_streams
         assert settings.batch_size == 32
 
@@ -251,88 +219,3 @@ class TestRecoveryEngineSettings:
     def test_hashable_with_config(self):
         """Configs stay hashable (the link memo keys on them)."""
         assert hash(FrontEndConfig()) == hash(FrontEndConfig())
-
-
-class TestOperatorSets:
-    """Operator-set caching: backend AND precision participate in the key."""
-
-    def _problem(self):
-        key = _key(m=32, n=64)
-        return CsProblem(key.sensing.build(32, 64), make_basis(64, "db4"))
-
-    def test_same_settings_reuse_one_set(self):
-        from repro.backend import BackendSettings
-
-        cache = ProblemCache()
-        problem = self._problem()
-        a = cache.operators(problem, BackendSettings())
-        b = cache.operators(problem, BackendSettings())
-        assert a is b
-        stats = cache.stats()
-        assert stats["operator_hits"] == 1
-        assert stats["operator_misses"] == 1
-        assert stats["operator_sets"] == 1
-
-    def test_precision_participates_in_key(self):
-        from repro.backend import BackendSettings
-
-        cache = ProblemCache()
-        problem = self._problem()
-        exact = cache.operators(problem, BackendSettings())
-        fast = cache.operators(
-            problem, BackendSettings(precision="float32")
-        )
-        assert exact is not fast
-        assert cache.stats()["operator_misses"] == 2
-        assert fast.a.dtype == np.float32
-        assert exact.a.dtype == np.float64
-
-    def test_problem_identity_participates_in_key(self):
-        from repro.backend import BackendSettings
-
-        cache = ProblemCache()
-        a = cache.operators(self._problem(), BackendSettings())
-        b = cache.operators(self._problem(), BackendSettings())
-        assert a is not b
-        assert cache.stats()["operator_misses"] == 2
-
-    def test_exact_set_delegates_to_problem(self):
-        """The bit-identity contract: on NumPy/float64 the set exposes
-        the problem's own operator and factorization objects."""
-        from repro.backend import BackendSettings
-
-        problem = self._problem()
-        ops = ProblemCache().operators(problem, BackendSettings())
-        assert ops.a is problem.a
-        assert ops.admm_factor() is problem.admm_factor()
-
-    def test_fast_factor_is_native_precision(self):
-        from repro.backend import BackendSettings
-
-        problem = self._problem()
-        ops = ProblemCache().operators(
-            problem, BackendSettings(precision="float32")
-        )
-        factor = ops.admm_factor()
-        assert factor[0].dtype == np.float32
-        rhs = np.ones((64, 2), dtype=np.float32)
-        solved = ops.cho_solve(rhs)
-        assert solved.dtype == np.float32
-        gram = np.eye(64) + problem.a.T @ problem.a
-        assert np.allclose(gram @ solved.astype(np.float64), rhs, atol=1e-3)
-
-    def test_operators_for_defaults_and_clear(self):
-        from repro.backend import BackendSettings
-        from repro.recovery.opcache import operators_for
-
-        cache = ProblemCache()
-        problem = self._problem()
-        default = operators_for(problem, cache=cache)
-        assert default.settings == BackendSettings()
-        assert operators_for(problem, cache=cache) is default
-        cache.clear()
-        stats = cache.stats()
-        assert stats["operator_sets"] == 0
-        assert stats["operator_hits"] == 0
-        assert stats["operator_misses"] == 0
-        assert operators_for(problem, cache=cache) is not default

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.codebooks import CodebookKey
 from repro.core.config import FrontEndConfig
-from repro.core.encode_batch import EncodeEngineSettings
 from repro.recovery.pdhg import PdhgSettings
 from repro.runtime import CodebookSpec, WindowTask, task_seed
 from repro.runtime.stages import encode, encode_batch
@@ -59,18 +58,6 @@ class TestEncodeBatch:
     def test_single_task_uses_scalar_path(self, tasks):
         [packet] = encode_batch(tasks[:1])
         assert packet.to_bytes() == encode(tasks[0]).to_bytes()
-
-    def test_batched_off_uses_scalar_path(self, tasks):
-        config = dataclasses.replace(
-            FAST, encode=EncodeEngineSettings(batched=False)
-        )
-        off_tasks = [
-            dataclasses.replace(task, config=config) for task in tasks
-        ]
-        batched = encode_batch(off_tasks)
-        assert [p.to_bytes() for p in batched] == [
-            p.to_bytes() for p in encode_batch(tasks)
-        ]
 
     def test_mixed_links_rejected(self, tasks):
         other = dataclasses.replace(

@@ -1,9 +1,9 @@
 """Recovery-cache telemetry on gateway/cluster snapshots.
 
-Satellite of the workspace PR: every snapshot now samples the
-process-wide recovery caches (``PROBLEM_CACHE`` hit rates, operator-set
-occupancy, link memo sizes) so cache effectiveness is visible in live
-telemetry, not just in benchmark artifacts.  The cache is a per-process
+Every snapshot samples the process-wide recovery caches
+(``PROBLEM_CACHE`` hit rates and occupancy, link memo sizes) so cache
+effectiveness is visible in live telemetry, not just in benchmark
+artifacts.  The cache is a per-process
 singleton, so the cluster snapshot must carry *one* sample — never a
 per-shard sum of the same counters.
 """
@@ -28,7 +28,6 @@ class TestGatewayCacheTelemetry:
             "hits",
             "misses",
             "hit_rate",
-            "operator_sets",
             "link_cache_size",
         ):
             assert key in stats

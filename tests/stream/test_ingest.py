@@ -81,18 +81,17 @@ class TestBitIdentity:
         self, stream_config, stream_record
     ):
         # A large push completes many windows at once and takes the batch
-        # engine; a batched=False session must emit identical frames.
-        import dataclasses
-
-        from repro.core.encode_batch import EncodeEngineSettings
-
-        scalar_config = dataclasses.replace(
-            stream_config, encode=EncodeEngineSettings(batched=False)
-        )
+        # engine; one-window pushes take the scalar path.  Both must emit
+        # identical frames.
         batched = IngestSession(stream_record.name, stream_config)
-        scalar = IngestSession(stream_record.name, scalar_config)
+        scalar = IngestSession(stream_record.name, stream_config)
         frames_batched = batched.push(stream_record.adu)
-        frames_scalar = scalar.push(stream_record.adu)
+        n = stream_config.window_len
+        frames_scalar = [
+            frame
+            for start in range(0, len(stream_record.adu), n)
+            for frame in scalar.push(stream_record.adu[start : start + n])
+        ]
         assert len(frames_batched) > 1
         assert [f.packet.to_bytes() for f in frames_batched] == [
             f.packet.to_bytes() for f in frames_scalar
