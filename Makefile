@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-smoke bench-encode-smoke bench-bsbl-smoke bench-full stream-smoke loadtest-smoke report examples clean-cache
+.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-full stream-smoke loadtest-smoke report examples clean-cache
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -42,27 +42,6 @@ lint-sarif:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# 2-record parallel mini-sweep through the execution engine; emits
-# machine-readable throughput numbers (wall-clock, windows/sec, speedup
-# over serial) to benchmarks/results/BENCH_sweep.json.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --smoke --workers 2 \
-		--output benchmarks/results/BENCH_sweep.json
-
-# Encoder-only microbenchmark: batched encode engine + vectorized
-# synthesis kernels vs their scalar reference loops, with byte/bit
-# identity checks. Writes benchmarks/results/BENCH_encode.json (also
-# produced by bench-smoke as part of the full `repro bench` run).
-bench-encode-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --smoke --encode-only \
-		--encode-output benchmarks/results/BENCH_encode.json
-
-# Bayesian-family comparison (BSBL vs hybrid) + batched-vs-scalar
-# agreement; also produced as part of the full `repro bench` run.
-bench-bsbl-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --smoke --bsbl-only \
-		--workers 2 --bsbl-output benchmarks/results/BENCH_bsbl.json
 
 # 4-patient online streaming run over a 10% lossy link through the
 # multi-session gateway; writes the final telemetry snapshot.

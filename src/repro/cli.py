@@ -6,10 +6,6 @@ The subcommands cover the everyday workflows:
 * ``repro compress``   — run a record through a front-end and report the
   per-window quality/compression table (``--workers N`` fans the window
   solves out over processes);
-* ``repro bench``      — a timed CR sweep through the staged execution
-  engine, emitting machine-readable ``BENCH_sweep.json`` throughput
-  numbers plus a streaming-gateway section (``--workers``, ``--smoke``,
-  ``--compare-serial``);
 * ``repro stream``     — the multi-patient streaming telemetry gateway:
   N synthetic patients through a lossy link into a ``StreamGateway``,
   with periodic snapshots (see ``docs/streaming.md``);
@@ -25,7 +21,8 @@ The subcommands cover the everyday workflows:
   source tree (see ``docs/static_analysis.md``).
 
 Installed as ``repro`` via the console-script entry point, also runnable
-as ``python -m repro.cli``.
+as ``python -m repro.cli``.  Throughput is measured by ``perfbench/``
+(see ``perfbench/README.md``), not by a subcommand.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from repro.recovery.methods import method_names
 __all__ = ["build_parser", "main"]
 
 
-def _add_workers_option(parser: argparse.ArgumentParser, default: int = 1) -> None:
+def _add_workers_option(parser: argparse.ArgumentParser) -> None:
     """The one shared ``--workers`` knob (resolved by executor_from_workers).
 
     Every subcommand that fans window solves out over processes adds the
@@ -48,9 +45,9 @@ def _add_workers_option(parser: argparse.ArgumentParser, default: int = 1) -> No
     ``0`` = all CPUs, ``N`` = that many worker processes.
     """
     parser.add_argument(
-        "--workers", type=int, default=default,
+        "--workers", type=int, default=1,
         help="worker processes for window solves "
-             f"(1 = serial, 0 = all CPUs; default {default})",
+             "(1 = serial, 0 = all CPUs; default 1)",
     )
 
 
@@ -177,325 +174,6 @@ def _cmd_power(args: argparse.Namespace) -> int:
     )
     print(f"  power gain (normal/hybrid): {gain:.2f}x")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-    import time
-
-    from repro.core.codebooks import CodebookKey, build_codebook
-    from repro.core.config import FrontEndConfig
-    from repro.experiments.runner import (
-        PAPER_CR_VALUES,
-        ExperimentScale,
-        sweep_compression_ratios,
-    )
-    from repro.experiments.solver_bench import (
-        run_solver_bench,
-        solver_bench_payload,
-    )
-    from repro.recovery.pdhg import PdhgSettings
-    from repro.runtime.executors import (
-        executor_from_workers,
-        resolve_worker_count,
-    )
-    from repro.runtime.stages import recovery_cache_stats
-    from repro.stream.driver import StreamScenario, run_stream_scenario
-
-    if args.cache_size is not None:
-        from repro.recovery.opcache import PROBLEM_CACHE
-
-        PROBLEM_CACHE.resize(args.cache_size)
-
-    records = tuple(args.records) if args.records else (
-        ("100", "101") if args.smoke else ("100", "101", "103", "107")
-    )
-    crs = tuple(args.crs) if args.crs else (
-        (75.0, 88.0) if args.smoke else PAPER_CR_VALUES
-    )
-    max_windows = (
-        args.max_windows
-        if args.max_windows is not None
-        else (3 if args.smoke else 2)
-    )
-    compare_serial = args.compare_serial or args.smoke
-    workers = resolve_worker_count(args.workers)
-    methods = ("hybrid", "normal")
-
-    config = FrontEndConfig(
-        window_len=args.window,
-        lowres_bits=args.lowres_bits,
-        solver=PdhgSettings(max_iter=args.max_iter),
-    )
-
-    if args.encode_only:
-        _write_encode_bench(args, config, crs, records[0])
-        return 0
-
-    if args.bsbl_only:
-        _write_bsbl_bench(args, workers)
-        return 0
-
-    scale = ExperimentScale(
-        record_names=records, duration_s=args.duration, max_windows=max_windows
-    )
-    windows_total = len(records) * len(crs) * len(methods) * max_windows
-
-    # Train the shared offline codebook outside the timed region: it is
-    # identical state for both executors (fork-based workers inherit it).
-    build_codebook(
-        CodebookKey(
-            lowres_bits=config.lowres_bits,
-            acquisition_bits=config.acquisition_bits,
-        )
-    )
-
-    def timed_sweep(executor):
-        start = time.perf_counter()
-        points = sweep_compression_ratios(
-            config,
-            cr_values=crs,
-            methods=methods,
-            scale=scale,
-            cache=False,
-            executor=executor,
-        )
-        elapsed = time.perf_counter() - start
-        return points, elapsed
-
-    serial_stats = None
-    serial_points = None
-    if compare_serial:
-        serial_points, serial_s = timed_sweep(executor_from_workers(1))
-        serial_stats = {
-            "wall_clock_s": serial_s,
-            "windows_per_sec": windows_total / serial_s,
-        }
-        print(
-            f"serial:   {serial_s:.2f} s "
-            f"({serial_stats['windows_per_sec']:.1f} windows/s)"
-        )
-
-    points, parallel_s = timed_sweep(executor_from_workers(workers))
-    parallel_stats = {
-        "wall_clock_s": parallel_s,
-        "windows_per_sec": windows_total / parallel_s,
-    }
-    print(
-        f"workers={workers}: {parallel_s:.2f} s "
-        f"({parallel_stats['windows_per_sec']:.1f} windows/s)"
-    )
-
-    speedup = None
-    results_equal = None
-    if serial_stats is not None:
-        speedup = (
-            parallel_stats["windows_per_sec"] / serial_stats["windows_per_sec"]
-        )
-        results_equal = all(
-            pa.cr_percent == pb.cr_percent
-            and pa.method == pb.method
-            and pa.outcomes == pb.outcomes
-            for pa, pb in zip(serial_points, points)
-        )
-        print(
-            f"speedup:  {speedup:.2f}x windows/s over serial "
-            f"(results identical: {results_equal})"
-        )
-
-    # Streaming-gateway throughput: a short multi-patient run through a
-    # 10% erasure link, reported next to the batch numbers.
-    stream_patients = 2 if args.smoke else 4
-    stream_duration = 6.0 if args.smoke else 15.0
-    stream_snapshot = run_stream_scenario(
-        StreamScenario(
-            patients=stream_patients,
-            duration_s=stream_duration,
-            config=config,
-            erasure_rate=0.1,
-        ),
-        executor=executor_from_workers(workers),
-    )
-    stream_stats = {
-        "sessions": stream_snapshot.sessions,
-        "duration_s": stream_duration,
-        "erasure_rate": 0.1,
-        "frames_total": stream_snapshot.windows_completed,
-        "frames_per_sec": stream_snapshot.reconstructed_per_sec,
-        "latency_p50_s": stream_snapshot.latency_p50_s,
-        "latency_p95_s": stream_snapshot.latency_p95_s,
-        "concealed": stream_snapshot.concealed,
-        "cs_fallbacks": stream_snapshot.cs_fallbacks,
-        "queue_drops": stream_snapshot.queue_drops,
-    }
-    rate = stream_stats["frames_per_sec"]
-    rate_txt = f"{rate:.1f} frames/s" if rate is not None else "n/a"
-    print(
-        f"stream:   {stream_stats['sessions']} sessions, "
-        f"{stream_stats['frames_total']} frames ({rate_txt})"
-    )
-
-    payload = {
-        "schema": "repro-bench-sweep/v1",
-        "smoke": bool(args.smoke),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "records": list(records),
-        "cr_values": [float(c) for c in crs],
-        "methods": list(methods),
-        "window_len": config.window_len,
-        "max_windows": max_windows,
-        "duration_s": args.duration,
-        "windows_total": windows_total,
-        "parallel": parallel_stats,
-        "serial": serial_stats,
-        "speedup_windows_per_sec": speedup,
-        "results_equal_serial": results_equal,
-        "stream": stream_stats,
-        "points": [
-            {
-                "cr_percent": p.cr_percent,
-                "method": p.method,
-                "mean_snr_db": p.mean_snr_db,
-                "mean_prd_percent": p.mean_prd_percent,
-                "net_cr_percent": p.net_cr_percent,
-            }
-            for p in points
-        ],
-    }
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
-
-    # Solver microbenchmark: the batched+cached recovery engine against
-    # the legacy per-window loop, on the same CR grid.
-    cells = run_solver_bench(
-        config,
-        crs,
-        record_name=records[0],
-        n_windows=4 if args.smoke else 12,
-        duration_s=args.duration,
-    )
-    for c in cells:
-        print(
-            f"solver {c.solver:<6} CR {c.cr_percent:5.1f}%: "
-            f"loop {c.loop_windows_per_sec:6.1f} w/s | "
-            f"batched {c.batched_windows_per_sec:6.1f} w/s | "
-            f"speedup {c.speedup:5.2f}x | "
-            f"max PRD dev {c.max_prd_dev_percent:.2e}%"
-        )
-    solver_payload = solver_bench_payload(
-        cells, smoke=bool(args.smoke), cache_stats=recovery_cache_stats()
-    )
-    solvers_out = Path(args.solvers_output)
-    solvers_out.parent.mkdir(parents=True, exist_ok=True)
-    solvers_out.write_text(json.dumps(solver_payload, indent=2) + "\n")
-    print(f"wrote {solvers_out}")
-
-    # Encoder microbenchmark: the batched encode engine + vectorized
-    # synthesis kernels against their scalar reference loops.
-    _write_encode_bench(args, config, crs, records[0])
-
-    # Bayesian-family comparison: BSBL / de-quantization vs the hybrid
-    # baseline on the smoke CR grid, plus batched-vs-scalar agreement.
-    _write_bsbl_bench(args, workers)
-    return 0
-
-
-def _write_bsbl_bench(args, workers) -> None:
-    """Run the Bayesian-family comparison and write BENCH_bsbl.json.
-
-    Always runs the fixed smoke grid (2 records x 3 windows at window
-    length 256) — the artifact is a quality *comparison* whose gate the
-    CI asserts, not a throughput benchmark, so it stays cheap even in
-    full bench runs.  ``--crs`` still overrides the CR grid.
-    """
-    import json
-
-    from repro.core.config import FrontEndConfig
-    from repro.experiments.bayes_bench import (
-        BAYES_SMOKE_CR_VALUES,
-        bayes_bench_payload,
-        run_bayes_bench,
-        run_bsbl_agreement,
-    )
-    from repro.recovery.pdhg import PdhgSettings
-    from repro.runtime.executors import executor_from_workers
-    from repro.runtime.stages import recovery_cache_stats
-
-    crs = tuple(args.crs) if args.crs else BAYES_SMOKE_CR_VALUES
-    config = FrontEndConfig(
-        window_len=256, solver=PdhgSettings(max_iter=1500, tol=2e-4)
-    )
-    cells = run_bayes_bench(
-        config, crs, executor=executor_from_workers(workers)
-    )
-    for c in cells:
-        print(
-            f"bayes {c.method:<12} CR {c.cr_percent:5.1f}%: "
-            f"SNR {c.mean_snr_db:6.2f} dB | PRD {c.mean_prd_percent:6.2f}%"
-        )
-    agreement = run_bsbl_agreement(config, crs)
-    for c in agreement:
-        print(
-            f"agree {c.solver:<12} CR {c.cr_percent:5.1f}%: "
-            f"max |dalpha| {c.max_abs_alpha_dev:.2e} "
-            f"(speedup {c.speedup:.2f}x)"
-        )
-    payload = bayes_bench_payload(
-        cells, agreement, smoke=True, cache_stats=recovery_cache_stats()
-    )
-    out = Path(args.bsbl_output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}")
-
-
-def _write_encode_bench(args, config, crs, record_name) -> None:
-    """Run the encoder/synthesis microbenchmark and write BENCH_encode.json."""
-    import json
-
-    from repro.experiments.encode_bench import (
-        encode_bench_payload,
-        run_encode_bench,
-        run_synth_bench,
-    )
-
-    encode_cells = run_encode_bench(
-        config,
-        crs,
-        record_name=record_name,
-        n_windows=16 if args.smoke else 32,
-        duration_s=args.duration,
-    )
-    for c in encode_cells:
-        print(
-            f"encode {c.method:<6} CR {c.cr_percent:5.1f}%: "
-            f"loop {c.loop_windows_per_sec:7.1f} w/s | "
-            f"batched {c.batched_windows_per_sec:7.1f} w/s | "
-            f"speedup {c.speedup:5.2f}x | "
-            f"bytes identical: {c.bytes_identical}"
-        )
-    synth_cells = run_synth_bench(
-        duration_s=4.0 if args.smoke else 8.0,
-        database_duration_s=3.0 if args.smoke else 6.0,
-    )
-    for c in synth_cells:
-        print(
-            f"synth  {c.kind:<8}: "
-            f"loop {c.loop_samples_per_sec:8.0f} sps | "
-            f"vectorized {c.vectorized_samples_per_sec:10.0f} sps | "
-            f"speedup {c.speedup:6.1f}x | identical: {c.identical}"
-        )
-    payload = encode_bench_payload(
-        encode_cells, synth_cells, smoke=bool(args.smoke)
-    )
-    encode_out = Path(args.encode_output)
-    encode_out.parent.mkdir(parents=True, exist_ok=True)
-    encode_out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {encode_out}")
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
@@ -727,50 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--max-windows", type=int, default=4)
     p.add_argument("--max-iter", type=int, default=3000)
-    _add_workers_option(p, default=1)
+    _add_workers_option(p)
     p.set_defaults(func=_cmd_compress)
-
-    p = sub.add_parser(
-        "bench",
-        help="timed CR sweep through the execution engine; writes "
-             "BENCH_sweep.json + BENCH_solvers.json + BENCH_encode.json",
-    )
-    p.add_argument("--records", nargs="*", help="record names to sweep")
-    p.add_argument("--crs", nargs="*", type=float, metavar="CR",
-                   help="CS-channel CR values in percent")
-    _add_workers_option(p, default=0)
-    p.add_argument("--window", type=int, default=512)
-    p.add_argument("--lowres-bits", type=int, default=7)
-    p.add_argument("--duration", type=float, default=30.0)
-    p.add_argument("--max-windows", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=3000)
-    p.add_argument("--compare-serial", action="store_true",
-                   help="also time the serial executor and record the speedup")
-    p.add_argument("--smoke", action="store_true",
-                   help="small fixed 2-record sweep with serial comparison "
-                        "(the `make bench-smoke` configuration)")
-    p.add_argument("--output", "-o", default="benchmarks/results/BENCH_sweep.json",
-                   help="where to write the machine-readable result")
-    p.add_argument("--solvers-output",
-                   default="benchmarks/results/BENCH_solvers.json",
-                   help="where to write the solver microbenchmark result")
-    p.add_argument("--encode-output",
-                   default="benchmarks/results/BENCH_encode.json",
-                   help="where to write the encoder microbenchmark result")
-    p.add_argument("--encode-only", action="store_true",
-                   help="run only the encoder/synthesis microbenchmark "
-                        "(the `make bench-encode-smoke` configuration)")
-    p.add_argument("--bsbl-output",
-                   default="benchmarks/results/BENCH_bsbl.json",
-                   help="where to write the Bayesian-family comparison")
-    p.add_argument("--bsbl-only", action="store_true",
-                   help="run only the Bayesian-family comparison "
-                        "(the `make bench-bsbl-smoke` configuration)")
-    p.add_argument("--cache-size", type=int, default=None,
-                   help="resize the process problem LRU cache "
-                        "before benchmarking (entries beyond the new size "
-                        "are evicted oldest-first)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "stream",
@@ -803,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "declared lost and concealed")
     p.add_argument("--poll-every", type=int, default=8,
                    help="gateway poll cadence, in playback chunks")
-    _add_workers_option(p, default=1)
+    _add_workers_option(p)
     p.add_argument("--output", "-o",
                    help="also write the final gateway snapshot as JSON")
     p.set_defaults(func=_cmd_stream)
@@ -846,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "record throughput + bit-identity of the output")
     p.add_argument("--verbose", action="store_true",
                    help="print a snapshot line after every gateway poll")
-    _add_workers_option(p, default=1)
+    _add_workers_option(p)
     p.add_argument("--output", "-o",
                    default="benchmarks/results/BENCH_gateway.json",
                    help="where to write the machine-readable result")

@@ -18,35 +18,15 @@ from typing import List, Optional, Tuple
 
 __all__ = [
     "EXPECTED_ARTIFACTS",
-    "BENCH_SWEEP_STEM",
-    "BENCH_SOLVERS_STEM",
-    "BENCH_ENCODE_STEM",
     "BENCH_GATEWAY_STEM",
-    "BENCH_BSBL_STEM",
     "ReportSection",
-    "bench_sweep_section",
-    "bench_solvers_section",
-    "bench_encode_section",
     "bench_gateway_section",
-    "bench_bsbl_section",
     "build_report",
     "write_report",
 ]
 
-#: Stem of the optional engine-throughput artifact (`make bench-smoke`).
-BENCH_SWEEP_STEM = "BENCH_sweep"
-
-#: Stem of the optional solver-microbenchmark artifact (`repro bench`).
-BENCH_SOLVERS_STEM = "BENCH_solvers"
-
-#: Stem of the optional encoder-microbenchmark artifact (`repro bench`).
-BENCH_ENCODE_STEM = "BENCH_encode"
-
 #: Stem of the optional gateway load-test artifact (`repro loadtest`).
 BENCH_GATEWAY_STEM = "BENCH_gateway"
-
-#: Stem of the optional Bayesian-family comparison (`repro bench`).
-BENCH_BSBL_STEM = "BENCH_bsbl"
 
 #: (artifact stem, section heading) in paper order.
 EXPECTED_ARTIFACTS: Tuple[Tuple[str, str], ...] = (
@@ -98,182 +78,12 @@ class ReportSection:
         return "\n".join(lines)
 
 
-def bench_sweep_section(results_dir: Path) -> str:
-    """Markdown for the engine-throughput artifact, or "" when absent.
-
-    ``BENCH_sweep.json`` is informational (written by ``make bench-smoke``
-    / ``repro bench``); it does not count toward artifact coverage.
-    """
-    path = Path(results_dir) / f"{BENCH_SWEEP_STEM}.json"
-    if not path.exists():
-        return ""
-    try:
-        data = json.loads(path.read_text())
-    except ValueError:
-        return ""
-    lines = [
-        "## Engine throughput (`repro bench`)",
-        "",
-        f"- workers: {data.get('workers')} (cpu_count "
-        f"{data.get('cpu_count')})",
-        f"- windows: {data.get('windows_total')} "
-        f"@ {data.get('parallel', {}).get('windows_per_sec', 0):.1f}"
-        " windows/s",
-    ]
-    speedup = data.get("speedup_windows_per_sec")
-    if speedup is not None:
-        lines.append(
-            f"- speedup over serial: {speedup:.2f}x "
-            f"(results identical: {data.get('results_equal_serial')})"
-        )
-    stream = data.get("stream")
-    if stream:
-        lines += ["", "### Streaming gateway (`repro stream`)", ""]
-        rate = stream.get("frames_per_sec")
-        lines.append(
-            f"- sessions: {stream.get('sessions')} x "
-            f"{stream.get('duration_s')} s @ "
-            f"{stream.get('erasure_rate', 0) * 100:.0f}% erasure"
-        )
-        lines.append(
-            f"- frames: {stream.get('frames_total')}"
-            + (f" @ {rate:.1f} frames/s" if rate is not None else "")
-        )
-        p50, p95 = stream.get("latency_p50_s"), stream.get("latency_p95_s")
-        if p50 is not None and p95 is not None:
-            lines.append(
-                f"- latency: p50 {p50 * 1e3:.0f} ms / p95 {p95 * 1e3:.0f} ms"
-            )
-        lines.append(
-            f"- loss handling: concealed {stream.get('concealed')}, "
-            f"CS fallbacks {stream.get('cs_fallbacks')}, "
-            f"queue drops {stream.get('queue_drops')}"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def bench_solvers_section(results_dir: Path) -> str:
-    """Markdown for the solver-microbenchmark artifact, or "" when absent.
-
-    ``BENCH_solvers.json`` compares the batched+cached recovery engine
-    against the legacy per-window loop (see ``docs/recovery.md``); like
-    the sweep artifact it is informational and does not count toward
-    coverage.
-    """
-    path = Path(results_dir) / f"{BENCH_SOLVERS_STEM}.json"
-    if not path.exists():
-        return ""
-    try:
-        data = json.loads(path.read_text())
-    except ValueError:
-        return ""
-    lines = [
-        "## Solver engines (`repro bench`)",
-        "",
-        "| solver | CR % | loop w/s | batched w/s | speedup | max PRD dev % |",
-        "|---|---|---|---|---|---|",
-    ]
-    for cell in data.get("cells", []):
-        loop = cell.get("loop", {})
-        batched = cell.get("batched", {})
-        lines.append(
-            f"| {cell.get('solver')} "
-            f"| {cell.get('cr_percent', 0):.1f} "
-            f"| {loop.get('windows_per_sec', 0):.1f} "
-            f"| {batched.get('windows_per_sec', 0):.1f} "
-            f"| {cell.get('speedup', 0):.2f}x "
-            f"| {cell.get('max_prd_dev_percent', 0):.2e} |"
-        )
-    min_speedup = data.get("min_speedup")
-    if min_speedup is not None:
-        lines += [
-            "",
-            f"- minimum speedup (batched+cached over per-window loop): "
-            f"{min_speedup:.2f}x",
-        ]
-    cache = data.get("problem_cache")
-    if cache:
-        lines.append(
-            f"- operator cache: {cache.get('hits')} hits / "
-            f"{cache.get('misses')} misses "
-            f"(hit rate {cache.get('hit_rate', 0):.2f}, "
-            f"{cache.get('size')} problems resident)"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
-def bench_encode_section(results_dir: Path) -> str:
-    """Markdown for the encoder-microbenchmark artifact, or "" when absent.
-
-    ``BENCH_encode.json`` compares the batched encode engine and the
-    vectorized synthesis kernels against their scalar reference loops
-    (see ``docs/encoding.md``); informational, like the other bench
-    artifacts.
-    """
-    path = Path(results_dir) / f"{BENCH_ENCODE_STEM}.json"
-    if not path.exists():
-        return ""
-    try:
-        data = json.loads(path.read_text())
-    except ValueError:
-        return ""
-    lines = [
-        "## Encode engine (`repro bench`)",
-        "",
-        "| method | CR % | loop w/s | batched w/s | speedup | bytes identical |",
-        "|---|---|---|---|---|---|",
-    ]
-    for cell in data.get("cells", []):
-        loop = cell.get("loop", {})
-        batched = cell.get("batched", {})
-        lines.append(
-            f"| {cell.get('method')} "
-            f"| {cell.get('cr_percent', 0):.1f} "
-            f"| {loop.get('windows_per_sec', 0):.1f} "
-            f"| {batched.get('windows_per_sec', 0):.1f} "
-            f"| {cell.get('speedup', 0):.2f}x "
-            f"| {cell.get('bytes_identical')} |"
-        )
-    min_speedup = data.get("min_encode_speedup")
-    if min_speedup is not None:
-        lines += [
-            "",
-            f"- minimum hybrid-encoder speedup (batched over per-window "
-            f"loop): {min_speedup:.2f}x "
-            f"(all bytes identical: {data.get('all_bytes_identical')})",
-        ]
-    synth = data.get("synth") or {}
-    synth_cells = synth.get("cells", [])
-    if synth_cells:
-        lines += [
-            "",
-            "### Synthesis kernels",
-            "",
-            "| kernel | loop samples/s | vectorized samples/s | speedup | identical |",
-            "|---|---|---|---|---|",
-        ]
-        for cell in synth_cells:
-            loop = cell.get("loop", {})
-            vec = cell.get("vectorized", {})
-            lines.append(
-                f"| {cell.get('kind')} "
-                f"| {loop.get('samples_per_sec', 0):.0f} "
-                f"| {vec.get('samples_per_sec', 0):.0f} "
-                f"| {cell.get('speedup', 0):.1f}x "
-                f"| {cell.get('identical')} |"
-            )
-    lines.append("")
-    return "\n".join(lines)
-
-
 def bench_gateway_section(results_dir: Path) -> str:
     """Markdown for the gateway load-test artifact, or "" when absent.
 
     ``BENCH_gateway.json`` is the ``repro loadtest`` output (see
-    ``docs/streaming.md``); informational, like the other bench
-    artifacts.
+    ``docs/streaming.md``); informational, it does not count toward
+    artifact coverage.
     """
     path = Path(results_dir) / f"{BENCH_GATEWAY_STEM}.json"
     if not path.exists():
@@ -349,53 +159,6 @@ def bench_gateway_section(results_dir: Path) -> str:
     return "\n".join(lines)
 
 
-def bench_bsbl_section(results_dir: Path) -> str:
-    """Markdown for the Bayesian-family comparison, or "" when absent.
-
-    ``BENCH_bsbl.json`` compares the BSBL recovery family (including
-    Bayesian de-quantization) against the paper's hybrid Eq. 1 solve on
-    an SNR-vs-CR grid (see ``docs/recovery.md``); informational, like
-    the other bench artifacts.
-    """
-    path = Path(results_dir) / f"{BENCH_BSBL_STEM}.json"
-    if not path.exists():
-        return ""
-    try:
-        data = json.loads(path.read_text())
-    except ValueError:
-        return ""
-    lines = [
-        "## Bayesian recovery family (`repro bench`)",
-        "",
-        "| method | CR % | mean SNR dB | mean PRD % |",
-        "|---|---|---|---|",
-    ]
-    for cell in data.get("cells", []):
-        lines.append(
-            f"| {cell.get('method')} "
-            f"| {cell.get('cr_percent', 0):.1f} "
-            f"| {cell.get('mean_snr_db', 0):.2f} "
-            f"| {cell.get('mean_prd_percent', 0):.2f} |"
-        )
-    for row in data.get("comparison", []):
-        verdict = "beats" if row.get("bayes_wins") else "trails"
-        lines.append(
-            f"- CR {row.get('cr_percent', 0):.0f}%: "
-            f"`{row.get('best_bayes_method')}` {verdict} hybrid by "
-            f"{row.get('bayes_gain_db', 0):+.2f} dB"
-        )
-    agreement = data.get("agreement") or {}
-    max_dev = agreement.get("max_abs_alpha_dev")
-    if max_dev is not None:
-        lines.append(
-            f"- batched EM vs scalar oracle: max |dalpha| {max_dev:.2e} "
-            f"(tolerance {agreement.get('tolerance', 0):.0e}, within: "
-            f"{agreement.get('within_tolerance')})"
-        )
-    lines.append("")
-    return "\n".join(lines)
-
-
 def build_report(results_dir: Path) -> Tuple[str, int, int]:
     """Render the Markdown report.
 
@@ -428,15 +191,9 @@ def build_report(results_dir: Path) -> Tuple[str, int, int]:
     header.append("")
 
     body_parts = [s.to_markdown() for s in sections]
-    for bench in (
-        bench_sweep_section(results_dir),
-        bench_solvers_section(results_dir),
-        bench_encode_section(results_dir),
-        bench_gateway_section(results_dir),
-        bench_bsbl_section(results_dir),
-    ):
-        if bench:
-            body_parts.append(bench)
+    gateway = bench_gateway_section(results_dir)
+    if gateway:
+        body_parts.append(gateway)
     return "\n".join(header) + "\n" + "\n".join(body_parts), present, len(sections)
 
 

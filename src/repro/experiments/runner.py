@@ -147,8 +147,8 @@ def sweep_compression_ratios(
     """
     scale = scale or active_scale()
     if cache is False:
-        # Explicit opt-out (used by `repro bench` so timings never mix
-        # cache hits with real solves), even when REPRO_CACHE_DIR is set.
+        # Explicit opt-out (used by the identity and golden tests so
+        # every point is really solved), even when REPRO_CACHE_DIR is set.
         cache = None
     elif cache is None:
         from repro.experiments.cache import cache_from_env

@@ -2,13 +2,9 @@
 
 from repro.recovery.admm import solve_bpdn_admm
 from repro.recovery.batched import (
-    recover_windows,
-    recover_windows_loop,
-    solve_batch,
     solve_bpdn_admm_batch,
     solve_bsbl_batch,
     solve_bsbl_dequant_batch,
-    solve_fista_batch,
     stack_measurements,
 )
 from repro.recovery.bpdn import ball_block, solve_bpdn
@@ -81,12 +77,9 @@ __all__ = [
     "lambda_max",
     "problem_for_config",
     "project_box",
-    "recover_windows",
-    "recover_windows_loop",
     "project_l2_ball",
     "prox_l1",
     "soft_threshold",
-    "solve_batch",
     "solve_bpdn",
     "solve_bpdn_admm",
     "solve_bpdn_admm_batch",
@@ -96,7 +89,6 @@ __all__ = [
     "solve_bsbl_dequant_batch",
     "solve_cosamp",
     "solve_fista",
-    "solve_fista_batch",
     "solve_hybrid",
     "solve_iht",
     "solve_l1_constrained",

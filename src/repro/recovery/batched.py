@@ -1,4 +1,4 @@
-"""Batched recovery: vectorized FISTA/ADMM over stacks of windows.
+"""Batched recovery: vectorized ADMM/BSBL over stacks of windows.
 
 Every window of a record (and every window of every record at one sweep
 grid cell) solves against the *same* composed operator ``A = Φ Ψ``.  The
@@ -8,14 +8,15 @@ of one right-hand-side matrix turns each iteration's ``k`` GEMV calls
 into a single GEMM — far better BLAS arithmetic intensity for identical
 per-column math.
 
-Two vectorized engines are provided, mirroring their scalar siblings
+The vectorized engines mirror their scalar siblings
 iteration-for-iteration:
 
-* :func:`solve_fista_batch` — the LASSO path of
-  :func:`repro.recovery.fista.solve_fista`;
 * :func:`solve_bpdn_admm_batch` — the BPDN path of
   :func:`repro.recovery.admm.solve_bpdn_admm`, through the cached
-  ``I + A^T A`` factorization.
+  ``I + A^T A`` factorization;
+* :func:`solve_bsbl_batch` / :func:`solve_bsbl_dequant_batch` — the
+  BSBL-BO EM of :mod:`repro.recovery.bsbl`, one stack of ``m x m``
+  factorizations per iteration.
 
 **Convergence masking:** each column tracks the scalar solver's own
 stopping rule; a converged column is frozen at its current iterate and
@@ -24,14 +25,6 @@ pay for) finished windows.  Because the per-column arithmetic is the
 scalar solver's arithmetic, a batched solve agrees with the per-window
 loop to BLAS rounding (~1e-13); the differential test suite pins the
 agreement at 1e-8.
-
-**Warm starting:** :func:`recover_windows` chunks a record's windows into
-stacks of ``batch_size`` and, when ``warm_start`` is on, seeds every
-column of chunk ``c+1`` from the final solution of the last window of
-chunk ``c`` — the most recent temporally-adjacent solution available
-without serializing the batch.  :func:`recover_windows_loop` implements
-the identical schedule window-by-window, which is both the benchmark
-baseline and the differential-test reference.
 
 Operator state comes straight from the shared :class:`CsProblem`
 (``problem.a``, ``problem.admm_factor()``), so every engine solves
@@ -47,34 +40,26 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from repro.perf import profiled
-from repro.recovery.admm import solve_bpdn_admm
 from repro.recovery.bsbl import (
     BsblSettings,
     ar1_estimate,
     bo_gamma_factor,
     initial_gamma,
     measurement_estep,
-    solve_bsbl,
-    solve_bsbl_dequant,
 )
-from repro.recovery.fista import solve_fista
 from repro.recovery.problem import CsProblem
 from repro.recovery.prox import soft_threshold
 from repro.recovery.result import RecoveryResult
 
 __all__ = [
     "stack_measurements",
-    "solve_fista_batch",
     "solve_bpdn_admm_batch",
     "solve_bsbl_batch",
     "solve_bsbl_dequant_batch",
-    "solve_batch",
-    "recover_windows",
-    "recover_windows_loop",
 ]
 
 #: Fraction of the active stack that must be frozen (converged) before
-#: the convex engines pay for a compaction copy.  Compacting on every
+#: the ADMM engine pays for a compaction copy.  Compacting on every
 #: convergence event copied the whole active stack each time one window
 #: finished; deferring until a quarter is frozen bounds the wasted work
 #: (frozen columns iterate harmlessly — the math is column-independent
@@ -109,8 +94,7 @@ def _stack_alpha0(
     """Initial coefficient stack, shape ``(n, k)``.
 
     ``alpha0`` may be ``None`` (cold start at zero), one ``(n,)`` vector
-    (broadcast to every column — the chunk warm-start shape) or a full
-    ``(n, k)`` stack.
+    (broadcast to every column) or a full ``(n, k)`` stack.
     """
     if alpha0 is None:
         return np.zeros((problem.n, k))
@@ -151,89 +135,6 @@ def _finalize(
             )
         )
     return results
-
-
-@profiled("recovery.fista_batch")
-def solve_fista_batch(
-    problem: CsProblem,
-    ys: Sequence[np.ndarray],
-    lam: float,
-    *,
-    max_iter: int = 2000,
-    tol: float = 1e-6,
-    alpha0: Optional[np.ndarray] = None,
-) -> List[RecoveryResult]:
-    """Vectorized :func:`~repro.recovery.fista.solve_fista` over a stack.
-
-    One GEMM pair per iteration over the active columns; Nesterov's
-    ``t_k`` sequence is data-independent, so it is shared by every
-    column exactly as in the scalar solver.  A converged column is
-    frozen — its result and iteration count recorded immediately — but
-    the compaction copy is deferred until :data:`_COMPACT_FRACTION` of
-    the stack is frozen.  Returns one result per input window, in order.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    y_stack = stack_measurements(problem, ys)
-    k = y_stack.shape[1]
-    a = problem.a
-    step = 1.0 / problem.opnorm_sq()
-
-    alpha = _stack_alpha0(problem, alpha0, k)
-    momentum = alpha.copy()
-    t_k = 1.0
-
-    # Per-window bookkeeping; ``frozen`` marks converged columns of the
-    # current active stack whose compaction is still pending.
-    final = np.empty_like(alpha)
-    iterations = np.zeros(k, dtype=np.int64)
-    converged = np.zeros(k, dtype=bool)
-    active = np.arange(k)
-    frozen = np.zeros(k, dtype=bool)
-    y_act = y_stack  # full active set: the stack itself, no copy
-
-    for it in range(1, max_iter + 1):
-        ka = int(active.size)
-        grad = a.T @ (a @ momentum - y_act)
-        alpha_new = soft_threshold(momentum - grad * step, step * lam)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k**2)) / 2.0
-        diff = alpha_new - alpha
-        change = np.linalg.norm(diff, axis=0)
-        momentum = alpha_new + diff * ((t_k - 1.0) / t_next)
-        scale = np.maximum(np.linalg.norm(alpha_new, axis=0), 1.0)
-        alpha = alpha_new
-        t_k = t_next
-
-        done = change <= tol * scale
-        newly = done & ~frozen
-        if np.any(newly):
-            cols = active[newly]
-            final[:, cols] = alpha[:, newly]
-            iterations[cols] = it
-            converged[cols] = True
-            frozen = frozen | newly
-        nfrozen = int(frozen.sum())
-        if nfrozen == ka or nfrozen >= _COMPACT_FRACTION * ka:
-            keep = ~frozen
-            active = active[keep]
-            if active.size == 0:
-                break
-            alpha = alpha[:, keep]
-            momentum = momentum[:, keep]
-            y_act = y_stack[:, active]
-            frozen = np.zeros(active.size, dtype=bool)
-
-    if active.size:
-        left = ~frozen
-        cols = active[left]
-        if cols.size:
-            final[:, cols] = alpha[:, left]
-            iterations[cols] = max_iter
-
-    info = {"lam": float(lam), "step": float(step), "batch": float(k)}
-    return _finalize(
-        problem, final, y_stack, iterations, converged, "fista-lasso-batch", info
-    )
 
 
 def _project_l2_ball_columns(
@@ -533,219 +434,3 @@ def solve_bsbl_dequant_batch(
         problem, y_stack, noise_var, c_stack, quant_var, em, alpha0,
         "bsbl-bo-dequant-batch", info,
     )
-
-
-def solve_batch(
-    problem: CsProblem,
-    ys: Sequence[np.ndarray],
-    *,
-    method: str = "admm",
-    sigma: Optional[float] = None,
-    lam: Optional[float] = None,
-    noise_var: Optional[float] = None,
-    x_mids: Optional[Sequence[np.ndarray]] = None,
-    quant_var: Optional[float] = None,
-    bsbl: Optional[BsblSettings] = None,
-    alpha0: Optional[np.ndarray] = None,
-    max_iter: Optional[int] = None,
-    tol: Optional[float] = None,
-) -> List[RecoveryResult]:
-    """One batched solve over a window stack, dispatching on ``method``.
-
-    ``method="admm"`` solves BPDN (needs ``sigma``); ``method="fista"``
-    solves the LASSO (needs ``lam``); ``method="bsbl"`` runs the
-    Bayesian family (needs ``noise_var``) and ``method="bsbl-dequant"``
-    additionally takes the low-res channel (``x_mids``, ``quant_var``).
-    Unset iteration controls fall back to each solver's own defaults.
-    """
-    kwargs: dict = {}
-    if max_iter is not None:
-        kwargs["max_iter"] = max_iter
-    if tol is not None:
-        kwargs["tol"] = tol
-    if method == "admm":
-        if sigma is None:
-            raise ValueError("method 'admm' needs sigma")
-        return solve_bpdn_admm_batch(problem, ys, sigma, alpha0=alpha0, **kwargs)
-    if method == "fista":
-        if lam is None:
-            raise ValueError("method 'fista' needs lam")
-        return solve_fista_batch(problem, ys, lam, alpha0=alpha0, **kwargs)
-    if method == "bsbl":
-        if noise_var is None:
-            raise ValueError("method 'bsbl' needs noise_var")
-        return solve_bsbl_batch(
-            problem, ys, noise_var, bsbl=bsbl, alpha0=alpha0, **kwargs
-        )
-    if method == "bsbl-dequant":
-        if noise_var is None:
-            raise ValueError("method 'bsbl-dequant' needs noise_var")
-        if x_mids is None or quant_var is None:
-            raise ValueError("method 'bsbl-dequant' needs x_mids and quant_var")
-        return solve_bsbl_dequant_batch(
-            problem, ys, noise_var, x_mids, quant_var,
-            bsbl=bsbl, alpha0=alpha0, **kwargs,
-        )
-    raise ValueError(f"unknown batch method {method!r}")
-
-
-def _chunks(count: int, size: int):
-    for start in range(0, count, size):
-        yield range(start, min(start + size, count))
-
-
-def recover_windows(
-    problem: CsProblem,
-    ys: Sequence[np.ndarray],
-    *,
-    method: str = "admm",
-    sigma: Optional[float] = None,
-    lam: Optional[float] = None,
-    noise_var: Optional[float] = None,
-    x_mids: Optional[Sequence[np.ndarray]] = None,
-    quant_var: Optional[float] = None,
-    bsbl: Optional[BsblSettings] = None,
-    batch_size: int = 32,
-    warm_start: bool = True,
-    max_iter: Optional[int] = None,
-    tol: Optional[float] = None,
-) -> List[RecoveryResult]:
-    """Solve a record's window sequence through the batched engine.
-
-    Windows are grouped into stacks of ``batch_size``; with
-    ``warm_start`` every column of a stack is seeded from the final
-    solution of the *last window of the previous stack* (the newest
-    solution that temporally precedes the whole stack).  The schedule is
-    a pure function of the window sequence, so results are deterministic
-    regardless of hardware or timing.  For ``method="bsbl-dequant"`` the per-window
-    ``x_mids`` sequence is chunked in lockstep with ``ys``.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if x_mids is not None and len(x_mids) != len(ys):
-        raise ValueError("need one x_mid vector per measurement window")
-    results: List[RecoveryResult] = []
-    carry: Optional[np.ndarray] = None
-    for chunk in _chunks(len(ys), batch_size):
-        batch = [ys[j] for j in chunk]
-        mids = None if x_mids is None else [x_mids[j] for j in chunk]
-        alpha0 = carry if warm_start else None
-        solved = solve_batch(
-            problem,
-            batch,
-            method=method,
-            sigma=sigma,
-            lam=lam,
-            noise_var=noise_var,
-            x_mids=mids,
-            quant_var=quant_var,
-            bsbl=bsbl,
-            alpha0=alpha0,
-            max_iter=max_iter,
-            tol=tol,
-        )
-        results.extend(solved)
-        carry = solved[-1].alpha
-    return results
-
-
-def recover_windows_loop(
-    problem: CsProblem,
-    ys: Sequence[np.ndarray],
-    *,
-    method: str = "admm",
-    sigma: Optional[float] = None,
-    lam: Optional[float] = None,
-    noise_var: Optional[float] = None,
-    x_mids: Optional[Sequence[np.ndarray]] = None,
-    quant_var: Optional[float] = None,
-    bsbl: Optional[BsblSettings] = None,
-    batch_size: int = 32,
-    warm_start: bool = True,
-    max_iter: Optional[int] = None,
-    tol: Optional[float] = None,
-    fresh_problem: bool = False,
-) -> List[RecoveryResult]:
-    """The per-window reference loop for :func:`recover_windows`.
-
-    Identical warm-start schedule (chunk boundaries included), one scalar
-    solve per window.  This is the benchmark baseline and the
-    differential-test oracle.  ``fresh_problem=True`` additionally rebuilds
-    the composed operator per window, reproducing the pre-cache cost
-    model the benchmarks compare against.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if x_mids is not None and len(x_mids) != len(ys):
-        raise ValueError("need one x_mid vector per measurement window")
-    results: List[RecoveryResult] = []
-    carry: Optional[np.ndarray] = None
-    kwargs: dict = {}
-    if max_iter is not None:
-        kwargs["max_iter"] = max_iter
-    if tol is not None:
-        kwargs["tol"] = tol
-    em = _bsbl_overrides(bsbl, max_iter, tol)
-    for chunk in _chunks(len(ys), batch_size):
-        chunk_carry = carry if warm_start else None
-        for j in chunk:
-            prob_arg = None if fresh_problem else problem
-            if method == "admm":
-                if sigma is None:
-                    raise ValueError("method 'admm' needs sigma")
-                result = solve_bpdn_admm(
-                    problem.phi,
-                    problem.basis,
-                    ys[j],
-                    sigma,
-                    problem=prob_arg,
-                    alpha0=chunk_carry,
-                    **kwargs,
-                )
-            elif method == "fista":
-                if lam is None:
-                    raise ValueError("method 'fista' needs lam")
-                result = solve_fista(
-                    problem.phi,
-                    problem.basis,
-                    ys[j],
-                    lam,
-                    problem=prob_arg,
-                    alpha0=chunk_carry,
-                    **kwargs,
-                )
-            elif method == "bsbl":
-                if noise_var is None:
-                    raise ValueError("method 'bsbl' needs noise_var")
-                result = solve_bsbl(
-                    problem.phi,
-                    problem.basis,
-                    ys[j],
-                    noise_var,
-                    settings=em,
-                    problem=prob_arg,
-                    alpha0=chunk_carry,
-                )
-            elif method == "bsbl-dequant":
-                if noise_var is None:
-                    raise ValueError("method 'bsbl-dequant' needs noise_var")
-                if x_mids is None or quant_var is None:
-                    raise ValueError(
-                        "method 'bsbl-dequant' needs x_mids and quant_var"
-                    )
-                result = solve_bsbl_dequant(
-                    problem.phi,
-                    problem.basis,
-                    ys[j],
-                    noise_var,
-                    x_mids[j],
-                    quant_var,
-                    settings=em,
-                    problem=prob_arg,
-                    alpha0=chunk_carry,
-                )
-            else:
-                raise ValueError(f"unknown batch method {method!r}")
-            results.append(result)
-        carry = results[-1].alpha
-    return results

@@ -36,7 +36,7 @@ class MethodSpec:
         codebook must be resolved, and whether packets carry a payload.
     family:
         ``"convex"`` (the paper's Eq.-1 / BPDN solvers) or ``"bayesian"``
-        (the BSBL family); reporting and benches group by this.
+        (the BSBL family).
     solver:
         Receiver dispatch key (see
         :meth:`repro.core.receiver.HybridReceiver.reconstruct`).

@@ -1,6 +1,6 @@
 """Process-wide operator cache for CS recovery problems.
 
-Every sweep point, bench cell and streaming session that shares a
+Every sweep point, benchmark workload and streaming session that shares a
 ``(sensing spec, m, n, basis)`` configuration solves against the *same*
 composed operator ``A = Φ Ψ`` — and, through :class:`CsProblem`, the same
 Gram matrix, operator norm and factorizations.  Building that state per
@@ -134,7 +134,7 @@ class ProblemCache:
         return problem
 
     def stats(self) -> Dict[str, float]:
-        """Hit/miss accounting (reported by ``repro bench``)."""
+        """Hit/miss accounting (on gateway snapshots and in ``perfbench/``)."""
         total = self.hits + self.misses
         return {
             "size": len(self._problems),
@@ -143,20 +143,6 @@ class ProblemCache:
             "misses": self.misses,
             "hit_rate": (self.hits / total) if total else 0.0,
         }
-
-    def resize(self, maxsize: int) -> None:
-        """Change the LRU bound, evicting least-recently-used overflow.
-
-        Serves the ``--cache-size`` bench knob: shrinking below the live
-        population evicts immediately, so hit-rate experiments see the new bound without a restart.
-        Counters are kept — resizing is an observation change, not a
-        reset.
-        """
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = int(maxsize)
-        while len(self._problems) > self.maxsize:
-            self._problems.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters (test isolation)."""
@@ -168,7 +154,7 @@ class ProblemCache:
 
 @dataclass(frozen=True)
 class RecoveryEngineSettings:
-    """Config flags for the batched/cached recovery layer.
+    """Config flags for the cached recovery layer.
 
     Hashable so it can live inside :class:`repro.core.config.FrontEndConfig`.
 
@@ -179,21 +165,13 @@ class RecoveryEngineSettings:
         window's recovered coefficients when that solution has already
         been applied (see ``docs/recovery.md`` for the determinism
         contract).  Default on.
-    batch_size:
-        Windows per stack in the batched solver engine
-        (:mod:`repro.recovery.batched`).
     bsbl:
         EM knobs for the Bayesian recovery family
         (:mod:`repro.recovery.bsbl`); ignored by the convex methods.
     """
 
     warm_start_streams: bool = True
-    batch_size: int = 32
     bsbl: BsblSettings = field(default_factory=BsblSettings)
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
 
 #: The per-process operator cache (one per worker, like the link cache).

@@ -23,8 +23,8 @@ here pulls its :class:`~repro.recovery.problem.CsProblem` from it, so
 links that differ only in method or codebook — e.g. the hybrid and
 normal arms of one sweep cell — share a single ΦΨ composition and its
 factorizations.
-:func:`recovery_cache_stats` exposes both layers' hit accounting for the
-benchmarks.
+:func:`recovery_cache_stats` exposes both layers' hit accounting on
+gateway snapshots.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def recovery_cache_stats() -> dict:
     """Hit accounting for this process's receiver-side caches.
 
     Combines the operator cache (shared ΦΨ compositions and their
-    factorizations) with the sizes of both link memos;
-    the solver microbenchmark records this alongside its timings so
-    cache effectiveness is visible in ``BENCH_solvers.json``.
+    factorizations) with the sizes of both link memos.  Gateway
+    snapshots carry it as ``recovery_cache``; ``perfbench/`` reads the
+    operator-cache hit fraction directly (see ``perfbench/README.md``).
     """
     from repro.recovery.opcache import PROBLEM_CACHE
 

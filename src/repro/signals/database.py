@@ -232,8 +232,7 @@ def synthesize_with_beats_loop(
     sample at a time (phase accumulation, per-beat morphology selection,
     forcing evaluation and the exponential-integrator update).  The
     waveform and annotations are **bit-identical** to the array path —
-    asserted by the test suite, and the basis of the database-synthesis
-    speedup reported in ``BENCH_encode.json``.
+    asserted by the test suite.
     """
     if lead not in _LEAD_MORPHOLOGIES:
         raise KeyError(

@@ -20,10 +20,10 @@ Three integrators are provided:
   as a vectorized IIR filter).
 
 * :func:`synthesize_loop` — the same discretization executed one sample at
-  a time in Python.  It is the differential-testing oracle and throughput
-  baseline for the array path (the PR-4 pattern of
-  ``recover_windows_loop``): the test suite asserts the two are
-  bit-identical, and ``BENCH_encode.json`` reports the speedup.
+  a time in Python.  It is the differential-testing oracle for the array
+  path: the test suite asserts the two are bit-identical.  Synthesis
+  time on the real path is the ``signals.synth_s`` layer of
+  ``perfbench/`` (see ``perfbench/README.md``).
 
 * :func:`integrate_reference` — a faithful RK4 integration of the full
   three-state nonlinear ODE, used as a cross-check in the test suite.
@@ -324,8 +324,7 @@ def synthesize_loop(
     to the vectorized path: the accumulations it unrolls (``cumsum``, the
     5-wave bump sum, the first-order IIR) match numpy's sequential
     semantics exactly, and numpy's elementwise transcendentals are
-    length-independent.  Kept as the differential-testing oracle and as
-    the throughput baseline of the synthesis microbenchmark.
+    length-independent.  Kept as the differential-testing oracle.
     """
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")

@@ -1,14 +1,16 @@
 """Synthetic end-to-end stream driver: N patients → lossy link → gateway.
 
-The harness behind ``repro stream`` and the streaming section of
-``repro bench``: it replays synthetic MIT-BIH records as interleaved
-chunked sample streams (:func:`repro.signals.database.interleave_playback`
-— deterministic, wall-clock-free), encodes them through per-patient
+The harness behind ``repro stream``: it replays synthetic MIT-BIH
+records as interleaved chunked sample streams
+(:func:`repro.signals.database.interleave_playback` — deterministic,
+wall-clock-free), encodes them through per-patient
 :class:`~repro.stream.ingest.IngestSession`\\ s, impairs each patient's
 frames with an independent seeded
 :class:`~repro.core.channel.LossyLink`, and feeds the survivors into a
 :class:`~repro.stream.gateway.StreamGateway` that is polled every
-``poll_every`` chunks.
+``poll_every`` chunks.  Gateway throughput is measured by the
+``gateway_realtime`` workload of ``perfbench/`` (see
+``perfbench/README.md``).
 
 Everything upstream of the gateway clock is deterministic in the
 parameters, so two runs with the same :class:`StreamScenario` transmit

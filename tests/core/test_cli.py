@@ -141,21 +141,11 @@ class TestTwoLeadSynthesize:
 
 
 class TestBench:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.workers == 0  # 0 = all CPUs
-        assert args.smoke is False
-        assert args.output.endswith("BENCH_sweep.json")
+    """``perfbench/`` is the benchmark, so the CLI has no ``bench``."""
 
     def test_compress_workers_flag(self):
         args = build_parser().parse_args(["compress", "--workers", "4"])
         assert args.workers == 4
-
-    def test_cache_size_knob(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.cache_size is None  # default: leave the LRU alone
-        args = build_parser().parse_args(["bench", "--cache-size", "4"])
-        assert args.cache_size == 4
 
     @pytest.mark.parametrize(
         "argv",
@@ -163,62 +153,12 @@ class TestBench:
             ["profile"],
             ["compress", "--backend", "numpy"],
             ["bench", "--precision", "float32"],
+            ["bench"],
         ],
     )
     def test_no_backend_or_profile_surface(self, argv, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
-
-    def test_bench_writes_machine_readable_json(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_sweep.json"
-        rc = main(
-            [
-                "bench",
-                "--records", "100",
-                "--crs", "75",
-                "--max-windows", "1",
-                "--duration", "5",
-                "--window", "128",
-                "--max-iter", "400",
-                "--workers", "1",
-                "--output", str(out),
-            ]
-        )
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert data["schema"] == "repro-bench-sweep/v1"
-        assert data["workers"] == 1
-        assert data["windows_total"] == 2  # 1 record x 1 CR x 2 methods
-        assert data["parallel"]["windows_per_sec"] > 0
-        assert data["serial"] is None  # no --compare-serial
-        assert {p["method"] for p in data["points"]} == {"hybrid", "normal"}
-
-    def test_bench_compare_serial_records_speedup(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_sweep.json"
-        rc = main(
-            [
-                "bench",
-                "--records", "100",
-                "--crs", "75",
-                "--max-windows", "2",
-                "--duration", "5",
-                "--window", "128",
-                "--max-iter", "400",
-                "--workers", "2",
-                "--compare-serial",
-                "--output", str(out),
-            ]
-        )
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert data["serial"]["wall_clock_s"] > 0
-        assert data["speedup_windows_per_sec"] > 0
-        assert data["results_equal_serial"] is True
-        assert "speedup" in capsys.readouterr().out
 
 
 class TestModuleEntryPoint:

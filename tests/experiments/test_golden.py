@@ -262,6 +262,27 @@ class TestBsblGolden:
                 plain = golden[(record, cr, "bsbl")]
                 assert dequant["mean_snr_db"] > plain["mean_snr_db"]
 
+    def test_dequant_beats_hybrid_on_fixture(self):
+        """Sanity on the committed numbers: Bayesian de-quantization
+        beats the paper's hybrid Eq. 1 solve at every grid point the two
+        fixtures share (CR 75 on both records)."""
+        bsbl = {
+            (p["record"], p["cr_percent"]): p
+            for p in load_golden(
+                BSBL_GOLDEN_PATH, BSBL_SCHEMA, BSBL_METHODS, BSBL_CR_VALUES
+            )
+            if p["method"] == "bsbl-dequant"
+        }
+        hybrid = {
+            (p["record"], p["cr_percent"]): p
+            for p in load_golden()
+            if p["method"] == "hybrid"
+        }
+        shared = sorted(bsbl.keys() & hybrid.keys())
+        assert shared == [("100", 75.0), ("101", 75.0)]
+        for key in shared:
+            assert bsbl[key]["mean_snr_db"] > hybrid[key]["mean_snr_db"]
+
 
 if __name__ == "__main__":
     import sys

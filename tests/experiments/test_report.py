@@ -42,66 +42,35 @@ class TestBuildReport:
         assert "Artifacts present: 0/" in markdown
 
 
-class TestBenchSweepSection:
+class TestBenchGatewaySection:
     def test_absent_artifact_renders_nothing(self, results_dir):
         markdown, present, _ = build_report(results_dir)
-        assert "Engine throughput" not in markdown
+        assert "Gateway load test" not in markdown
         assert present == 2
 
     def test_present_artifact_renders_without_counting(self, results_dir):
         import json
 
-        (results_dir / "BENCH_sweep.json").write_text(json.dumps({
-            "workers": 2, "cpu_count": 4, "windows_total": 24,
-            "parallel": {"wall_clock_s": 1.5, "windows_per_sec": 16.0},
-            "speedup_windows_per_sec": 1.8,
-            "results_equal_serial": True,
+        (results_dir / "BENCH_gateway.json").write_text(json.dumps({
+            "scenario": {"patients": 200, "duration_s": 1.0,
+                         "shed_policy": "drop-oldest",
+                         "phases": [{"name": "nominal"}]},
+            "mode": {"shards": 2, "transport": "wire", "workers": 2},
+            "wall_s": 4.0, "windows_completed": 400, "frames_per_sec": 100.0,
+            "latency_p50_s": 0.01, "frames_lost": 0,
+            "identical_to_single": True,
+            "baseline_single": {"frames_per_sec": 95.0},
         }))
         markdown, present, _ = build_report(results_dir)
         assert present == 2  # informational, not a coverage artifact
-        assert "## Engine throughput (`repro bench`)" in markdown
-        assert "speedup over serial: 1.80x" in markdown
+        assert "## Gateway load test (`repro loadtest`)" in markdown
+        assert "- runtime: 2 shards / wire transport, 2 worker(s)" in markdown
+        assert "identity vs single-process: True (baseline 95.0 frames/s)" in markdown
 
     def test_corrupt_artifact_ignored(self, results_dir):
-        (results_dir / "BENCH_sweep.json").write_text("{broken")
+        (results_dir / "BENCH_gateway.json").write_text("{broken")
         markdown, _, _ = build_report(results_dir)
-        assert "Engine throughput" not in markdown
-
-
-class TestBenchBsblSection:
-    def test_absent_artifact_renders_nothing(self, results_dir):
-        markdown, _, _ = build_report(results_dir)
-        assert "Bayesian recovery family" not in markdown
-
-    def test_present_artifact_renders_comparison(self, results_dir):
-        import json
-
-        (results_dir / "BENCH_bsbl.json").write_text(json.dumps({
-            "cells": [
-                {"method": "hybrid", "cr_percent": 50.0,
-                 "mean_snr_db": 25.7, "mean_prd_percent": 5.3},
-                {"method": "bsbl-dequant", "cr_percent": 50.0,
-                 "mean_snr_db": 27.3, "mean_prd_percent": 4.4},
-            ],
-            "comparison": [
-                {"cr_percent": 50.0, "best_bayes_method": "bsbl-dequant",
-                 "bayes_gain_db": 1.64, "bayes_wins": True},
-            ],
-            "agreement": {
-                "max_abs_alpha_dev": 1.1e-9, "tolerance": 1e-8,
-                "within_tolerance": True,
-            },
-        }))
-        markdown, present, _ = build_report(results_dir)
-        assert present == 2  # informational, not a coverage artifact
-        assert "## Bayesian recovery family (`repro bench`)" in markdown
-        assert "`bsbl-dequant` beats hybrid by +1.64 dB" in markdown
-        assert "max |dalpha| 1.10e-09" in markdown
-
-    def test_corrupt_artifact_ignored(self, results_dir):
-        (results_dir / "BENCH_bsbl.json").write_text("{broken")
-        markdown, _, _ = build_report(results_dir)
-        assert "Bayesian recovery family" not in markdown
+        assert "Gateway load test" not in markdown
 
 
 class TestWriteReport:

@@ -1,24 +1,19 @@
-"""Differential tests: the batched engine against the per-window loop.
+"""Differential tests: the batched ADMM engine against per-window ADMM.
 
-The batched solvers are the scalar solvers' arithmetic reordered into
-GEMMs, so their solutions must track the per-window loop to BLAS
-rounding.  These tests pin the agreement at 1e-8 (absolute, coefficient
-level) over the solver × CR × warm-start grid — far looser than the
-observed ~1e-12, far tighter than anything a logic bug would pass.
+The batched solver is the scalar solver's arithmetic reordered into
+GEMMs, so its solutions must track a per-window loop of
+:func:`~repro.recovery.admm.solve_bpdn_admm` to BLAS rounding.  These
+tests pin the agreement at 1e-8 (absolute, coefficient level) over the
+CR × warm-start grid — far looser than the observed ~1e-12, far tighter
+than anything a logic bug would pass.  The batched BSBL engines are
+checked against their scalar oracles in ``test_properties.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.recovery.batched import (
-    recover_windows,
-    recover_windows_loop,
-    solve_batch,
-    solve_bpdn_admm_batch,
-    solve_fista_batch,
-    stack_measurements,
-)
-from repro.recovery.fista import lambda_max, solve_fista
+from repro.recovery.admm import solve_bpdn_admm
+from repro.recovery.batched import solve_bpdn_admm_batch, stack_measurements
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import bernoulli_matrix
 from repro.wavelets.operators import WaveletBasis
@@ -52,71 +47,47 @@ def windows():
     return out
 
 
-def _params(problem, ys, method):
-    if method == "admm":
-        return {"sigma": 0.05 * float(np.linalg.norm(ys[0])), "lam": None}
-    return {"sigma": None, "lam": 0.05 * lambda_max(problem, ys[0])}
+def _sigma(ys):
+    return 0.05 * float(np.linalg.norm(ys[0]))
 
 
 class TestBatchedMatchesLoop:
-    @pytest.mark.parametrize("method", ["fista", "admm"])
     @pytest.mark.parametrize("m", CR_MEASUREMENTS)
     @pytest.mark.parametrize("warm_start", [False, True])
-    def test_agreement(self, windows, method, m, warm_start):
+    def test_agreement(self, windows, m, warm_start):
         problem, ys = windows[m]
-        kwargs = dict(
-            method=method,
-            batch_size=2,  # multiple chunks → warm-start carries exercised
-            warm_start=warm_start,
-            max_iter=400,
-            tol=1e-9,
-            **_params(problem, ys, method),
+        sigma = _sigma(ys)
+        alpha0 = (
+            np.stack([problem.matched_filter(y) * 0.1 for y in ys], axis=1)
+            if warm_start
+            else None
         )
-        batched = recover_windows(problem, ys, **kwargs)
-        loop = recover_windows_loop(problem, ys, **kwargs)
-        assert len(batched) == len(loop) == len(ys)
-        for b, s in zip(batched, loop):
+        batched = solve_bpdn_admm_batch(
+            problem, ys, sigma, max_iter=400, tol=1e-9, alpha0=alpha0
+        )
+        assert len(batched) == len(ys)
+        for j, (y, b) in enumerate(zip(ys, batched)):
+            s = solve_bpdn_admm(
+                problem.phi, problem.basis, y, sigma,
+                max_iter=400, tol=1e-9, problem=problem,
+                alpha0=None if alpha0 is None else alpha0[:, j],
+            )
             assert np.max(np.abs(b.alpha - s.alpha)) < AGREEMENT_ATOL
             assert np.max(np.abs(b.x - s.x)) < AGREEMENT_ATOL
-
-    @pytest.mark.parametrize("method", ["fista", "admm"])
-    def test_fresh_problem_loop_agrees_too(self, windows, method):
-        """The bench baseline (fresh operator per window) is the same
-        arithmetic again — deterministic construction means the comparison
-        chain batched ↔ cached-loop ↔ fresh-loop is consistent."""
-        problem, ys = windows[40]
-        kwargs = dict(
-            method=method, batch_size=32, warm_start=True,
-            max_iter=300, tol=1e-9, **_params(problem, ys, method),
-        )
-        cached = recover_windows_loop(problem, ys, **kwargs)
-        fresh = recover_windows_loop(problem, ys, fresh_problem=True, **kwargs)
-        for c, f in zip(cached, fresh):
-            assert np.max(np.abs(c.alpha - f.alpha)) < AGREEMENT_ATOL
+            assert b.iterations == s.iterations
+            assert b.converged == s.converged
 
 
 class TestBatchSolvers:
-    def test_fista_single_column_matches_scalar(self, windows):
-        problem, ys = windows[40]
-        lam = 0.05 * lambda_max(problem, ys[0])
-        batch = solve_fista_batch(problem, ys[:1], lam, max_iter=300, tol=1e-9)
-        scalar = solve_fista(
-            problem.phi, problem.basis, ys[0], lam,
-            max_iter=300, tol=1e-9, problem=problem,
-        )
-        assert np.max(np.abs(batch[0].alpha - scalar.alpha)) < AGREEMENT_ATOL
-        assert batch[0].iterations == scalar.iterations
-        assert batch[0].converged == scalar.converged
-
     def test_convergence_masking_freezes_columns(self, windows):
         """A converged column's final iterate must not drift while
         stragglers keep iterating: solving it alone gives the same answer
         as solving it inside a mixed stack."""
         problem, ys = windows[40]
-        lam = 0.05 * lambda_max(problem, ys[0])
-        together = solve_fista_batch(problem, ys, lam, max_iter=400, tol=1e-6)
+        sigma = _sigma(ys)
+        together = solve_bpdn_admm_batch(problem, ys, sigma, max_iter=400, tol=1e-6)
         alone = [
-            solve_fista_batch(problem, [y], lam, max_iter=400, tol=1e-6)[0]
+            solve_bpdn_admm_batch(problem, [y], sigma, max_iter=400, tol=1e-6)[0]
             for y in ys
         ]
         for t, a in zip(together, alone):
@@ -132,30 +103,26 @@ class TestBatchSolvers:
 
     def test_warm_start_shapes(self, windows):
         problem, ys = windows[40]
-        lam = 0.05 * lambda_max(problem, ys[0])
+        sigma = _sigma(ys)
         seed = np.ones(N) * 0.1
-        broadcast = solve_fista_batch(
-            problem, ys[:2], lam, alpha0=seed, max_iter=50
+        broadcast = solve_bpdn_admm_batch(
+            problem, ys[:2], sigma, alpha0=seed, max_iter=50
         )
-        stacked = solve_fista_batch(
-            problem, ys[:2], lam,
+        stacked = solve_bpdn_admm_batch(
+            problem, ys[:2], sigma,
             alpha0=np.stack([seed, seed], axis=1), max_iter=50,
         )
         for b, s in zip(broadcast, stacked):
             assert np.array_equal(b.alpha, s.alpha)
 
-    def test_dispatch_and_validation(self, windows):
+    def test_validation(self, windows):
         problem, ys = windows[40]
         with pytest.raises(ValueError):
-            solve_batch(problem, ys, method="admm")  # needs sigma
-        with pytest.raises(ValueError):
-            solve_batch(problem, ys, method="fista")  # needs lam
-        with pytest.raises(ValueError):
-            solve_batch(problem, ys, method="pdhg", sigma=1.0)
-        with pytest.raises(ValueError):
-            solve_fista_batch(problem, ys, lam=0.0)
-        with pytest.raises(ValueError):
             solve_bpdn_admm_batch(problem, ys, sigma=-1.0)
+        with pytest.raises(ValueError):
+            solve_bpdn_admm_batch(problem, ys, sigma=1.0, rho=0.0)
+        with pytest.raises(ValueError):
+            solve_bpdn_admm_batch(problem, ys, sigma=1.0, alpha0=np.ones(N - 1))
 
     def test_stack_measurements_validation(self, windows):
         problem, ys = windows[40]
@@ -166,34 +133,3 @@ class TestBatchSolvers:
             stack_measurements(problem, [])
         with pytest.raises(ValueError):
             stack_measurements(problem, [np.zeros(problem.m - 1)])
-
-
-class TestRecoverWindows:
-    def test_chunk_warm_start_schedule(self, windows):
-        """Chunk c+1's seed is the last window of chunk c — verified by
-        reproducing the schedule by hand with single solves."""
-        problem, ys = windows[40]
-        lam = 0.05 * lambda_max(problem, ys[0])
-        engine = recover_windows(
-            problem, ys[:4], method="fista", lam=lam,
-            batch_size=2, warm_start=True, max_iter=200, tol=1e-9,
-        )
-        first = solve_fista_batch(
-            problem, ys[:2], lam, max_iter=200, tol=1e-9
-        )
-        second = solve_fista_batch(
-            problem, ys[2:4], lam,
-            alpha0=first[-1].alpha, max_iter=200, tol=1e-9,
-        )
-        manual = first + second
-        for e, m_ in zip(engine, manual):
-            assert np.array_equal(e.alpha, m_.alpha)
-
-    def test_validation(self, windows):
-        problem, ys = windows[40]
-        with pytest.raises(ValueError):
-            recover_windows(problem, ys, method="fista", lam=1.0, batch_size=0)
-        with pytest.raises(ValueError):
-            recover_windows_loop(
-                problem, ys, method="fista", lam=1.0, batch_size=0
-            )

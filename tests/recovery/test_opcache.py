@@ -1,5 +1,7 @@
 """The operator cache: keying, LRU behavior, and bit-identical reuse."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -111,41 +113,6 @@ class TestProblemCache:
             ProblemCache(maxsize=0)
 
 
-class TestResize:
-    """The ``--cache-size`` knob: live rebound of the LRU limit."""
-
-    def test_shrink_evicts_oldest_first(self):
-        cache = ProblemCache(maxsize=4)
-        kept = cache.get(_key(m=48))
-        cache.get(_key(m=40))  # oldest after the m=48 refresh below
-        cache.get(_key(m=48))  # refresh recency of m=48
-        cache.resize(1)
-        assert cache.stats()["size"] == 1
-        assert cache.get(_key(m=48)) is kept  # survivor is the MRU entry
-
-    def test_grow_keeps_entries(self):
-        cache = ProblemCache(maxsize=2)
-        a = cache.get(_key(m=32))
-        b = cache.get(_key(m=40))
-        cache.resize(8)
-        assert cache.get(_key(m=32)) is a
-        assert cache.get(_key(m=40)) is b
-
-    def test_counters_survive_resize(self):
-        cache = ProblemCache(maxsize=2)
-        cache.get(_key())
-        cache.get(_key())  # one hit
-        cache.resize(1)
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-
-    def test_validation(self):
-        cache = ProblemCache()
-        with pytest.raises(ValueError):
-            cache.resize(0)
-
-
 class TestProblemForConfig:
     def test_uses_process_cache(self):
         config = FrontEndConfig(window_len=128, n_measurements=48)
@@ -179,7 +146,10 @@ class TestMixedMethodSweepCounters:
     ``A`` from, so adding a method to a sweep never rebuilds."""
 
     def test_operator_counters_across_mixed_sweep(self):
-        from repro.recovery.batched import recover_windows
+        from repro.recovery.batched import (
+            solve_bpdn_admm_batch,
+            solve_bsbl_batch,
+        )
 
         PROBLEM_CACHE.clear()
         rng = np.random.default_rng(0)
@@ -191,11 +161,9 @@ class TestMixedMethodSweepCounters:
                 problem.measure_signal(rng.standard_normal(64))
                 for _ in range(3)
             ]
-            recover_windows(problem, ys, method="admm", sigma=1.0, max_iter=5)
-            recover_windows(
-                problem, ys, method="bsbl", noise_var=1.0 / 12, max_iter=5
-            )
-            recover_windows(problem, ys, method="fista", lam=1.0, max_iter=5)
+            solve_bpdn_admm_batch(problem, ys, 1.0, max_iter=5)
+            solve_bsbl_batch(problem, ys, 1.0 / 12, max_iter=5)
+            assert problem_for_config(config) is problem
 
         stats = PROBLEM_CACHE.stats()
         # One problem build per CR; every method run reuses it.
@@ -207,14 +175,16 @@ class TestRecoveryEngineSettings:
     def test_defaults_on(self):
         settings = RecoveryEngineSettings()
         assert settings.warm_start_streams
-        assert settings.batch_size == 32
 
     def test_default_config_carries_settings(self):
         assert FrontEndConfig().recovery == RecoveryEngineSettings()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryEngineSettings(batch_size=0)
+    def test_fields(self):
+        """Only the knobs a production path reads."""
+        assert [f.name for f in fields(RecoveryEngineSettings)] == [
+            "warm_start_streams",
+            "bsbl",
+        ]
 
     def test_hashable_with_config(self):
         """Configs stay hashable (the link memo keys on them)."""
