@@ -56,7 +56,7 @@ stream-smoke:
 loadtest-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli loadtest --patients 200 \
 		--duration 1.0 --window 128 --measurements 48 --max-iter 300 \
-		--chunk 181 --seed 7 --shards 2 --transport wire --workers 2 \
+		--chunk 181 --seed 7 --shards 2 --workers 2 \
 		--compare-single --output benchmarks/results/BENCH_gateway.json
 
 bench-full:

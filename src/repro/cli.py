@@ -260,11 +260,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         reorder_depth=args.reorder_depth,
         phases=PHASE_SCRIPTS[args.phases],
     )
-    mode = (
-        f"{args.shards} shards ({args.transport})"
-        if args.shards > 1
-        else "single-process"
-    )
+    mode = f"{args.shards} shards" if args.shards > 1 else "single-process"
     print(
         f"loadtest: {scenario.patients} patients x {scenario.duration_s:g} s "
         f"[{args.phases}] against {mode}, policy {scenario.shed_policy}"
@@ -272,7 +268,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     payload = run_loadtest(
         scenario,
         shards=args.shards,
-        transport=args.transport,
         workers=args.workers,
         on_progress=print if args.verbose else None,
     )
@@ -473,10 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "nominal -> loss -> poll-starved overload")
     p.add_argument("--shards", type=int, default=1,
                    help="gateway shards (1 = single-process StreamGateway)")
-    p.add_argument("--transport", default="inproc",
-                   choices=("inproc", "wire"),
-                   help="sharded ingress transport (wire = length-prefixed "
-                        "byte framing; ignored for --shards 1)")
     p.add_argument("--compare-single", action="store_true",
                    help="with --shards > 1, also run single-process and "
                         "record throughput + bit-identity of the output")

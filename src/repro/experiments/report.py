@@ -96,9 +96,7 @@ def bench_gateway_section(results_dir: Path) -> str:
     mode = data.get("mode", {})
     shards = mode.get("shards", 1)
     runtime = (
-        f"{shards} shards / {mode.get('transport')} transport"
-        if shards and shards > 1
-        else "single-process"
+        f"{shards} shards" if shards and shards > 1 else "single-process"
     )
     phase_names = "+".join(
         p.get("name", "?") for p in scenario.get("phases", [])

@@ -22,6 +22,8 @@ __all__ = [
     "prd",
     "snr_db",
     "prd_to_snr",
+    "clipped_snr_db",
+    "SNR_CEILING_DB",
     "snr_to_prd",
     "rmse",
     "nmse",
@@ -36,6 +38,9 @@ __all__ = [
 #: PRD < 2 -> "very good", PRD < 9 -> "good".
 VERY_GOOD_PRD_THRESHOLD = 2.0
 GOOD_PRD_THRESHOLD = 9.0
+
+#: SNR ceiling (dB) so a perfect window does not propagate ``inf``.
+SNR_CEILING_DB = 120.0
 
 
 def _as_float_vector(x: Sequence[float]) -> np.ndarray:
@@ -92,6 +97,16 @@ def prd_to_snr(prd_percent: float) -> float:
     return float(-20.0 * np.log10(0.01 * prd_percent))
 
 
+def clipped_snr_db(prd_percent: float) -> float:
+    """:func:`prd_to_snr`, clipped at :data:`SNR_CEILING_DB`.
+
+    A non-positive PRD (a perfect reconstruction) maps to the ceiling.
+    """
+    if prd_percent <= 0.0:
+        return SNR_CEILING_DB
+    return min(prd_to_snr(prd_percent), SNR_CEILING_DB)
+
+
 def snr_to_prd(snr_decibels: float) -> float:
     """Inverse of :func:`prd_to_snr`: SNR in dB back to PRD in percent."""
     return float(100.0 * 10.0 ** (-snr_decibels / 20.0))
@@ -145,15 +160,11 @@ def mean_snr_over_windows(prds: Iterable[float]) -> float:
     The paper's Fig. 7 plots "Averaged SNR over records"; the natural reading
     (and the one that reproduces the reported saturation behaviour) is that
     per-window SNRs are averaged in the dB domain.  Windows whose PRD is
-    non-positive (perfect reconstructions) are clipped to a 120 dB ceiling so
-    that a single exact window cannot drive the mean to infinity.
+    non-positive (perfect reconstructions) are clipped to
+    :data:`SNR_CEILING_DB` so that a single exact window cannot drive the
+    mean to infinity.
     """
-    values = []
-    for p in prds:
-        if p <= 0.0:
-            values.append(120.0)
-        else:
-            values.append(min(prd_to_snr(p), 120.0))
+    values = [clipped_snr_db(p) for p in prds]
     if not values:
         raise ValueError("need at least one PRD value")
     return float(np.mean(values))

@@ -34,9 +34,6 @@ class MethodSpec:
         Whether the method consumes the low-res parallel path — this is
         what decides the front-end (hybrid vs normal CS), whether a
         codebook must be resolved, and whether packets carry a payload.
-    family:
-        ``"convex"`` (the paper's Eq.-1 / BPDN solvers) or ``"bayesian"``
-        (the BSBL family).
     solver:
         Receiver dispatch key (see
         :meth:`repro.core.receiver.HybridReceiver.reconstruct`).
@@ -46,7 +43,6 @@ class MethodSpec:
 
     name: str
     uses_lowres: bool
-    family: str
     solver: str
     description: str
 
@@ -57,28 +53,24 @@ METHODS: Dict[str, MethodSpec] = {
         MethodSpec(
             name="hybrid",
             uses_lowres=True,
-            family="convex",
             solver="eq1",
             description="Paper Eq. 1: BPDN with the low-res box constraint",
         ),
         MethodSpec(
             name="normal",
             uses_lowres=False,
-            family="convex",
             solver="bpdn",
             description="Plain CS baseline: BPDN from measurements only",
         ),
         MethodSpec(
             name="bsbl",
             uses_lowres=False,
-            family="bayesian",
             solver="bsbl",
             description="Block-sparse Bayesian learning from measurements only",
         ),
         MethodSpec(
             name="bsbl-dequant",
             uses_lowres=True,
-            family="bayesian",
             solver="bsbl-dequant",
             description=(
                 "BSBL with Bayesian de-quantization: the low-res cells enter "

@@ -40,6 +40,7 @@ from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
 from repro.core.outcomes import WindowOutcome
 from repro.core.packets import WindowPacket
 from repro.core.receiver import HybridReceiver, WindowReconstruction
+from repro.metrics.quality import clipped_snr_db
 from repro.metrics.quality import prd as prd_metric
 from repro.recovery.methods import resolve_method
 from repro.runtime.task import CodebookSpec, WindowTask
@@ -61,9 +62,6 @@ __all__ = [
 
 #: Stage order of the engine's graph.
 STAGE_NAMES: Tuple[str, ...] = ("encode", "transport", "recover", "score")
-
-#: SNR is clipped here (dB) so a perfect window does not propagate inf.
-_SNR_CEILING_DB = 120.0
 
 
 class Link(NamedTuple):
@@ -225,11 +223,10 @@ def score(
     center = 1 << (task.config.acquisition_bits - 1)
     reference = reference_centered(task.codes, center)
     p = prd_metric(reference, recon.x_centered(center))
-    snr = float("inf") if p == 0 else -20.0 * np.log10(0.01 * p)
     return WindowOutcome(
         window_index=task.window_index,
         prd_percent=p,
-        snr_db=min(snr, _SNR_CEILING_DB),
+        snr_db=clipped_snr_db(p),
         budget=packet.budget(),
         solver_iterations=recon.recovery.iterations,
         solver_converged=recon.recovery.converged,

@@ -12,16 +12,14 @@ policies (:data:`~repro.stream.gateway.SHEDDING_POLICIES`), and
 recovery-solve fan-out through the :mod:`repro.runtime` executors.
 
 Scaling out, a :class:`~repro.stream.cluster.ShardedGateway` partitions
-sessions across shards by consistent hashing
-(:class:`~repro.stream.cluster.HashRing`), optionally fed through the
-length-prefixed :mod:`repro.stream.wire` byte framing, with graceful
-drain/restart via :class:`~repro.stream.session.SessionState`
-migration; :mod:`repro.stream.loadgen` is the deterministic load-test
-harness (``repro loadtest``) that measures all of it.  See
-``docs/streaming.md``.
+sessions across a fixed set of shards by a stable hash of the patient
+id, fed through the length-prefixed :mod:`repro.stream.wire` byte
+framing; :mod:`repro.stream.loadgen` is the deterministic load-test
+harness (``repro loadtest``) that checks it against one big gateway.
+See ``docs/streaming.md``.
 """
 
-from repro.stream.cluster import HashRing, ShardedGateway, stable_hash
+from repro.stream.cluster import ShardedGateway, stable_hash
 from repro.stream.driver import StreamScenario, run_stream_scenario
 from repro.stream.gateway import (
     SHEDDING_POLICIES,
@@ -44,7 +42,6 @@ from repro.stream.session import (
     PlannedWindow,
     RecoveredWindow,
     RecoveryTask,
-    SessionState,
     SignalRing,
     execute_recovery_task,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "BoundedQueue",
     "FrameAssembler",
     "GatewaySnapshot",
-    "HashRing",
     "IngestSession",
     "LoadPhase",
     "LoadScenario",
@@ -71,7 +67,6 @@ __all__ = [
     "RollingStat",
     "SHEDDING_POLICIES",
     "SessionSnapshot",
-    "SessionState",
     "ShardedGateway",
     "SignalRing",
     "StepClock",

@@ -1,40 +1,27 @@
-"""Sharded streaming gateway: consistent hashing, migration, transports.
+"""Sharded streaming gateway: a fixed fleet behind wire-framed ingress.
 
 The horizontal story for :class:`~repro.stream.gateway.StreamGateway`:
 a :class:`ShardedGateway` partitions :class:`~repro.stream.session.
-PatientSession`\\ s across N worker shards by consistent hashing on
-patient id (:class:`HashRing`), each shard running the existing
-single-process gateway loop with its own
+PatientSession`\\ s across a fixed set of shards, chosen at
+construction, by ``stable_hash(patient_id) % shards``; each shard runs
+the existing single-process gateway loop with its own
 :class:`~repro.runtime.executors.Executor`.  Because every session is
 pinned to exactly one shard and the per-window solves are pure
 functions, the cluster's recovered output is **bit-identical** to one
 big gateway fed the same frames — the equivalence the tests assert
 per-patient, down to conceal/drop accounting.
 
-Two ingress transports are selectable:
-
-* ``inproc`` — frames are handed to the owning shard as objects (a
-  shared in-process queue; zero copies, the fast path);
-* ``wire`` — frames are serialized through the length-prefixed
-  :mod:`repro.stream.wire` format and re-assembled at the shard from
-  MTU-sized byte chunks, exercising exactly what a socket pair between
-  an ingress front and a shard process would carry.
-
-Scale-out events are first-class: :meth:`ShardedGateway.add_shard` /
-:meth:`~ShardedGateway.remove_shard` move only the consistent-hashing
-minimum of sessions, and :meth:`~ShardedGateway.restart_shard` drains a
-shard through :class:`~repro.stream.session.SessionState` export/restore
-— sequence cursor, warm-start chain, concealment state and queued
-backlog all survive, so a rolling restart is invisible in the recovered
-signal.
+Ingress is always wire-framed: frames are serialized through the
+length-prefixed :mod:`repro.stream.wire` format and re-assembled at the
+shard from MTU-sized byte chunks, exercising exactly what a socket pair
+between an ingress front and a shard process would carry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coding.codebook import DifferenceCodebook
 from repro.core.config import FrontEndConfig
@@ -46,17 +33,10 @@ from repro.stream.metrics import GatewaySnapshot, rolling_percentile
 from repro.stream.session import PatientSession
 from repro.stream.wire import FrameAssembler, encode_frame
 
-__all__ = ["stable_hash", "HashRing", "ShardedGateway", "TRANSPORTS"]
+__all__ = ["stable_hash", "ShardedGateway"]
 
-#: Selectable ingress transports (see the module docstring).
-TRANSPORTS = ("inproc", "wire")
-
-#: Virtual nodes per shard on the ring; more replicas smooth the key
-#: distribution at O(replicas · shards · log) ring-build cost.
-DEFAULT_RING_REPLICAS = 64
-
-#: Default wire-transport chunk size — deliberately prime so frame
-#: boundaries almost never align with delivery boundaries.
+#: Wire chunk size — deliberately prime so frame boundaries almost never
+#: align with delivery boundaries.
 DEFAULT_WIRE_MTU = 509
 
 
@@ -71,86 +51,19 @@ def stable_hash(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class HashRing:
-    """Consistent-hash ring mapping string keys to named shards.
-
-    Each shard contributes ``replicas`` virtual points; a key lands on
-    the first point clockwise from its own hash.  Adding a shard steals
-    keys *only for the new shard*; removing one reassigns *only its own*
-    keys — the bounded-movement property the cluster's migration logic
-    (and its tests) rely on.
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[str] = (),
-        *,
-        replicas: int = DEFAULT_RING_REPLICAS,
-    ) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self.replicas = int(replicas)
-        self._points: List[Tuple[int, str]] = []
-        self._shards: Dict[str, None] = {}  # insertion-ordered set
-        for name in shards:
-            self.add_shard(name)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._shards
-
-    @property
-    def shards(self) -> Tuple[str, ...]:
-        """Shard names, in the order they were added."""
-        return tuple(self._shards)
-
-    def add_shard(self, name: str) -> None:
-        """Add ``name``'s virtual points to the ring."""
-        name = str(name)
-        if not name:
-            raise ValueError("shard name cannot be empty")
-        if name in self._shards:
-            raise ValueError(f"shard {name!r} already on the ring")
-        self._shards[name] = None
-        for replica in range(self.replicas):
-            self._points.append((stable_hash(f"{name}#{replica}"), name))
-        self._points.sort()
-
-    def remove_shard(self, name: str) -> None:
-        """Remove ``name`` and all its virtual points."""
-        if name not in self._shards:
-            raise KeyError(f"shard {name!r} not on the ring")
-        del self._shards[name]
-        self._points = [(p, s) for p, s in self._points if s != name]
-
-    def assign(self, key: str) -> str:
-        """The shard owning ``key`` (ValueError on an empty ring)."""
-        if not self._points:
-            raise ValueError("cannot assign on an empty ring")
-        point = stable_hash(key)
-        index = bisect_right(self._points, (point, "￿"))
-        if index == len(self._points):
-            index = 0  # wrap around
-        return self._points[index][1]
-
-
 class _WireChannel:
     """One shard's byte-stream ingress: encode → chunked delivery → shard.
 
     Models the socket between the ingress front and a shard worker: the
     producer side appends encoded frame bytes to an outbox, and
     :meth:`pump` delivers them to the shard's
-    :class:`~repro.stream.wire.FrameAssembler` in ``mtu``-sized chunks
-    (a trailing partial chunk waits for more bytes, exactly like a
-    nagled socket; :meth:`flush` pushes it through at end of stream).
+    :class:`~repro.stream.wire.FrameAssembler` in
+    :data:`DEFAULT_WIRE_MTU`-sized chunks (a trailing partial chunk
+    waits for more bytes, exactly like a nagled socket; :meth:`flush`
+    pushes it through at end of stream).
     """
 
-    def __init__(self, measurement_bits: int, mtu: int) -> None:
-        if mtu <= 0:
-            raise ValueError("mtu must be positive")
-        self.mtu = int(mtu)
+    def __init__(self, measurement_bits: int) -> None:
         self.assembler = FrameAssembler(measurement_bits)
         self._outbox = bytearray()
 
@@ -160,9 +73,9 @@ class _WireChannel:
     def pump(self) -> List[StreamFrame]:
         """Deliver every full MTU chunk; return the frames they completed."""
         frames: List[StreamFrame] = []
-        while len(self._outbox) >= self.mtu:
-            chunk = bytes(self._outbox[: self.mtu])
-            del self._outbox[: self.mtu]
+        while len(self._outbox) >= DEFAULT_WIRE_MTU:
+            chunk = bytes(self._outbox[:DEFAULT_WIRE_MTU])
+            del self._outbox[:DEFAULT_WIRE_MTU]
             frames.extend(self.assembler.feed(chunk))
         return frames
 
@@ -171,8 +84,8 @@ class _WireChannel:
 
         The poll-time flush: a trailing sub-MTU chunk is pushed through
         instead of nagling past the poll, so frame *delivery* timing
-        relative to gateway polls matches the in-process transport —
-        which is what keeps the sharded runtime's warm-start chains (and
+        relative to gateway polls matches a direct hand-off — which is
+        what keeps the sharded runtime's warm-start chains (and
         therefore its recovered bytes) identical to single-process.
         """
         frames = self.pump()
@@ -189,7 +102,7 @@ class _WireChannel:
 
 
 class ShardedGateway:
-    """N gateway shards behind one routing front.
+    """A fixed set of gateway shards behind one routing front.
 
     The public surface mirrors :class:`~repro.stream.gateway.
     StreamGateway` (``open_session`` / ``submit`` / ``poll`` /
@@ -199,110 +112,63 @@ class ShardedGateway:
     Parameters
     ----------
     shards:
-        Shard count (names become ``shard-0..N-1``) or explicit names.
+        Shard count; the shards are named ``shard-0..N-1``.
     executor_factory:
         ``factory(shard_name) -> Executor`` building each shard's solve
         scheduler (default: a fresh serial executor per shard).  The
         factory seam is what lets a benchmark give every shard its own
         process pool while tests keep everything serial.
-    transport:
-        ``"inproc"`` or ``"wire"`` (see the module docstring).
-    wire_mtu:
-        Chunk size of the simulated byte channel (wire transport only).
-    queue_capacity / shed_policy / latency_window / clock:
+    queue_capacity / shed_policy / clock:
         Forwarded to every shard's :class:`StreamGateway`.
     """
 
     def __init__(
         self,
-        shards: Union[int, Sequence[str]] = 2,
+        shards: int = 2,
         *,
         executor_factory: Optional[Callable[[str], Executor]] = None,
-        transport: str = "inproc",
-        wire_mtu: int = DEFAULT_WIRE_MTU,
         queue_capacity: int = 64,
         shed_policy: str = "drop-oldest",
-        latency_window: int = 512,
-        ring_replicas: int = DEFAULT_RING_REPLICAS,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if isinstance(shards, int):
-            if shards < 1:
-                raise ValueError("need at least one shard")
-            names: Tuple[str, ...] = tuple(
-                f"shard-{i}" for i in range(shards)
-            )
-        else:
-            names = tuple(str(s) for s in shards)
-            if not names:
-                raise ValueError("need at least one shard")
-            if len(set(names)) != len(names):
-                raise ValueError("shard names must be unique")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-            )
+        if shards < 1:
+            raise ValueError("need at least one shard")
         if shed_policy not in SHEDDING_POLICIES:
             raise ValueError(
                 f"unknown shedding policy {shed_policy!r}; "
                 f"choose from {SHEDDING_POLICIES}"
             )
-        self.transport = str(transport)
-        self.wire_mtu = int(wire_mtu)
-        self.queue_capacity = int(queue_capacity)
         self.shed_policy = str(shed_policy)
-        self.latency_window = int(latency_window)
         self._clock = clock
         self._start = clock()
-        self._executor_factory = executor_factory
-        self.ring = HashRing(names, replicas=ring_replicas)
-        self._shards: Dict[str, StreamGateway] = {}
+        names = [f"shard-{i}" for i in range(shards)]
+        self._shards: Dict[str, StreamGateway] = {
+            name: StreamGateway(
+                executor=(
+                    executor_factory(name)
+                    if executor_factory is not None
+                    else None
+                ),
+                queue_capacity=queue_capacity,
+                shed_policy=shed_policy,
+                clock=clock,
+            )
+            for name in names
+        }
         self._channels: Dict[str, _WireChannel] = {}
         self._owner: Dict[str, str] = {}  # patient id -> shard name
-        # Session build parameters, kept so migration can reconstruct a
-        # session on its destination shard from exported state alone.
-        self._session_params: Dict[str, dict] = {}
         self._measurement_bits: Optional[int] = None
-        for name in names:
-            self._shards[name] = self._new_shard_gateway(name)
-
-    # -- construction helpers -----------------------------------------------
-
-    def _new_shard_gateway(self, name: str) -> StreamGateway:
-        executor = (
-            self._executor_factory(name)
-            if self._executor_factory is not None
-            else None
-        )
-        return StreamGateway(
-            executor=executor,
-            queue_capacity=self.queue_capacity,
-            shed_policy=self.shed_policy,
-            latency_window=self.latency_window,
-            clock=self._clock,
-        )
 
     def _channel_for(self, shard: str) -> _WireChannel:
         if shard not in self._channels:
             assert self._measurement_bits is not None
-            self._channels[shard] = _WireChannel(
-                self._measurement_bits, self.wire_mtu
-            )
+            self._channels[shard] = _WireChannel(self._measurement_bits)
         return self._channels[shard]
 
     # -- session management -------------------------------------------------
 
-    @property
-    def shard_names(self) -> Tuple[str, ...]:
-        """Live shard names, in creation order."""
-        return tuple(self._shards)
-
-    def shard(self, name: str) -> StreamGateway:
-        """The underlying gateway of one shard (KeyError if unknown)."""
-        return self._shards[name]
-
     def owner_of(self, patient_id: str) -> str:
-        """Which shard currently serves ``patient_id``."""
+        """Which shard serves ``patient_id``."""
         return self._owner[patient_id]
 
     def open_session(
@@ -315,18 +181,17 @@ class ShardedGateway:
         reorder_depth: int = 4,
         ring_windows: int = 8,
     ) -> PatientSession:
-        """Create the patient's receiver session on its ring-owned shard."""
+        """Create the patient's receiver session on its hash-owned shard."""
         if patient_id in self._owner:
             raise ValueError(f"session {patient_id!r} already open")
-        if self.transport == "wire":
-            if self._measurement_bits is None:
-                self._measurement_bits = config.measurement_bits
-            elif self._measurement_bits != config.measurement_bits:
-                raise ValueError(
-                    "wire transport requires a uniform measurement_bits "
-                    "across sessions (it is offline shared state)"
-                )
-        shard = self.ring.assign(patient_id)
+        if self._measurement_bits is None:
+            self._measurement_bits = config.measurement_bits
+        elif self._measurement_bits != config.measurement_bits:
+            raise ValueError(
+                "wire ingress requires a uniform measurement_bits "
+                "across sessions (it is offline shared state)"
+            )
+        shard = f"shard-{stable_hash(patient_id) % len(self._shards)}"
         session = self._shards[shard].open_session(
             patient_id,
             config,
@@ -336,18 +201,7 @@ class ShardedGateway:
             ring_windows=ring_windows,
         )
         self._owner[patient_id] = shard
-        self._session_params[patient_id] = {
-            "config": config,
-            "method": method,
-            "codebook": codebook,
-            "reorder_depth": reorder_depth,
-            "ring_windows": ring_windows,
-        }
         return session
-
-    def session(self, patient_id: str) -> PatientSession:
-        """The registered session for ``patient_id`` (KeyError if unknown)."""
-        return self._shards[self._owner[patient_id]].session(patient_id)
 
     @property
     def sessions(self) -> Tuple[PatientSession, ...]:
@@ -359,55 +213,35 @@ class ShardedGateway:
     # -- ingress ------------------------------------------------------------
 
     def submit(self, frame: StreamFrame) -> bool:
-        """Route one arriving frame to its owning shard.
+        """Route one arriving frame to its owning shard's wire channel.
 
         Returns False when the shard's ingress queue shed a frame to
-        absorb this one (wire transport reports per delivered frame at
-        pump time, so its submit path always returns True).
+        absorb one of the frames this send completed.
         """
         shard = self._owner[frame.patient_id]
-        if self.transport == "wire":
-            channel = self._channel_for(shard)
-            channel.send(frame)
-            ok = True
-            for delivered in channel.pump():
-                ok = (
-                    self._shards[self._owner[delivered.patient_id]].submit(
-                        delivered
-                    )
-                    and ok
-                )
-            return ok
-        return self._shards[shard].submit(frame)
+        channel = self._channel_for(shard)
+        channel.send(frame)
+        ok = True
+        for delivered in channel.pump():
+            ok = self._shards[shard].submit(delivered) and ok
+        return ok
 
     # -- processing ---------------------------------------------------------
 
     def poll(self) -> int:
-        """Pump transports and poll every shard; total windows completed."""
-        completed = 0
-        if self.transport == "wire":
-            for channel in self._channels.values():
-                for delivered in channel.deliver_pending():
-                    self._shards[self._owner[delivered.patient_id]].submit(
-                        delivered
-                    )
-        for gateway in self._shards.values():
-            completed += gateway.poll()
-        return completed
+        """Deliver buffered wire bytes and poll every shard."""
+        for shard, channel in self._channels.items():
+            for delivered in channel.deliver_pending():
+                self._shards[shard].submit(delivered)
+        return sum(gateway.poll() for gateway in self._shards.values())
 
     def finish(self) -> int:
-        """Flush transports and finish every shard (end of stream)."""
-        completed = 0
-        if self.transport == "wire":
-            for channel in self._channels.values():
-                for delivered in channel.flush():
-                    self._shards[self._owner[delivered.patient_id]].submit(
-                        delivered
-                    )
-            self._channels.clear()
-        for gateway in self._shards.values():
-            completed += gateway.finish()
-        return completed
+        """Flush and close the wire channels, finish every shard."""
+        for shard, channel in self._channels.items():
+            for delivered in channel.flush():
+                self._shards[shard].submit(delivered)
+        self._channels.clear()
+        return sum(gateway.finish() for gateway in self._shards.values())
 
     def close(self) -> None:
         """Release every shard's executor (idempotent)."""
@@ -420,111 +254,7 @@ class ShardedGateway:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- scale-out events ---------------------------------------------------
-
-    def _migrate(self, patient_id: str, source: str, target: str) -> None:
-        """Move one session's decoder state + backlog between shards."""
-        session, queued = self._shards[source].evict_session(patient_id)
-        state = session.export_state()
-        params = self._session_params[patient_id]
-        fresh = PatientSession(
-            patient_id,
-            params["config"],
-            method=params["method"],
-            codebook=params["codebook"],
-            reorder_depth=params["reorder_depth"],
-            ring_windows=params["ring_windows"],
-        )
-        fresh.codebook_spec.resolve()
-        fresh.restore_state(state)
-        self._shards[target].adopt_session(fresh, queued)
-        self._owner[patient_id] = target
-
-    def _rebalance(self) -> List[str]:
-        """Move every session whose ring assignment changed; return ids."""
-        moved = []
-        for patient_id, current in list(self._owner.items()):
-            target = self.ring.assign(patient_id)
-            if target != current:
-                self._migrate(patient_id, current, target)
-                moved.append(patient_id)
-        return moved
-
-    def add_shard(self, name: str) -> List[str]:
-        """Bring a new shard online; returns the migrated patient ids.
-
-        Consistent hashing guarantees sessions only move *onto* the new
-        shard — the rest of the fleet is untouched.
-        """
-        self.ring.add_shard(name)
-        self._shards[name] = self._new_shard_gateway(name)
-        return self._rebalance()
-
-    def remove_shard(self, name: str) -> List[str]:
-        """Gracefully drain a shard out of the cluster.
-
-        Every session the shard owns (decoder state, warm-start chain,
-        queued backlog) migrates to its new ring owner; the emptied
-        shard's executor is released.  Returns the migrated patient ids.
-        """
-        if len(self._shards) <= 1:
-            raise ValueError("cannot remove the last shard")
-        if name not in self._shards:
-            raise KeyError(f"shard {name!r} not in the cluster")
-        self.ring.remove_shard(name)
-        moved = self._rebalance()
-        # Wire bytes in flight toward the drained shard must land before
-        # the channel disappears.
-        channel = self._channels.pop(name, None)
-        if channel is not None:
-            for delivered in channel.flush():
-                self._shards[self._owner[delivered.patient_id]].submit(
-                    delivered
-                )
-        gateway = self._shards.pop(name)
-        assert not gateway.sessions, "drain left sessions behind"
-        gateway.executor.shutdown()
-        return moved
-
-    def restart_shard(self, name: str) -> int:
-        """Bounce one shard in place (simulated worker restart).
-
-        Sessions are exported, the shard's gateway is rebuilt from
-        scratch, and the sessions are restored onto it — queued backlog
-        included.  Returns the number of sessions that survived the
-        bounce (all of them, as the tests assert).
-        """
-        if name not in self._shards:
-            raise KeyError(f"shard {name!r} not in the cluster")
-        old = self._shards[name]
-        owned = [s.patient_id for s in old.sessions]
-        exported = []
-        for patient_id in owned:
-            session, queued = old.evict_session(patient_id)
-            exported.append((patient_id, session.export_state(), queued))
-        old.executor.shutdown()
-        self._shards[name] = self._new_shard_gateway(name)
-        for patient_id, state, queued in exported:
-            params = self._session_params[patient_id]
-            fresh = PatientSession(
-                patient_id,
-                params["config"],
-                method=params["method"],
-                codebook=params["codebook"],
-                reorder_depth=params["reorder_depth"],
-                ring_windows=params["ring_windows"],
-            )
-            fresh.codebook_spec.resolve()
-            fresh.restore_state(state)
-            self._shards[name].adopt_session(fresh, queued)
-        return len(exported)
-
     # -- telemetry ----------------------------------------------------------
-
-    @property
-    def windows_inflight(self) -> int:
-        """Frames accepted but unresolved, summed across shards."""
-        return sum(gw.windows_inflight for gw in self._shards.values())
 
     def shard_snapshots(self) -> Dict[str, GatewaySnapshot]:
         """Per-shard telemetry, keyed by shard name."""
@@ -577,8 +307,8 @@ class ShardedGateway:
     def balance(self) -> Dict[str, Dict[str, int]]:
         """Per-shard load: sessions served and windows completed.
 
-        The load-test artifact's ``per_shard`` section — a skewed ring
-        shows up here long before it shows up in tail latency.
+        The load-test artifact's ``per_shard`` section — a skewed hash
+        split shows up here long before it shows up in tail latency.
         """
         return {
             name: {

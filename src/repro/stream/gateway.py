@@ -120,12 +120,6 @@ class BoundedQueue:
         """Dequeue the oldest item (raises ``IndexError`` when empty)."""
         return self._items.popleft()
 
-    def drain(self) -> List:
-        """Remove and return every queued item, oldest first."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
 
 class StreamGateway:
     """Receives many patients' frame streams and reconstructs them online.
@@ -173,12 +167,6 @@ class StreamGateway:
         self._queues: Dict[str, BoundedQueue] = {}
         self._latencies: Deque[float] = deque(maxlen=int(latency_window))
         self._completed = 0
-        # Loss accounting carried over from queues evicted by migration.
-        self._migrated_drops = 0
-        self._migrated_rejects = 0
-        self._migrated_sheds = 0
-        self._migrated_shed_frames = 0
-        self._migrated_high_water = 0
 
     # -- session management -------------------------------------------------
 
@@ -198,8 +186,6 @@ class StreamGateway:
         trained once in the gateway process (fork-based executor workers
         then inherit the cache instead of retraining per worker).
         """
-        if patient_id in self._sessions:
-            raise ValueError(f"session {patient_id!r} already open")
         session = PatientSession(
             patient_id,
             config,
@@ -209,11 +195,7 @@ class StreamGateway:
             ring_windows=ring_windows,
         )
         session.codebook_spec.resolve()
-        self._sessions[patient_id] = session
-        self._queues[patient_id] = BoundedQueue(
-            self.queue_capacity, self.shed_policy
-        )
-        return session
+        return self.adopt_session(session)
 
     def session(self, patient_id: str) -> PatientSession:
         """The registered session for ``patient_id`` (KeyError if unknown)."""
@@ -224,49 +206,14 @@ class StreamGateway:
         """All registered sessions, in registration order."""
         return tuple(self._sessions.values())
 
-    # -- session migration (shard drain/restart) ----------------------------
-
-    def evict_session(
-        self, patient_id: str
-    ) -> Tuple[PatientSession, List[Tuple[StreamFrame, float]]]:
-        """Deregister one session, returning it plus its queued frames.
-
-        The migration half-step a draining shard runs: the session object
-        (sequence cursor, warm-start chain, concealment state and
-        counters intact) and the undrained ingress backlog move to
-        whichever gateway :meth:`adopt_session`\\ s them next.  The
-        evicted queue's loss/high-water counters stay aggregated here so
-        gateway telemetry never goes backwards.
-        """
-        session = self._sessions.pop(patient_id)
-        queue = self._queues.pop(patient_id)
-        self._migrated_drops += queue.drops
-        self._migrated_rejects += queue.rejects
-        self._migrated_sheds += queue.sheds
-        self._migrated_shed_frames += queue.shed_frames
-        self._migrated_high_water = max(
-            self._migrated_high_water, queue.high_water
-        )
-        return session, queue.drain()
-
-    def adopt_session(
-        self,
-        session: PatientSession,
-        queued: Optional[List[Tuple[StreamFrame, float]]] = None,
-    ) -> PatientSession:
-        """Register a migrated session (the other half of an eviction).
-
-        The session arrives with its full decoder state; any carried
-        backlog is re-queued in arrival order under *this* gateway's
-        shedding policy.
-        """
+    def adopt_session(self, session: PatientSession) -> PatientSession:
+        """Register an already built session under a fresh ingress queue."""
         if session.patient_id in self._sessions:
             raise ValueError(f"session {session.patient_id!r} already open")
         self._sessions[session.patient_id] = session
-        queue = BoundedQueue(self.queue_capacity, self.shed_policy)
-        for item in queued or []:
-            queue.push(item)
-        self._queues[session.patient_id] = queue
+        self._queues[session.patient_id] = BoundedQueue(
+            self.queue_capacity, self.shed_policy
+        )
         return session
 
     # -- ingress ------------------------------------------------------------
@@ -368,17 +315,12 @@ class StreamGateway:
             windows_completed=self._completed,
             reconstructed_per_sec=rate,
             shed_policy=self.shed_policy,
-            queue_drops=self._migrated_drops
-            + sum(q.drops for q in self._queues.values()),
-            queue_rejects=self._migrated_rejects
-            + sum(q.rejects for q in self._queues.values()),
-            patient_sheds=self._migrated_sheds
-            + sum(q.sheds for q in self._queues.values()),
-            shed_frames=self._migrated_shed_frames
-            + sum(q.shed_frames for q in self._queues.values()),
+            queue_drops=sum(q.drops for q in self._queues.values()),
+            queue_rejects=sum(q.rejects for q in self._queues.values()),
+            patient_sheds=sum(q.sheds for q in self._queues.values()),
+            shed_frames=sum(q.shed_frames for q in self._queues.values()),
             queue_high_water=max(
-                self._migrated_high_water,
-                max((q.high_water for q in self._queues.values()), default=0),
+                (q.high_water for q in self._queues.values()), default=0
             ),
             late_drops=sum(s.late_drops for s in self._sessions.values()),
             duplicate_drops=sum(

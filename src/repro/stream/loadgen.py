@@ -213,7 +213,6 @@ def build_gateway(
     clock: Callable[[], float],
     *,
     shards: int = 1,
-    transport: str = "inproc",
     workers: int = 1,
 ) -> Union[StreamGateway, ShardedGateway]:
     """The gateway under test: single-process, or sharded for ``shards > 1``.
@@ -240,7 +239,6 @@ def build_gateway(
     return ShardedGateway(
         shards,
         executor_factory=lambda name: make_executor(),
-        transport=transport,
         queue_capacity=scenario.queue_capacity,
         shed_policy=scenario.shed_policy,
         clock=clock,
@@ -281,7 +279,6 @@ def run_loadtest(
     scenario: LoadScenario,
     *,
     shards: int = 1,
-    transport: str = "inproc",
     workers: int = 1,
     on_progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Any]:
@@ -321,9 +318,7 @@ def run_loadtest(
     )
 
     clock = StepClock()
-    gateway = build_gateway(
-        scenario, clock, shards=shards, transport=transport, workers=workers
-    )
+    gateway = build_gateway(scenario, clock, shards=shards, workers=workers)
     encoders: Dict[str, IngestSession] = {}
     for i, pid in enumerate(ids):
         encoders[pid] = IngestSession(pid, cfg, method=scenario.method)
@@ -434,7 +429,6 @@ def run_loadtest(
         },
         "mode": {
             "shards": shards,
-            "transport": transport if shards > 1 else None,
             "workers": workers,
         },
         "wall_s": wall_s,

@@ -38,13 +38,13 @@ class RollingStat:
     """
 
     window: int = 256
-    _values: Deque[float] = field(default_factory=deque, repr=False)
-    _count: int = 0
+    _values: Deque[float] = field(init=False, repr=False)
+    _count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ValueError("window must be positive")
-        self._values = deque(self._values, maxlen=self.window)
+        self._values = deque(maxlen=self.window)
 
     def push(self, value: float) -> None:
         """Record one observation (evicts the oldest beyond ``window``)."""

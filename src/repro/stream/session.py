@@ -27,7 +27,6 @@ no matter how long the stream runs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -38,6 +37,7 @@ from repro.core.channel import decode_robust
 from repro.core.config import FrontEndConfig
 from repro.core.packets import WindowPacket
 from repro.devtools.contracts import check_dtype, check_shape
+from repro.metrics.quality import clipped_snr_db
 from repro.metrics.quality import prd as prd_metric
 from repro.recovery.methods import resolve_method
 from repro.runtime.stages import link_for_params, reference_centered
@@ -50,14 +50,9 @@ __all__ = [
     "RecoveredWindow",
     "execute_recovery_task",
     "PlannedWindow",
-    "SessionState",
     "SignalRing",
     "PatientSession",
 ]
-
-#: SNR is clipped here (dB), mirroring the batch score stage.
-_SNR_CEILING_DB = 120.0
-
 
 @dataclass(frozen=True)
 class RecoveryTask:
@@ -130,11 +125,7 @@ def execute_recovery_task(task: RecoveryTask) -> RecoveredWindow:
         center = 1 << (task.config.acquisition_bits - 1)
         reference = reference_centered(task.reference, center)
         prd_percent = prd_metric(reference, recon.x_centered(center))
-        snr = (
-            _SNR_CEILING_DB
-            if prd_percent == 0
-            else min(-20.0 * np.log10(0.01 * prd_percent), _SNR_CEILING_DB)
-        )
+        snr = clipped_snr_db(prd_percent)
     return RecoveredWindow(
         patient_id=task.patient_id,
         window_index=task.window_index,
@@ -162,38 +153,6 @@ class PlannedWindow:
     window_index: int
     task: Optional[RecoveryTask]
     arrival_ts: Optional[float]
-
-
-@dataclass(frozen=True)
-class SessionState:
-    """Picklable decoder state of one :class:`PatientSession`.
-
-    Everything a receiver needs to resume a stream *mid-flight* on
-    another shard (or after a restart) without disturbing the output:
-    the sequence cursor, the reorder buffer, the zero-order-hold
-    concealment codes, the warm-start chain head, the loss counters, the
-    rolling quality stats, and the retained reconstruction ring.  Plain
-    values only — the state crosses process boundaries exactly like a
-    :class:`RecoveryTask` does.
-    """
-
-    patient_id: str
-    method: str
-    next_window: int
-    pending: Tuple[Tuple[int, StreamFrame, Optional[float]], ...]
-    last_codes: Optional[np.ndarray]
-    last_alpha: Optional[Tuple[int, np.ndarray]]
-    late_drops: int
-    duplicate_drops: int
-    solved: int
-    concealed: int
-    cs_fallbacks: int
-    prd_values: Tuple[float, ...]
-    prd_count: int
-    snr_values: Tuple[float, ...]
-    snr_count: int
-    ring_samples: np.ndarray
-    ring_total: int
 
 
 class SignalRing:
@@ -243,24 +202,6 @@ class SignalRing:
         if self._size < self.capacity:
             return self._buf[: self._size].copy()
         return np.concatenate((self._buf[self._pos :], self._buf[: self._pos]))
-
-    def restore(self, samples: np.ndarray, total_written: int) -> None:
-        """Reset contents to ``samples`` with a given lifetime counter.
-
-        The migration inverse of (:meth:`read`, :attr:`total_written`):
-        after ``restore(ring.read(), ring.total_written)`` a fresh ring
-        reads back byte-identically and keeps counting from the same
-        lifetime total.
-        """
-        arr = np.asarray(samples, dtype=float).ravel()
-        if total_written < arr.size:
-            raise ValueError("total_written cannot be less than the retained size")
-        self._buf[:] = 0.0
-        self._size = 0
-        self._pos = 0
-        self._total = 0
-        self.extend(arr)
-        self._total = int(total_written)
 
 
 class PatientSession:
@@ -466,82 +407,6 @@ class PatientSession:
             return self._last_codes.copy()
         center = 1 << (self.config.acquisition_bits - 1)
         return np.full(self.config.window_len, float(center))
-
-    # -- migration (shard drain/restart) ------------------------------------
-
-    def export_state(self) -> SessionState:
-        """Freeze the full decoder state as a picklable value.
-
-        A session restored from this state (:meth:`restore_state`)
-        continues the stream exactly where this one stood: same sequence
-        cursor, same reorder holdings, same concealment/warm-start
-        chain, same counters and rolling stats — the property the
-        cluster's serial-vs-sharded equivalence tests pin down.
-        """
-        return SessionState(
-            patient_id=self.patient_id,
-            method=self.method,
-            next_window=self._next,
-            pending=tuple(
-                (index, frame, ts)
-                for index, (frame, ts) in sorted(self._pending.items())
-            ),
-            last_codes=(
-                None if self._last_codes is None else self._last_codes.copy()
-            ),
-            last_alpha=(
-                None
-                if self._last_alpha is None
-                else (self._last_alpha[0], self._last_alpha[1].copy())
-            ),
-            late_drops=self.late_drops,
-            duplicate_drops=self.duplicate_drops,
-            solved=self.solved,
-            concealed=self.concealed,
-            cs_fallbacks=self.cs_fallbacks,
-            prd_values=tuple(self.rolling_prd._values),
-            prd_count=self.rolling_prd.count,
-            snr_values=tuple(self.rolling_snr._values),
-            snr_count=self.rolling_snr.count,
-            ring_samples=self.ring.read(),
-            ring_total=self.ring.total_written,
-        )
-
-    def restore_state(self, state: SessionState) -> None:
-        """Adopt a migrated decoder state (must match id and method)."""
-        if state.patient_id != self.patient_id:
-            raise ValueError(
-                f"state for patient {state.patient_id!r} restored into "
-                f"session {self.patient_id!r}"
-            )
-        if state.method != self.method:
-            raise ValueError(
-                f"state method {state.method!r} != session {self.method!r}"
-            )
-        self._next = state.next_window
-        self._pending = {
-            index: (frame, ts) for index, frame, ts in state.pending
-        }
-        self._last_codes = (
-            None if state.last_codes is None else state.last_codes.copy()
-        )
-        self._last_alpha = (
-            None
-            if state.last_alpha is None
-            else (state.last_alpha[0], state.last_alpha[1].copy())
-        )
-        self.late_drops = state.late_drops
-        self.duplicate_drops = state.duplicate_drops
-        self.solved = state.solved
-        self.concealed = state.concealed
-        self.cs_fallbacks = state.cs_fallbacks
-        self.rolling_prd = RollingStat(
-            self.rolling_prd.window, deque(state.prd_values), state.prd_count
-        )
-        self.rolling_snr = RollingStat(
-            self.rolling_snr.window, deque(state.snr_values), state.snr_count
-        )
-        self.ring.restore(state.ring_samples, state.ring_total)
 
     def snapshot(self) -> SessionSnapshot:
         """The session's current telemetry as an immutable snapshot."""

@@ -55,7 +55,7 @@ class TestBenchGatewaySection:
             "scenario": {"patients": 200, "duration_s": 1.0,
                          "shed_policy": "drop-oldest",
                          "phases": [{"name": "nominal"}]},
-            "mode": {"shards": 2, "transport": "wire", "workers": 2},
+            "mode": {"shards": 2, "workers": 2},
             "wall_s": 4.0, "windows_completed": 400, "frames_per_sec": 100.0,
             "latency_p50_s": 0.01, "frames_lost": 0,
             "identical_to_single": True,
@@ -64,7 +64,7 @@ class TestBenchGatewaySection:
         markdown, present, _ = build_report(results_dir)
         assert present == 2  # informational, not a coverage artifact
         assert "## Gateway load test (`repro loadtest`)" in markdown
-        assert "- runtime: 2 shards / wire transport, 2 worker(s)" in markdown
+        assert "- runtime: 2 shards, 2 worker(s)" in markdown
         assert "identity vs single-process: True (baseline 95.0 frames/s)" in markdown
 
     def test_corrupt_artifact_ignored(self, results_dir):

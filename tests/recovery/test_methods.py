@@ -22,7 +22,6 @@ class TestRegistry:
         for name, spec in METHODS.items():
             assert isinstance(spec, MethodSpec)
             assert spec.name == name
-            assert spec.family in ("convex", "bayesian")
             assert spec.description
 
     def test_lowres_flags(self):
@@ -32,11 +31,6 @@ class TestRegistry:
         assert resolve_method("bsbl-dequant").uses_lowres
         assert not resolve_method("normal").uses_lowres
         assert not resolve_method("bsbl").uses_lowres
-
-    def test_families(self):
-        assert resolve_method("hybrid").family == "convex"
-        assert resolve_method("bsbl").family == "bayesian"
-        assert resolve_method("bsbl-dequant").family == "bayesian"
 
 
 class TestDispatchErrors:

@@ -87,7 +87,6 @@ class TestLoadtestCommand:
             LOADTEST_FAST
             + [
                 "--shards", "2",
-                "--transport", "wire",
                 "--compare-single",
                 "--output", str(out),
             ]
@@ -95,7 +94,6 @@ class TestLoadtestCommand:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["identical_to_single"] is True
-        assert data["mode"]["transport"] == "wire"
         assert data["per_shard"]
         assert (
             data["recovered_digest"]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.stream.gateway import SHEDDING_POLICIES
 from repro.stream.loadgen import (
     PHASE_SCRIPTS,
     LoadPhase,
@@ -151,3 +152,30 @@ class TestScriptedPhases:
         assert oldest["queue_drops"] > 0 and oldest["shed_frames"] == 0
         assert newest["queue_rejects"] > 0 and newest["queue_drops"] == 0
         assert shed["patient_sheds"] > 0 and shed["queue_drops"] == 0
+
+    @pytest.mark.parametrize("policy", SHEDDING_POLICIES)
+    def test_sharded_identity_under_loss_and_overload(
+        self, stream_config, policy
+    ):
+        """Shedding and concealment, not just lossless traffic, must come
+        out the same whether one gateway or two wire-fed shards serve."""
+        scenario = _scenario(
+            stream_config,
+            duration_s=3.0,
+            queue_capacity=2,
+            shed_policy=policy,
+            phases=PHASE_SCRIPTS["stress"],
+        )
+        single = run_loadtest(scenario, shards=1)
+        sharded = run_loadtest(scenario, shards=2)
+        assert single["frames_lost"] > 0 and single["concealed"] > 0
+        for key in (
+            "recovered_digest",
+            "frames_lost",
+            "queue_drops",
+            "queue_rejects",
+            "patient_sheds",
+            "shed_frames",
+            "concealed",
+        ):
+            assert sharded[key] == single[key], key
