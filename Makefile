@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-full stream-smoke loadtest-smoke report examples clean-cache
+.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-full perfbench stream-smoke loadtest-smoke report examples clean-cache
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -42,6 +42,16 @@ lint-sarif:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The ROADMAP baseline: one traced perfbench run per workload (about a
+# minute each).  Compare against a run of the parent commit on the same
+# machine; there is no timing gate because shared machines are too noisy.
+PERFBENCH_WORKLOADS = sweep_fig7 bsbl_dequant gateway_realtime
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 20 --trace 1 || exit 1; \
+	done
 
 # 4-patient online streaming run over a 10% lossy link through the
 # multi-session gateway; writes the final telemetry snapshot.

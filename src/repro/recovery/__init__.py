@@ -8,6 +8,7 @@ from repro.recovery.batched import (
     stack_measurements,
 )
 from repro.recovery.bpdn import ball_block, solve_bpdn
+from repro.recovery.eq1 import solve_eq1
 from repro.recovery.bsbl import (
     BsblSettings,
     lowres_cell_stats,
@@ -89,6 +90,7 @@ __all__ = [
     "solve_bsbl_dequant_batch",
     "solve_cosamp",
     "solve_fista",
+    "solve_eq1",
     "solve_hybrid",
     "solve_iht",
     "solve_l1_constrained",

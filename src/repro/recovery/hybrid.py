@@ -7,10 +7,13 @@ Solves::
 
 where ``lower = x_dot`` (the dequantized low-resolution samples) and
 ``upper = x_dot + d`` with ``d`` the low-resolution step — "a strong bound
-... an upper and lower bound for each sample" (paper §II).  The PDHG engine
-takes the L2 ball in measurement space and the box in *signal* space as two
-constraint blocks; since Ψ is orthonormal its block contributes exactly 1
-to the squared operator norm.
+... an upper and lower bound for each sample" (paper §II).
+:func:`solve_hybrid` runs the fused Eq. 1 kernel
+(:func:`repro.recovery.eq1.solve_eq1`).  :func:`box_block` states the same
+box as a constraint block of the generic PDHG engine — the L2 ball in
+measurement space and the box in *signal* space — for reweighted L1 and
+as the kernel's differential oracle; since Ψ is orthonormal its block
+contributes exactly 1 to the squared operator norm.
 
 The paper solved this with the SDPT3 conic toolbox; any convergent convex
 solver reaches the same optimum (DESIGN.md §2).
@@ -18,13 +21,12 @@ solver reaches the same optimum (DESIGN.md §2).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
 
-from repro.recovery.bpdn import ball_block
-from repro.recovery.pdhg import ConstraintBlock, PdhgSettings, solve_l1_constrained
+from repro.recovery.eq1 import solve_eq1
+from repro.recovery.pdhg import ConstraintBlock, PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.recovery.prox import project_box
 from repro.recovery.result import RecoveryResult
@@ -37,16 +39,9 @@ def box_block(
     basis: SynthesisBasis,
     lower: np.ndarray,
     upper: np.ndarray,
-    *,
-    psi: Optional[np.ndarray] = None,
 ) -> ConstraintBlock:
-    """The low-resolution bound block ``lower <= Ψ alpha <= upper``.
-
-    When the dense synthesis matrix ``psi`` is supplied (e.g. from a cached
-    :class:`CsProblem`), the per-iteration transform becomes a BLAS matvec,
-    which is considerably faster than the pure-Python DWT at window sizes
-    of a few hundred samples.
-    """
+    """The low-resolution bound block ``lower <= Ψ alpha <= upper``, with Ψ
+    applied as the basis's dense matrix."""
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
     if lo.shape != (basis.n,) or hi.shape != (basis.n,):
@@ -54,19 +49,14 @@ def box_block(
     if np.any(lo > hi):
         raise ValueError("empty box: a lower bound exceeds its upper bound")
 
-    if psi is not None:
-        forward = lambda alpha: psi @ alpha  # noqa: E731
-        adjoint = lambda z: psi.T @ z  # noqa: E731
-    else:
-        forward = basis.synthesize
-        adjoint = basis.analyze
+    psi = basis.as_matrix()
 
     def violation(z: np.ndarray) -> float:
         return float(np.linalg.norm(z - np.clip(z, lo, hi)))
 
     return ConstraintBlock(
-        forward=forward,
-        adjoint=adjoint,
+        forward=lambda alpha: psi @ alpha,
+        adjoint=lambda z: psi.T @ z,
         project=lambda z: project_box(z, lo, hi),
         opnorm_sq=1.0,  # Ψ is orthonormal
         violation=violation,
@@ -112,24 +102,4 @@ def solve_hybrid(
         (0 when the bounds are met exactly).
     """
     prob = problem if problem is not None else CsProblem(phi, basis)
-    y = np.asarray(y, dtype=float)
-    if alpha0 is None:
-        # Warm start at the box-projected midpoint: a feasible-ish point
-        # that is already consistent with the low-resolution channel.
-        mid = (
-            np.asarray(lower, dtype=float) + np.asarray(upper, dtype=float)
-        ) / 2.0
-        alpha0 = prob.basis.analyze(mid)
-    result = solve_l1_constrained(
-        prob.n,
-        [
-            ball_block(prob, y, sigma),
-            box_block(prob.basis, lower, upper, psi=prob.psi),
-        ],
-        settings=settings,
-        synthesize=prob.basis.synthesize,
-        alpha0=alpha0,
-        solver_name="pdhg-hybrid",
-    )
-    true_residual = float(np.linalg.norm(prob.forward(result.alpha) - y))
-    return dataclasses.replace(result, residual_norm=true_residual)
+    return solve_eq1(prob, y, sigma, (lower, upper), settings=settings, alpha0=alpha0)

@@ -10,7 +10,9 @@ piece of per-operator precomputation the solvers need — the Gram matrix,
 the squared operator norm, the ADMM Cholesky factor of ``I + A^T A`` and
 the least-squares factor of ``A A^T`` — so a problem shared across
 thousands of windows (see :mod:`repro.recovery.opcache`) pays each
-factorization exactly once per process instead of once per window.
+factorization exactly once per process instead of once per window.  The
+dense Ψ and the CSR Ψ/Ψ^T pair of the Eq. 1 kernel are memoized one
+level up, on the basis, and shared by every problem over it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class CsProblem:
         self.phi = phi
         self.basis = basis
         self._a: Optional[np.ndarray] = None
-        self._psi: Optional[np.ndarray] = None
         self._opnorm_sq: Optional[float] = None
         self._gram: Optional[np.ndarray] = None
         self._admm_factor: Optional[Tuple[np.ndarray, bool]] = None
@@ -72,15 +73,19 @@ class CsProblem:
 
     @property
     def psi(self) -> np.ndarray:
-        """The dense synthesis matrix Ψ, shape ``(n, n)`` (built lazily)."""
-        if self._psi is None:
-            self._psi = self.basis.as_matrix()
-        return self._psi
+        """The dense synthesis matrix Ψ, shape ``(n, n)``, shared read-only
+        with every problem over the same basis."""
+        return self.basis.as_matrix()
 
     @property
     def a(self) -> np.ndarray:
-        """The dense composed operator ``A = Φ Ψ``, shape ``(m, n)`` (lazy)."""
+        """The dense composed operator ``A = Φ Ψ``, shape ``(m, n)`` (lazy).
+
+        Building it also builds the basis's CSR Ψ/Ψ^T pair, so one first
+        touch pays for all the operator state of the Eq. 1 kernel.
+        """
         if self._a is None:
+            self.basis.matvec_pair()
             self._a = self.phi @ self.psi
         return self._a
 

@@ -137,7 +137,7 @@ def solve_reweighted_hybrid(
         prob,
         lambda: [
             ball_block(prob, y, sigma),
-            box_block(prob.basis, lower, upper, psi=prob.psi),
+            box_block(prob.basis, lower, upper),
         ],
         n_reweights=n_reweights,
         epsilon=epsilon,

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.channel import decode_robust, payload_crc
 from repro.core.config import FrontEndConfig
-from repro.core.frontend import HybridFrontEnd
+from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
 from repro.core.receiver import HybridReceiver, WindowReconstruction
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.result import RecoveryResult
@@ -79,3 +80,50 @@ class TestPacketValidationAtReceiver:
         rx = HybridReceiver(config, codebook_7bit)
         with pytest.raises(ValueError):
             rx.reconstruct(packet)
+
+
+class TestSolverDispatch:
+    """``reconstruct`` resolves ``solve_hybrid``/``solve_bpdn`` through
+    the receiver module's namespace, the names a span tracer patches to
+    attribute per-method solve time; a direct kernel call would bypass
+    the patch silently."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.core.receiver as receiver_module
+
+        counts = {"solve_hybrid": 0, "solve_bpdn": 0}
+        for name in counts:
+            original = getattr(receiver_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(receiver_module, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("method", [None, "hybrid"])
+    def test_hybrid_packet(self, calls, config, codebook_7bit, record_100, method):
+        packet = HybridFrontEnd(config, codebook_7bit).process_window(
+            next(record_100.windows(128))
+        )
+        HybridReceiver(config, codebook_7bit, method=method).reconstruct(packet)
+        assert calls == {"solve_hybrid": 1, "solve_bpdn": 0}
+
+    def test_stripped_packet(self, calls, config, codebook_7bit, record_100):
+        packet = HybridFrontEnd(config, codebook_7bit).process_window(
+            next(record_100.windows(128))
+        )
+        rx = HybridReceiver(config, codebook_7bit, method="hybrid")
+        _, mode = decode_robust(packet, payload_crc(packet) ^ 1, rx)
+        assert mode == "cs-fallback"
+        assert calls == {"solve_hybrid": 0, "solve_bpdn": 1}
+
+    @pytest.mark.parametrize("method", [None, "normal"])
+    def test_normal_packet(self, calls, config, record_100, method):
+        packet = NormalCsFrontEnd(config).process_window(
+            next(record_100.windows(128))
+        )
+        HybridReceiver(config, method=method).reconstruct(packet)
+        assert calls == {"solve_hybrid": 0, "solve_bpdn": 1}

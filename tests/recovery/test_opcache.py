@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.core.config import FrontEndConfig
+from repro.core.config import DEFAULT_CONFIG, FrontEndConfig
 from repro.recovery.opcache import (
     PROBLEM_CACHE,
     ProblemCache,
@@ -100,6 +100,23 @@ class TestProblemCache:
         p48 = cache.get(_key(m=48))
         p64 = cache.get(_key(m=64))
         assert p48.basis is p64.basis
+
+    def test_dense_psi_built_once_across_crs(self):
+        """Problems at CR 50 and 81 share one read-only Ψ and one CSR
+        pair, and the shared Ψ is bit-equal to an independent build."""
+        cache = ProblemCache()
+        p50, p81 = (
+            cache.get(ProblemKey.from_config(DEFAULT_CONFIG.for_cr(cr)))
+            for cr in (50.0, 81.0)
+        )
+        assert p50.psi is p81.psi
+        assert p50.basis.matvec_pair() is p81.basis.matvec_pair()
+        assert not p50.psi.flags.writeable
+        fresh = make_basis(DEFAULT_CONFIG.window_len, DEFAULT_CONFIG.basis_spec)
+        assert np.array_equal(p50.psi, fresh.as_matrix())
+        psi, psi_t = p50.basis.matvec_pair()
+        assert np.array_equal(psi.toarray(), p50.psi)
+        assert np.array_equal(psi_t.toarray(), p50.psi.T)
 
     def test_clear(self):
         cache = ProblemCache()
