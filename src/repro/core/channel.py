@@ -27,8 +27,15 @@ from repro.coding.bitstream import BitReader, BitWriter
 from repro.core.config import FrontEndConfig
 from repro.core.packets import WindowPacket
 from repro.core.receiver import HybridReceiver, WindowReconstruction
+from repro.recovery.result import RecoveryResult
 
-__all__ = ["LossyLink", "RobustReceiver", "payload_crc", "decode_robust"]
+__all__ = [
+    "LossyLink",
+    "RobustReceiver",
+    "payload_crc",
+    "decode_robust",
+    "conceal_codes",
+]
 
 
 def payload_crc(packet: WindowPacket) -> int:
@@ -43,8 +50,6 @@ def decode_robust(
     packet: WindowPacket,
     expected_crc: Optional[int],
     receiver: HybridReceiver,
-    fallback_receiver: Optional[HybridReceiver] = None,
-    alpha0: Optional[np.ndarray] = None,
 ) -> Tuple[WindowReconstruction, str]:
     """Stateless CRC-checked decode with CS-only fallback for one packet.
 
@@ -52,29 +57,24 @@ def decode_robust(
     concealment state, so it is safe to fan out across processes (the
     streaming gateway's recovery workers call it directly):
 
-    * low-res payload present and CRC matching (or unchecked) → hybrid
-      Eq. 1 solve;
+    * low-res payload present and CRC matching (or unchecked) → the
+      receiver's method (Eq. 1 for ``"hybrid"``);
     * CRC mismatch or payload desync during decode → strip the payload
       and recover from the CS measurements alone.
 
     Returns ``(reconstruction, mode)`` with mode ``"hybrid"`` or
-    ``"cs-fallback"``.  ``fallback_receiver`` defaults to ``receiver`` —
-    a stripped packet degrades to the method's measurements-only
-    sibling (plain BPDN for Eq. 1 links, plain BSBL for
-    ``"bsbl-dequant"`` links; see
-    :meth:`repro.core.receiver.HybridReceiver.reconstruct`).  ``alpha0``
-    optionally warm-starts the solve (streaming sessions pass the
-    previous window's coefficients).
+    ``"cs-fallback"``.  The stripped packet goes to the same receiver,
+    which degrades it to the method's measurements-only sibling (plain
+    BPDN for ``"hybrid"``, plain BSBL for ``"bsbl-dequant"``; see
+    :meth:`repro.core.receiver.HybridReceiver.reconstruct`).
     """
-    if fallback_receiver is None:
-        fallback_receiver = receiver
     use_hybrid = packet.lowres_bit_length > 0
     if use_hybrid and expected_crc is not None:
         use_hybrid = payload_crc(packet) == expected_crc
 
     if use_hybrid:
         try:
-            return receiver.reconstruct(packet, alpha0=alpha0), "hybrid"
+            return receiver.reconstruct(packet), "hybrid"
         except (ValueError, EOFError):  # reprolint: disable=RL006 -- deliberate CS-only fallback on payload desync, mode is reported to the caller
             pass  # desynchronized payload: fall back below
 
@@ -86,7 +86,21 @@ def decode_robust(
         lowres_payload=b"",
         lowres_bit_length=0,
     )
-    return fallback_receiver.reconstruct(stripped, alpha0=alpha0), "cs-fallback"
+    return receiver.reconstruct(stripped), "cs-fallback"
+
+
+def conceal_codes(
+    config: FrontEndConfig, last_codes: Optional[np.ndarray]
+) -> np.ndarray:
+    """Zero-order-hold codes for a lost window, shape ``(window_len,)``.
+
+    A copy of the previous window's codes, else the baseline at the
+    acquisition mid-code for a cold start.
+    """
+    if last_codes is not None:
+        return last_codes.copy()
+    center = 1 << (config.acquisition_bits - 1)
+    return np.full(config.window_len, float(center))
 
 
 @dataclass
@@ -174,17 +188,11 @@ class RobustReceiver:
     def __init__(self, config: FrontEndConfig, codebook) -> None:
         self.config = config
         self._receiver = HybridReceiver(config, codebook)
-        self._normal_receiver = HybridReceiver(config)
         self._last_codes: Optional[np.ndarray] = None
 
     def _conceal(self, window_index: int) -> WindowReconstruction:
         center = 1 << (self.config.acquisition_bits - 1)
-        if self._last_codes is not None:
-            codes = self._last_codes.copy()
-        else:
-            codes = np.full(self.config.window_len, float(center))
-        from repro.recovery.result import RecoveryResult
-
+        codes = conceal_codes(self.config, self._last_codes)
         dummy = RecoveryResult(
             alpha=np.zeros(self.config.window_len),
             x=codes - center,
@@ -215,9 +223,7 @@ class RobustReceiver:
         if packet is None:
             return self._conceal(window_index), "concealed"
 
-        recon, mode = decode_robust(
-            packet, expected_crc, self._receiver, self._normal_receiver
-        )
+        recon, mode = decode_robust(packet, expected_crc, self._receiver)
         self._last_codes = recon.x_codes
         return recon, mode
 

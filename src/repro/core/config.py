@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.encode_batch import EncodeEngineSettings
 from repro.metrics.compression import ORIGINAL_RESOLUTION_BITS, cs_channel_cr
-from repro.recovery.opcache import RecoveryEngineSettings
+from repro.recovery.bsbl import BsblSettings
 from repro.recovery.pdhg import PdhgSettings
 from repro.sensing.matrices import SensingSpec
 
@@ -49,16 +49,14 @@ class FrontEndConfig:
     sigma_safety:
         Multiplier on the measurement-quantization noise 2-norm used as
         the fidelity radius σ in Eq. 1.
-    recovery:
-        Receiver-side engine controls: operator caching, streaming
-        warm starts and the batched-solve chunk size.  Purely a
-        receiver-efficiency knob — it never changes what the node
-        transmits, so it is safe to vary per deployment.
+    bsbl:
+        EM controls of the Bayesian recovery family
+        (:mod:`repro.recovery.bsbl`); ignored by the convex methods.
+        Receiver-side only — it never changes what the node transmits.
     encode:
         Node-side engine controls: the quantizer boundary guard of the
         batched encode engine (bit-identical to the scalar path; see
-        ``docs/encoding.md``).  Like ``recovery``, an efficiency knob
-        only.
+        ``docs/encoding.md``).  An efficiency knob only.
     """
 
     window_len: int = 512
@@ -70,9 +68,7 @@ class FrontEndConfig:
     sensing: SensingSpec = field(default_factory=SensingSpec)
     solver: PdhgSettings = field(default_factory=PdhgSettings)
     sigma_safety: float = 2.0
-    recovery: RecoveryEngineSettings = field(
-        default_factory=RecoveryEngineSettings
-    )
+    bsbl: BsblSettings = field(default_factory=BsblSettings)
     encode: EncodeEngineSettings = field(default_factory=EncodeEngineSettings)
 
     def __post_init__(self) -> None:

@@ -39,7 +39,7 @@ class EncodeEngineSettings:
 
     Purely a transmit-efficiency knob — with the exactness contract above
     it never changes what the node transmits, so it is safe to vary per
-    deployment (mirror of ``FrontEndConfig.recovery`` on the receiver).
+    deployment.
 
     Attributes
     ----------

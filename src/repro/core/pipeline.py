@@ -16,10 +16,9 @@ here for existing importers.
 Receiver-side operator state (the composed ΦΨ, its Gram matrix and the
 solver factorizations) is shared across every window of a run — and
 across runs at the same operating point — through the process-wide
-:data:`repro.recovery.opcache.PROBLEM_CACHE`, controlled by
-``config.recovery`` (see :doc:`docs/recovery`).  This is transparent to
-callers: caching is bit-neutral, so ``run_record`` output is unchanged
-whether the flag is on or off.
+:data:`repro.recovery.opcache.PROBLEM_CACHE` (see :doc:`docs/recovery`).
+This is transparent to callers: caching is bit-neutral, so
+``run_record`` output is the same from a cold or a warm cache.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.recovery.bsbl import (
     solve_bsbl_dequant,
 )
 from repro.recovery.hybrid import solve_hybrid
-from repro.recovery.methods import MethodSpec, resolve_method
+from repro.recovery.methods import resolve_method
 from repro.recovery.opcache import problem_for_config
 from repro.recovery.result import RecoveryResult
 from repro.sensing.quantizers import lowres_bounds, measurement_quantizer
@@ -71,29 +71,25 @@ class HybridReceiver:
         The shared offline codebook; only needed to decode hybrid packets
         (may be ``None`` for a normal-CS-only receiver).
     method:
-        Optional registered method name (see
-        :mod:`repro.recovery.methods`).  ``None`` keeps the historical
-        payload-driven dispatch (Eq. 1 when the packet carries a low-res
-        payload, plain BPDN otherwise); a named method pins the solver
-        family — in particular ``"bsbl"``/``"bsbl-dequant"`` route to the
-        Bayesian solvers.  Methods that consume the low-res path degrade
-        to their payload-less sibling on a stripped packet, which is the
-        streaming CRC-fallback contract.
+        Registered method name (see :mod:`repro.recovery.methods`).  A
+        packet carrying a low-res payload is solved by the method itself;
+        a payload-less packet (a normal-CS packet, or a hybrid packet
+        stripped by the CRC fallback) by the method's measurements-only
+        sibling.  The default ``"hybrid"`` thus runs Eq. 1 on hybrid
+        packets and plain BPDN on normal-CS ones.
     """
 
     def __init__(
         self,
         config: FrontEndConfig,
         codebook: Optional[DifferenceCodebook] = None,
-        method: Optional[str] = None,
+        method: str = "hybrid",
     ) -> None:
         if codebook is not None and codebook.resolution_bits != config.lowres_bits:
             raise ValueError("codebook resolution does not match the config")
         self.config = config
         self.codebook = codebook
-        self.method_spec: Optional[MethodSpec] = (
-            None if method is None else resolve_method(method)
-        )
+        self.method = resolve_method(method).name
         # Composed operator — pulled from the process-wide ProblemCache,
         # so receivers at the same operating point share one ΦΨ and its
         # factorizations.
@@ -126,11 +122,11 @@ class HybridReceiver:
 
         The same quantization-noise model as :meth:`sigma`, expressed as
         a per-measurement variance for the Gaussian likelihood, with
-        ``config.recovery.bsbl.noise_scale`` playing ``sigma_safety``'s
+        ``config.bsbl.noise_scale`` playing ``sigma_safety``'s
         slack role.
         """
         return measurement_noise_var(
-            self.quantizer.step, self.config.recovery.bsbl.noise_scale
+            self.quantizer.step, self.config.bsbl.noise_scale
         )
 
     def decode_measurements(self, packet: WindowPacket) -> np.ndarray:
@@ -153,47 +149,35 @@ class HybridReceiver:
             packet.lowres_payload, packet.n, packet.lowres_bit_length
         )
 
-    def reconstruct(
-        self,
-        packet: WindowPacket,
-        alpha0: Optional[np.ndarray] = None,
-    ) -> WindowReconstruction:
+    def reconstruct(self, packet: WindowPacket) -> WindowReconstruction:
         """Full receiver pipeline for one packet.
 
-        Without a pinned method, hybrid packets (non-empty low-res
-        payload) get the Eq. 1 solve and normal-CS packets fall back to
-        plain BPDN; a pinned method routes through its registered solver
-        instead (Bayesian methods included), degrading to the
-        payload-less sibling when the packet arrives stripped.
-        ``alpha0`` optionally warm-starts the solver — typically the
-        previous window's coefficients in a streaming session.
+        A packet with a low-res payload is solved by :attr:`method`; a
+        payload-less one by its measurements-only sibling
+        (:attr:`repro.recovery.methods.MethodSpec.stripped`).  Each call
+        is a pure function of the packet and the receiver's config.
         """
         if packet.n != self.config.window_len:
             raise ValueError("packet window length does not match the config")
         if packet.m != self.config.n_measurements:
             raise ValueError("packet measurement count does not match the config")
         y = self.decode_measurements(packet)
-        has_payload = packet.lowres_bit_length > 0
-
-        if self.method_spec is None:
-            solver = "eq1" if has_payload else "bpdn"
-        else:
-            solver = self.method_spec.solver
-        if not has_payload:
-            # Stripped packet (CRC fallback) through a payload-consuming
-            # link: degrade to the measurements-only sibling.
-            solver = {"eq1": "bpdn", "bsbl-dequant": "bsbl"}.get(solver, solver)
+        spec = resolve_method(self.method)
+        if packet.lowres_bit_length == 0 and spec.stripped is not None:
+            spec = resolve_method(spec.stripped)
 
         lowres = None
         bounds = None
-        if solver in ("eq1", "bsbl-dequant"):
+        if spec.uses_lowres:
             lowres = self.decode_lowres(packet)
             lower, upper = lowres_bounds(
                 lowres, self.config.acquisition_bits, self.config.lowres_bits
             )
             bounds = (lower - self.center, upper - self.center)
 
-        if solver == "eq1":
+        # The solvers are looked up in this module's namespace at call
+        # time, so a span tracer that patches them sees every decode.
+        if spec.name == "hybrid":
             result = solve_hybrid(
                 self.phi,
                 self.basis,
@@ -203,9 +187,8 @@ class HybridReceiver:
                 bounds[1],
                 settings=self.config.solver,
                 problem=self.problem,
-                alpha0=alpha0,
             )
-        elif solver == "bpdn":
+        elif spec.name == "normal":
             result = solve_bpdn(
                 self.phi,
                 self.basis,
@@ -213,19 +196,17 @@ class HybridReceiver:
                 self.sigma(),
                 settings=self.config.solver,
                 problem=self.problem,
-                alpha0=alpha0,
             )
-        elif solver == "bsbl":
+        elif spec.name == "bsbl":
             result = solve_bsbl(
                 self.phi,
                 self.basis,
                 y,
                 self.noise_var(),
-                settings=self.config.recovery.bsbl,
+                settings=self.config.bsbl,
                 problem=self.problem,
-                alpha0=alpha0,
             )
-        elif solver == "bsbl-dequant":
+        elif spec.name == "bsbl-dequant":
             mid, quant_var = lowres_cell_stats(bounds[0], bounds[1])
             result = solve_bsbl_dequant(
                 self.phi,
@@ -234,12 +215,11 @@ class HybridReceiver:
                 self.noise_var(),
                 mid,
                 quant_var,
-                settings=self.config.recovery.bsbl,
+                settings=self.config.bsbl,
                 problem=self.problem,
-                alpha0=alpha0,
             )
-        else:  # pragma: no cover - the registry only emits the above
-            raise ValueError(f"unknown solver key {solver!r}")
+        else:  # pragma: no cover - the registry only holds the above
+            raise ValueError(f"no solver for method {spec.name!r}")
         x_codes = result.x + self.center
         return WindowReconstruction(
             window_index=packet.window_index,

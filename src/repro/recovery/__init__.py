@@ -27,7 +27,6 @@ from repro.recovery.opcache import (
     PROBLEM_CACHE,
     ProblemCache,
     ProblemKey,
-    RecoveryEngineSettings,
     problem_for_config,
 )
 from repro.recovery.greedy import solve_cosamp, solve_iht, solve_omp
@@ -64,7 +63,6 @@ __all__ = [
     "PdhgSettings",
     "ProblemCache",
     "ProblemKey",
-    "RecoveryEngineSettings",
     "RecoveryResult",
     "TransitionPoint",
     "ball_block",

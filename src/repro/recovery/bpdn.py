@@ -56,7 +56,6 @@ def solve_bpdn(
     *,
     settings: PdhgSettings = PdhgSettings(),
     problem: Optional[CsProblem] = None,
-    alpha0: Optional[np.ndarray] = None,
 ) -> RecoveryResult:
     """Recover a window from CS measurements alone (normal CS).
 
@@ -76,9 +75,6 @@ def solve_bpdn(
     problem:
         Pre-built :class:`CsProblem` to reuse the cached composed operator
         across windows.
-    alpha0:
-        Optional warm start (e.g. the previous window's solution in a
-        streaming session); defaults to zero.
 
     Returns
     -------
@@ -86,4 +82,4 @@ def solve_bpdn(
         With ``x`` in signal units and ``residual_norm = ||A alpha - y||``.
     """
     prob = problem if problem is not None else CsProblem(phi, basis)
-    return solve_eq1(prob, y, sigma, settings=settings, alpha0=alpha0)
+    return solve_eq1(prob, y, sigma, settings=settings)

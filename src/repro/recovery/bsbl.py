@@ -87,8 +87,7 @@ class BsblSettings:
     """Knobs for the BSBL-BO expectation-maximization loop.
 
     Hashable (all-scalar, frozen) so it can ride inside
-    :class:`repro.recovery.opcache.RecoveryEngineSettings` and hence
-    :class:`repro.core.config.FrontEndConfig`.
+    :class:`repro.core.config.FrontEndConfig` as ``config.bsbl``.
 
     Attributes
     ----------

@@ -51,7 +51,6 @@ def solve_eq1(
     bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     *,
     settings: PdhgSettings = PdhgSettings(),
-    alpha0: Optional[np.ndarray] = None,
 ) -> RecoveryResult:
     """Solve Eq. 1 (``bounds`` given) or plain BPDN (``bounds=None``).
 
@@ -67,10 +66,8 @@ def solve_eq1(
         ``(lower, upper)`` signal bounds, each shape ``(n,)``, with
         ``lower <= upper``; ``None`` drops the box.
     settings:
-        PDHG iteration controls.
-    alpha0:
-        Optional warm start.  Defaults to ``Ψ^T`` of the box midpoint
-        with bounds and to zero without.
+        PDHG iteration controls.  The iteration starts cold: at ``Ψ^T``
+        of the box midpoint with bounds and at zero without.
 
     Returns
     -------
@@ -109,11 +106,7 @@ def solve_eq1(
     tol = settings.tol
     check_every = settings.check_every
 
-    if alpha0 is not None:
-        alpha = np.array(alpha0, dtype=float)
-        if alpha.shape != (n,):
-            raise ValueError(f"alpha0 must be a vector of length {n}")
-    elif box:
+    if box:
         # Cold start at the box midpoint, already consistent with the
         # low-resolution channel.
         alpha = psi_t @ ((lo + hi) / 2.0)

@@ -74,7 +74,6 @@ def solve_hybrid(
     *,
     settings: PdhgSettings = PdhgSettings(),
     problem: Optional[CsProblem] = None,
-    alpha0: Optional[np.ndarray] = None,
 ) -> RecoveryResult:
     """Recover a window using CS measurements *and* low-resolution bounds.
 
@@ -90,10 +89,6 @@ def solve_hybrid(
         PDHG iteration controls.
     problem:
         Pre-built :class:`CsProblem` for operator reuse across windows.
-    alpha0:
-        Optional explicit warm start (e.g. the previous window's solution
-        in a streaming session).  Defaults to the box-projected midpoint,
-        the historical cold-start choice.
 
     Returns
     -------
@@ -102,4 +97,4 @@ def solve_hybrid(
         (0 when the bounds are met exactly).
     """
     prob = problem if problem is not None else CsProblem(phi, basis)
-    return solve_eq1(prob, y, sigma, (lower, upper), settings=settings, alpha0=alpha0)
+    return solve_eq1(prob, y, sigma, (lower, upper), settings=settings)

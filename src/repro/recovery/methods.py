@@ -17,7 +17,7 @@ stack at parser-construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["MethodSpec", "METHODS", "method_names", "resolve_method"]
 
@@ -34,8 +34,10 @@ class MethodSpec:
         Whether the method consumes the low-res parallel path — this is
         what decides the front-end (hybrid vs normal CS), whether a
         codebook must be resolved, and whether packets carry a payload.
-    solver:
-        Receiver dispatch key (see
+    stripped:
+        The measurements-only sibling a packet without its low-res
+        payload (a CRC fallback) degrades to; ``None`` for methods that
+        never read the payload (see
         :meth:`repro.core.receiver.HybridReceiver.reconstruct`).
     description:
         One-line human-readable summary (CLI help, reports).
@@ -43,7 +45,7 @@ class MethodSpec:
 
     name: str
     uses_lowres: bool
-    solver: str
+    stripped: Optional[str]
     description: str
 
 
@@ -53,25 +55,25 @@ METHODS: Dict[str, MethodSpec] = {
         MethodSpec(
             name="hybrid",
             uses_lowres=True,
-            solver="eq1",
+            stripped="normal",
             description="Paper Eq. 1: BPDN with the low-res box constraint",
         ),
         MethodSpec(
             name="normal",
             uses_lowres=False,
-            solver="bpdn",
+            stripped=None,
             description="Plain CS baseline: BPDN from measurements only",
         ),
         MethodSpec(
             name="bsbl",
             uses_lowres=False,
-            solver="bsbl",
+            stripped=None,
             description="Block-sparse Bayesian learning from measurements only",
         ),
         MethodSpec(
             name="bsbl-dequant",
             uses_lowres=True,
-            solver="bsbl-dequant",
+            stripped="bsbl",
             description=(
                 "BSBL with Bayesian de-quantization: the low-res cells enter "
                 "as Gaussian pseudo-observations instead of a hard box"

@@ -27,10 +27,9 @@ tests and long-lived processes that change workload shape.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.recovery.bsbl import BsblSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import SensingSpec
 from repro.wavelets.operators import SynthesisBasis, make_basis
@@ -38,7 +37,6 @@ from repro.wavelets.operators import SynthesisBasis, make_basis
 __all__ = [
     "ProblemKey",
     "ProblemCache",
-    "RecoveryEngineSettings",
     "PROBLEM_CACHE",
     "problem_for_config",
 ]
@@ -150,28 +148,6 @@ class ProblemCache:
         self._bases.clear()
         self.hits = 0
         self.misses = 0
-
-
-@dataclass(frozen=True)
-class RecoveryEngineSettings:
-    """Config flags for the cached recovery layer.
-
-    Hashable so it can live inside :class:`repro.core.config.FrontEndConfig`.
-
-    Attributes
-    ----------
-    warm_start_streams:
-        Streaming sessions seed each window's solve from the previous
-        window's recovered coefficients when that solution has already
-        been applied (see ``docs/recovery.md`` for the determinism
-        contract).  Default on.
-    bsbl:
-        EM knobs for the Bayesian recovery family
-        (:mod:`repro.recovery.bsbl`); ignored by the convex methods.
-    """
-
-    warm_start_streams: bool = True
-    bsbl: BsblSettings = field(default_factory=BsblSettings)
 
 
 #: The per-process operator cache (one per worker, like the link cache).

@@ -85,8 +85,8 @@ class _WireChannel:
         The poll-time flush: a trailing sub-MTU chunk is pushed through
         instead of nagling past the poll, so frame *delivery* timing
         relative to gateway polls matches a direct hand-off — which is
-        what keeps the sharded runtime's warm-start chains (and
-        therefore its recovered bytes) identical to single-process.
+        what keeps the sharded runtime's reorder release, concealment
+        and shedding timing identical to single-process.
         """
         frames = self.pump()
         if self._outbox:

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.coding.codebook import DifferenceCodebook
-from repro.core.channel import decode_robust
+from repro.core.channel import conceal_codes, decode_robust
 from repro.core.config import FrontEndConfig
 from repro.core.packets import WindowPacket
 from repro.devtools.contracts import check_dtype, check_shape
@@ -62,11 +62,8 @@ class RecoveryTask:
     every field is a plain value, so the task can cross a process
     boundary and any worker reconstructs identical state from it via the
     per-process link cache (:func:`repro.runtime.stages.link_for_params`).
-
-    ``warm_start`` optionally carries the previous window's solved
-    coefficients as the solver's starting point.  It is attached at
-    *plan* time (never inside a worker), so the task stays a pure value
-    and the result is independent of executor scheduling.
+    The solve reads nothing else: a window decodes the same whether it
+    arrives mid-stream or alone, and whichever executor runs it.
     """
 
     patient_id: str
@@ -77,7 +74,6 @@ class RecoveryTask:
     method: str
     codebook: CodebookSpec
     reference: Optional[np.ndarray] = None
-    warm_start: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         resolve_method(self.method)
@@ -91,8 +87,7 @@ class RecoveredWindow:
 
     ``mode`` is ``"hybrid"`` or ``"cs-fallback"`` (concealment never
     reaches a worker); ``prd_percent``/``snr_db`` are ``None`` when the
-    frame carried no reference.  ``alpha`` is the solved coefficient
-    vector, kept so the session can warm-start the next window.
+    frame carried no reference.
     """
 
     patient_id: str
@@ -103,7 +98,6 @@ class RecoveredWindow:
     snr_db: Optional[float]
     iterations: int
     converged: bool
-    alpha: Optional[np.ndarray] = None
 
 
 def execute_recovery_task(task: RecoveryTask) -> RecoveredWindow:
@@ -116,9 +110,7 @@ def execute_recovery_task(task: RecoveryTask) -> RecoveredWindow:
     processes and are bit-identical regardless of scheduling.
     """
     link = link_for_params(task.config, task.method, task.codebook)
-    recon, mode = decode_robust(
-        task.packet, task.crc, link.receiver, alpha0=task.warm_start
-    )
+    recon, mode = decode_robust(task.packet, task.crc, link.receiver)
     prd_percent: Optional[float] = None
     snr: Optional[float] = None
     if task.reference is not None:
@@ -135,7 +127,6 @@ def execute_recovery_task(task: RecoveryTask) -> RecoveredWindow:
         snr_db=snr,
         iterations=recon.recovery.iterations,
         converged=recon.recovery.converged,
-        alpha=recon.recovery.alpha,
     )
 
 
@@ -256,9 +247,6 @@ class PatientSession:
         self._next = 0  # next window index to release, in order
         self._pending: Dict[int, Tuple[StreamFrame, Optional[float]]] = {}
         self._last_codes: Optional[np.ndarray] = None
-        # (window_index, alpha) of the most recent *solved* window; used
-        # to warm-start the immediately following window at plan time.
-        self._last_alpha: Optional[Tuple[int, np.ndarray]] = None
         self.late_drops = 0
         self.duplicate_drops = 0
         self.solved = 0
@@ -287,17 +275,6 @@ class PatientSession:
                 reference, (self.config.window_len,), name="reference"
             )
             reference = check_dtype(reference, "integer", name="reference")
-        # Warm-start only from the *immediately preceding* window, and
-        # only if its solve has already been applied by plan time: the
-        # seed is a pure function of the arrival/apply schedule, so
-        # serial and parallel executors produce identical results.
-        warm_start: Optional[np.ndarray] = None
-        if (
-            self.config.recovery.warm_start_streams
-            and self._last_alpha is not None
-            and self._last_alpha[0] == frame.window_index - 1
-        ):
-            warm_start = self._last_alpha[1]
         return RecoveryTask(
             patient_id=self.patient_id,
             window_index=frame.window_index,
@@ -307,7 +284,6 @@ class PatientSession:
             method=self.method,
             codebook=self.codebook_spec,
             reference=reference,
-            warm_start=warm_start,
         )
 
     def _release(self, force: bool) -> List[PlannedWindow]:
@@ -380,7 +356,7 @@ class PatientSession:
         if planned.patient_id != self.patient_id:
             raise ValueError("planned window belongs to another session")
         if planned.task is None:
-            codes = self._conceal_codes()
+            codes = conceal_codes(self.config, self._last_codes)
             mode = "concealed"
             self.concealed += 1
         else:
@@ -395,18 +371,9 @@ class PatientSession:
                 self.rolling_prd.push(result.prd_percent)
             if result.snr_db is not None:
                 self.rolling_snr.push(result.snr_db)
-            if result.alpha is not None:
-                self._last_alpha = (planned.window_index, result.alpha)
         self._last_codes = codes
         self.ring.extend(codes)
         return mode
-
-    def _conceal_codes(self) -> np.ndarray:
-        """Zero-order-hold replacement codes, shape ``(window_len,)``."""
-        if self._last_codes is not None:
-            return self._last_codes.copy()
-        center = 1 << (self.config.acquisition_bits - 1)
-        return np.full(self.config.window_len, float(center))
 
     def snapshot(self) -> SessionSnapshot:
         """The session's current telemetry as an immutable snapshot."""

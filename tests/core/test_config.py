@@ -1,8 +1,11 @@
 """Tests of the shared front-end configuration."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import DEFAULT_CONFIG, FrontEndConfig
+from repro.recovery.bsbl import BsblSettings
 
 
 class TestDefaults:
@@ -59,3 +62,28 @@ class TestDerivedConfigs:
     def test_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_CONFIG.window_len = 17  # type: ignore[misc]
+
+
+class TestReceiverSettings:
+    def test_default_config_carries_bsbl_settings(self):
+        assert FrontEndConfig().bsbl == BsblSettings()
+
+    def test_fields(self):
+        """Only the knobs a production path reads."""
+        assert [f.name for f in fields(FrontEndConfig)] == [
+            "window_len",
+            "n_measurements",
+            "lowres_bits",
+            "acquisition_bits",
+            "measurement_bits",
+            "basis_spec",
+            "sensing",
+            "solver",
+            "sigma_safety",
+            "bsbl",
+            "encode",
+        ]
+
+    def test_hashable(self):
+        """Configs stay hashable (the link memo keys on them)."""
+        assert hash(FrontEndConfig()) == hash(FrontEndConfig())

@@ -7,6 +7,7 @@ from repro.core.channel import decode_robust, payload_crc
 from repro.core.config import FrontEndConfig
 from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
 from repro.core.receiver import HybridReceiver, WindowReconstruction
+from repro.recovery.methods import method_names
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.result import RecoveryResult
 
@@ -82,17 +83,46 @@ class TestPacketValidationAtReceiver:
             rx.reconstruct(packet)
 
 
+SOLVERS = ("solve_hybrid", "solve_bpdn", "solve_bsbl", "solve_bsbl_dequant")
+OWN_SOLVER = {
+    "hybrid": "solve_hybrid",
+    "normal": "solve_bpdn",
+    "bsbl": "solve_bsbl",
+    "bsbl-dequant": "solve_bsbl_dequant",
+}
+# A payload-less packet goes to the method's measurements-only sibling.
+STRIPPED_SOLVER = {
+    "hybrid": "solve_bpdn",
+    "normal": "solve_bpdn",
+    "bsbl": "solve_bsbl",
+    "bsbl-dequant": "solve_bsbl",
+}
+
+
+def _only(solver):
+    return {name: int(name == solver) for name in SOLVERS}
+
+
+def _receiver(config, codebook, method):
+    """``method=None`` builds the receiver without a method argument, so
+    the default (``"hybrid"``) dispatch is checked too."""
+    if method is None:
+        return HybridReceiver(config, codebook), "hybrid"
+    return HybridReceiver(config, codebook, method=method), method
+
+
 class TestSolverDispatch:
-    """``reconstruct`` resolves ``solve_hybrid``/``solve_bpdn`` through
-    the receiver module's namespace, the names a span tracer patches to
-    attribute per-method solve time; a direct kernel call would bypass
-    the patch silently."""
+    """``reconstruct`` resolves all four solvers through the receiver
+    module's namespace, the names a span tracer patches to attribute
+    per-method solve time; a direct kernel call would bypass the patch
+    silently.  A packet with a payload goes to the receiver's method, a
+    payload-less one to the method's measurements-only sibling."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import repro.core.receiver as receiver_module
 
-        counts = {"solve_hybrid": 0, "solve_bpdn": 0}
+        counts = dict.fromkeys(SOLVERS, 0)
         for name in counts:
             original = getattr(receiver_module, name)
 
@@ -103,27 +133,32 @@ class TestSolverDispatch:
             monkeypatch.setattr(receiver_module, name, counting)
         return counts
 
-    @pytest.mark.parametrize("method", [None, "hybrid"])
+    @pytest.mark.parametrize("method", [None, *method_names()])
     def test_hybrid_packet(self, calls, config, codebook_7bit, record_100, method):
         packet = HybridFrontEnd(config, codebook_7bit).process_window(
             next(record_100.windows(128))
         )
-        HybridReceiver(config, codebook_7bit, method=method).reconstruct(packet)
-        assert calls == {"solve_hybrid": 1, "solve_bpdn": 0}
+        rx, name = _receiver(config, codebook_7bit, method)
+        rx.reconstruct(packet)
+        assert calls == _only(OWN_SOLVER[name])
 
-    def test_stripped_packet(self, calls, config, codebook_7bit, record_100):
+    @pytest.mark.parametrize("method", method_names())
+    def test_crc_mismatch(
+        self, calls, config, codebook_7bit, record_100, method
+    ):
         packet = HybridFrontEnd(config, codebook_7bit).process_window(
             next(record_100.windows(128))
         )
-        rx = HybridReceiver(config, codebook_7bit, method="hybrid")
+        rx = HybridReceiver(config, codebook_7bit, method=method)
         _, mode = decode_robust(packet, payload_crc(packet) ^ 1, rx)
         assert mode == "cs-fallback"
-        assert calls == {"solve_hybrid": 0, "solve_bpdn": 1}
+        assert calls == _only(STRIPPED_SOLVER[method])
 
-    @pytest.mark.parametrize("method", [None, "normal"])
+    @pytest.mark.parametrize("method", [None, *method_names()])
     def test_normal_packet(self, calls, config, record_100, method):
         packet = NormalCsFrontEnd(config).process_window(
             next(record_100.windows(128))
         )
-        HybridReceiver(config, method=method).reconstruct(packet)
-        assert calls == {"solve_hybrid": 0, "solve_bpdn": 1}
+        rx, name = _receiver(config, None, method)
+        rx.reconstruct(packet)
+        assert calls == _only(STRIPPED_SOLVER[name])

@@ -1,5 +1,6 @@
 """Tests of the disk-backed sweep cache."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from repro.core.config import FrontEndConfig
 from repro.core.pipeline import run_record
 from repro.experiments.cache import SweepCache, cache_from_env, config_fingerprint
 from repro.experiments.runner import ExperimentScale, sweep_compression_ratios
+from repro.recovery.bsbl import BsblSettings
 from repro.recovery.pdhg import PdhgSettings
 from repro.signals.database import load_record
 
@@ -33,6 +35,13 @@ class TestFingerprint:
             solver=PdhgSettings(max_iter=500, tol=5e-4),
         )
         assert config_fingerprint(slower) != base
+
+    def test_sensitive_to_bsbl_settings(self):
+        """A BSBL sweep re-run under other EM settings must miss."""
+        noisier = dataclasses.replace(
+            FAST, bsbl=BsblSettings(noise_scale=2 * FAST.bsbl.noise_scale)
+        )
+        assert config_fingerprint(noisier) != config_fingerprint(FAST)
 
 
 class TestSweepCache:

@@ -64,12 +64,12 @@ def _inputs(cr, method, window):
     return rx.problem, rx.decode_measurements(packet), rx.sigma(), bounds
 
 
-def _oracle(problem, y, sigma, bounds, settings, alpha0=None):
+def _oracle(problem, y, sigma, bounds, settings):
     blocks = [ball_block(problem, y, sigma)]
+    alpha0 = None  # zero start without bounds, as in the kernel
     if bounds is not None:
         blocks.append(box_block(problem.basis, *bounds))
-        if alpha0 is None:
-            alpha0 = problem.basis.analyze((bounds[0] + bounds[1]) / 2.0)
+        alpha0 = problem.basis.analyze((bounds[0] + bounds[1]) / 2.0)
     return solve_l1_constrained(
         problem.n,
         blocks,
@@ -116,16 +116,6 @@ def test_iteration_cap_reports_unconverged(first_windows, method):
 
 
 @pytest.mark.parametrize("method", ["hybrid", "normal"])
-def test_explicit_warm_start(first_windows, method):
-    settings = DEFAULT_CONFIG.solver
-    problem, y, sigma, bounds = _inputs(75.0, method, first_windows[1])
-    alpha0 = solve_eq1(problem, y, sigma, bounds, settings=settings).alpha * 0.9
-    kernel = solve_eq1(problem, y, sigma, bounds, settings=settings, alpha0=alpha0)
-    oracle = _oracle(problem, y, sigma, bounds, settings, alpha0=alpha0)
-    _assert_agree(kernel, oracle)
-
-
-@pytest.mark.parametrize("method", ["hybrid", "normal"])
 def test_zero_radius(first_windows, method):
     settings = dataclasses.replace(DEFAULT_CONFIG.solver, max_iter=300)
     problem, y, _, bounds = _inputs(50.0, method, first_windows[2])
@@ -164,7 +154,3 @@ class TestEntryValidation:
     def test_empty_box(self, problem):
         with pytest.raises(ValueError, match="empty box"):
             solve_eq1(problem, np.zeros(16), 0.1, (np.ones(128), np.zeros(128)))
-
-    def test_warm_start_of_wrong_shape(self, problem):
-        with pytest.raises(ValueError, match="alpha0"):
-            solve_eq1(problem, np.zeros(16), 0.1, alpha0=np.zeros(127))

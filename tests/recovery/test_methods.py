@@ -32,6 +32,14 @@ class TestRegistry:
         assert not resolve_method("normal").uses_lowres
         assert not resolve_method("bsbl").uses_lowres
 
+    def test_stripped_siblings(self):
+        """A payload-less packet degrades a low-res method to a method
+        that reads measurements only; the others need no sibling."""
+        for spec in METHODS.values():
+            assert (spec.stripped is not None) == spec.uses_lowres
+        assert resolve_method("hybrid").stripped == "normal"
+        assert resolve_method("bsbl-dequant").stripped == "bsbl"
+
 
 class TestDispatchErrors:
     def test_unknown_method_lists_registered_names(self):

@@ -1,7 +1,5 @@
 """The operator cache: keying, LRU behavior, and bit-identical reuse."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from repro.recovery.opcache import (
     PROBLEM_CACHE,
     ProblemCache,
     ProblemKey,
-    RecoveryEngineSettings,
     problem_for_config,
 )
 from repro.recovery.problem import CsProblem
@@ -187,22 +184,3 @@ class TestMixedMethodSweepCounters:
         assert stats["misses"] == 2
         assert stats["size"] == 2
 
-
-class TestRecoveryEngineSettings:
-    def test_defaults_on(self):
-        settings = RecoveryEngineSettings()
-        assert settings.warm_start_streams
-
-    def test_default_config_carries_settings(self):
-        assert FrontEndConfig().recovery == RecoveryEngineSettings()
-
-    def test_fields(self):
-        """Only the knobs a production path reads."""
-        assert [f.name for f in fields(RecoveryEngineSettings)] == [
-            "warm_start_streams",
-            "bsbl",
-        ]
-
-    def test_hashable_with_config(self):
-        """Configs stay hashable (the link memo keys on them)."""
-        assert hash(FrontEndConfig()) == hash(FrontEndConfig())

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.channel import payload_crc
+from repro.runtime import stages
+from repro.runtime.task import WindowTask
 from repro.signals.database import iter_record_chunks
 from repro.stream.ingest import IngestSession, StreamFrame
 from repro.stream.session import (
@@ -244,76 +246,34 @@ class TestRecoveryTask:
         assert result.x_codes.shape == (stream_config.window_len,)
 
 
-class TestWarmStart:
-    def test_consecutive_windows_seed_from_previous(self, stream_config, frames):
+class TestStatelessDecode:
+    def test_window_decodes_the_same_mid_stream_and_alone(
+        self, stream_config, frames
+    ):
+        """A window is a pure function of its packet: decoding window 1
+        after window 0 was applied, or in a fresh session that only ever
+        sees window 1, gives the batch stage's bytes."""
         session = PatientSession("100", stream_config)
-        planned0 = session.offer(frames[0], 0.0)
-        assert planned0[0].task.warm_start is None  # cold start
-        result0 = execute_recovery_task(planned0[0].task)
-        session.apply(planned0[0], result0)
-        planned1 = session.offer(frames[1], 0.1)
-        seed = planned1[0].task.warm_start
-        assert seed is not None
-        assert np.array_equal(seed, result0.alpha)
+        _complete(session, session.offer(frames[0], 0.0))
+        (planned,) = session.offer(frames[1], 0.1)
+        mid_stream = execute_recovery_task(planned.task)
 
-    def test_no_seed_when_predecessor_not_applied(self, stream_config, frames):
-        """Windows released in one batch (gap fill) are planned before
-        their predecessors complete — they must all run cold so the
-        results cannot depend on executor scheduling."""
-        session = PatientSession("100", stream_config, reorder_depth=4)
-        assert session.offer(frames[1], 0.0) == []  # held: gap at 0
-        planned = session.offer(frames[0], 0.1)  # releases 0 and 1 together
-        assert [p.window_index for p in planned] == [0, 1]
-        assert planned[0].task.warm_start is None
-        assert planned[1].task.warm_start is None
+        fresh = PatientSession("100", stream_config, reorder_depth=0)
+        concealed, alone_plan = fresh.offer(frames[1], 0.0)
+        assert concealed.task is None and alone_plan.window_index == 1
+        alone = execute_recovery_task(alone_plan.task)
 
-    def test_no_seed_across_concealed_gap(self, stream_config, frames):
-        session = PatientSession("100", stream_config, reorder_depth=0)
-        planned0 = session.offer(frames[0], 0.0)
-        _complete(session, planned0)
-        # Window 1 never arrives; offering window 2 conceals it.
-        planned = session.offer(frames[2], 0.2)
-        assert [p.window_index for p in planned] == [1, 2]
-        assert planned[0].task is None  # concealed
-        # Window 2's predecessor was concealed (no alpha) → cold start.
-        assert planned[1].task.warm_start is None
-
-    def test_flag_off_disables_seeding(self, stream_config, frames):
-        import dataclasses
-
-        from repro.recovery.opcache import RecoveryEngineSettings
-
-        config = dataclasses.replace(
-            stream_config,
-            recovery=RecoveryEngineSettings(warm_start_streams=False),
+        task = WindowTask(
+            record_name="100",
+            method="hybrid",
+            window_index=1,
+            codes=frames[1].reference,
+            config=stream_config,
+            codebook=session.codebook_spec,
+            seed=0,
         )
-        session = PatientSession("100", config)
-        planned0 = session.offer(frames[0], 0.0)
-        _complete(session, planned0)
-        planned1 = session.offer(frames[1], 0.1)
-        assert planned1[0].task.warm_start is None
+        batch = stages.recover(frames[1].packet, task)
+        assert mid_stream.mode == alone.mode == "hybrid"
+        assert np.array_equal(mid_stream.x_codes, alone.x_codes)
+        assert np.array_equal(alone.x_codes, batch.x_codes)
 
-    def test_warm_result_close_to_cold(self, stream_config, frames):
-        """Warm starting accelerates the solve; it must not change what
-        the solver converges to (same convex program, same optimum)."""
-        session = PatientSession("100", stream_config)
-        planned0 = session.offer(frames[0], 0.0)
-        _complete(session, planned0)
-        planned1 = session.offer(frames[1], 0.1)
-        warm = execute_recovery_task(planned1[0].task)
-        cold_task = RecoveryTask(
-            patient_id=planned1[0].task.patient_id,
-            window_index=planned1[0].task.window_index,
-            packet=planned1[0].task.packet,
-            crc=planned1[0].task.crc,
-            config=planned1[0].task.config,
-            method=planned1[0].task.method,
-            codebook=planned1[0].task.codebook,
-            reference=planned1[0].task.reference,
-            warm_start=None,
-        )
-        cold = execute_recovery_task(cold_task)
-        scale = max(float(np.linalg.norm(cold.x_codes)), 1.0)
-        assert (
-            float(np.linalg.norm(warm.x_codes - cold.x_codes)) / scale < 0.05
-        )
