@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf import profiled
 from repro.sensing.quantizers import UniformQuantizer
 
 __all__ = ["EncodeEngineSettings", "measure_window_stack"]
@@ -57,7 +56,6 @@ class EncodeEngineSettings:
             raise ValueError("boundary_guard must be in (0, 0.5)")
 
 
-@profiled("core.encode_batch")
 def measure_window_stack(
     phi: np.ndarray,
     quantizer: UniformQuantizer,

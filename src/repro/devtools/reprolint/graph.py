@@ -12,8 +12,7 @@ layering check by omission.
 The declared order refines the coarse sketch in ``docs/architecture.md``
 to what the tree actually enforces (measured, then pinned):
 
-    devtools  ⇣  perf  ⇣
-    signals/sensing/wavelets/metrics/coding  ⇣  recovery
+    devtools  ⇣  signals/sensing/wavelets/metrics/coding  ⇣  recovery
     ⇣  core/power  ⇣  runtime  ⇣  experiments  ⇣  stream  ⇣  cli
 
 Lower layers must never import higher ones; imports within one layer
@@ -96,9 +95,6 @@ class LayerConfig:
 REPRO_LAYERS = LayerConfig(
     [
         ("devtools", ["repro.devtools"]),
-        # The profiler sits below everything that runs a hot loop, so
-        # any kernel layer may wrap its functions with @profiled.
-        ("perf", ["repro.perf"]),
         (
             "foundation",
             [

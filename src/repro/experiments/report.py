@@ -46,7 +46,6 @@ EXPECTED_ARTIFACTS: Tuple[Tuple[str, str], ...] = (
     ("ablation_lowres_depth", "Ablation — low-res channel depth"),
     ("ablation_coding", "Ablation — run-length vs plain Huffman"),
     ("ablation_entropy_coder", "Ablation — Huffman vs arithmetic coding"),
-    ("ablation_structured_recovery", "Ablation — recovery levers"),
     ("ablation_power_sensitivity", "Ablation — power-model sensitivity"),
     ("ablation_sigma_safety", "Ablation — fidelity-radius safety factor"),
     ("extension_diagnostic_quality", "Extension — QRS-detection fidelity"),

@@ -6,7 +6,6 @@ from repro.power.comparison import (
     measurements_for_target_snr,
     power_gain,
 )
-from repro.power.energy import EnergyReport, NodeEnergyModel, RadioModel
 from repro.power.models import (
     BOLTZMANN_J_PER_K,
     DEFAULT_TEMPERATURE_K,
@@ -28,10 +27,7 @@ __all__ = [
     "BOLTZMANN_J_PER_K",
     "DEFAULT_TEMPERATURE_K",
     "ELECTRON_CHARGE_C",
-    "EnergyReport",
     "HybridArchitecture",
-    "NodeEnergyModel",
-    "RadioModel",
     "OperatingPoint",
     "PAPER_OPERATING_POINTS",
     "PowerBreakdown",

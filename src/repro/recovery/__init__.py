@@ -45,13 +45,6 @@ from repro.recovery.phase_transition import (
     success_probability,
 )
 from repro.recovery.result import RecoveryResult
-from repro.recovery.structured import (
-    solve_model_iht,
-    solve_reweighted_bpdn,
-    solve_reweighted_hybrid,
-    tree_project,
-    wavelet_tree_parents,
-)
 
 __all__ = [
     "BsblSettings",
@@ -92,11 +85,6 @@ __all__ = [
     "solve_hybrid",
     "solve_iht",
     "solve_l1_constrained",
-    "solve_model_iht",
     "solve_omp",
-    "solve_reweighted_bpdn",
-    "solve_reweighted_hybrid",
     "stack_measurements",
-    "tree_project",
-    "wavelet_tree_parents",
 ]

@@ -19,6 +19,7 @@ setup cost that used to dominate repeated solves.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -42,7 +43,6 @@ def solve_bpdn_admm(
     max_iter: int = 3000,
     tol: float = 1e-5,
     problem: Optional[CsProblem] = None,
-    alpha0: Optional[np.ndarray] = None,
 ) -> RecoveryResult:
     """BPDN via ADMM.
 
@@ -58,11 +58,9 @@ def solve_bpdn_admm(
     problem:
         Pre-built :class:`CsProblem`; reuses its cached Cholesky
         factorization of ``I + A^T A`` across windows.
-    alpha0:
-        Optional warm start for the L1 split ``w`` (defaults to zero).
     """
-    if sigma < 0:
-        raise ValueError("sigma cannot be negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
     if rho <= 0:
         raise ValueError("rho must be positive")
     prob = problem if problem is not None else CsProblem(phi, basis)
@@ -74,13 +72,7 @@ def solve_bpdn_admm(
     n = prob.n
     chol = prob.admm_factor()
 
-    if alpha0 is None:
-        alpha = np.zeros(n)
-    else:
-        alpha = np.asarray(alpha0, dtype=float).copy()
-        if alpha.shape != (n,):
-            raise ValueError(f"alpha0 must be a vector of length {n}")
-    w = alpha.copy()  # split of alpha carrying the L1 term
+    w = np.zeros(n)  # split of alpha carrying the L1 term
     z = y.copy()  # split of A alpha carrying the ball constraint
     u_w = np.zeros(n)
     u_z = np.zeros(prob.m)

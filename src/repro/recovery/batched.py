@@ -33,18 +33,18 @@ against the same cached objects as the scalar solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
 
-from repro.perf import profiled
 from repro.recovery.bsbl import (
     BsblSettings,
     ar1_estimate,
     bo_gamma_factor,
-    initial_gamma,
+    check_variance,
     measurement_estep,
 )
 from repro.recovery.problem import CsProblem
@@ -86,26 +86,6 @@ def stack_measurements(
             )
         cols.append(arr)
     return np.stack(cols, axis=1)
-
-
-def _stack_alpha0(
-    problem: CsProblem, alpha0: Optional[np.ndarray], k: int
-) -> np.ndarray:
-    """Initial coefficient stack, shape ``(n, k)``.
-
-    ``alpha0`` may be ``None`` (cold start at zero), one ``(n,)`` vector
-    (broadcast to every column) or a full ``(n, k)`` stack.
-    """
-    if alpha0 is None:
-        return np.zeros((problem.n, k))
-    arr = np.asarray(alpha0, dtype=float)
-    if arr.shape == (problem.n,):
-        return np.repeat(arr[:, None], k, axis=1)
-    if arr.shape == (problem.n, k):
-        return arr.copy()
-    raise ValueError(
-        f"alpha0 must have shape ({problem.n},) or ({problem.n}, {k})"
-    )
 
 
 def _finalize(
@@ -157,7 +137,6 @@ def _project_l2_ball_columns(
     return out
 
 
-@profiled("recovery.admm_batch")
 def solve_bpdn_admm_batch(
     problem: CsProblem,
     ys: Sequence[np.ndarray],
@@ -166,7 +145,6 @@ def solve_bpdn_admm_batch(
     rho: float = 1.0,
     max_iter: int = 3000,
     tol: float = 1e-5,
-    alpha0: Optional[np.ndarray] = None,
 ) -> List[RecoveryResult]:
     """Vectorized :func:`~repro.recovery.admm.solve_bpdn_admm` over a stack.
 
@@ -175,8 +153,8 @@ def solve_bpdn_admm_batch(
     whole stack costs one factorization ever (per process) and two
     triangular GEMM solves per iteration.
     """
-    if sigma < 0:
-        raise ValueError("sigma cannot be negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
     if rho <= 0:
         raise ValueError("rho must be positive")
     y_stack = stack_measurements(problem, ys)
@@ -184,13 +162,12 @@ def solve_bpdn_admm_batch(
     a = problem.a
     chol = problem.admm_factor()
 
-    alpha = _stack_alpha0(problem, alpha0, k)
-    w = alpha.copy()
+    w = np.zeros((problem.n, k))
     z = y_stack.copy()
-    u_w = np.zeros_like(alpha)
+    u_w = np.zeros_like(w)
     u_z = np.zeros_like(y_stack)
 
-    final = np.empty_like(alpha)
+    final = np.empty_like(w)
     iterations = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     active = np.arange(k)
@@ -270,7 +247,6 @@ def _bsbl_overrides(
     return replace(settings, **updates) if updates else settings
 
 
-@profiled("recovery.bsbl_batch")
 def _solve_bsbl_stack(
     problem: CsProblem,
     y_stack: np.ndarray,
@@ -278,7 +254,6 @@ def _solve_bsbl_stack(
     c_stack: Optional[np.ndarray],
     quant_var: Optional[float],
     bsbl: BsblSettings,
-    alpha0: Optional[np.ndarray],
     solver: str,
     info: dict,
 ) -> List[RecoveryResult]:
@@ -301,10 +276,7 @@ def _solve_bsbl_stack(
     blen = bsbl.block_len
     g = bsbl.blocks_for(n)
 
-    alpha0_stack = (
-        None if alpha0 is None else _stack_alpha0(problem, alpha0, k)
-    )
-    gamma = initial_gamma(alpha0_stack, k, g, blen)
+    gamma = np.ones((k, g))
     r = np.zeros(k)
     mu = np.zeros((k, n))
     y_act = y_stack.T
@@ -364,7 +336,6 @@ def solve_bsbl_batch(
     noise_var: float,
     *,
     bsbl: Optional[BsblSettings] = None,
-    alpha0: Optional[np.ndarray] = None,
     max_iter: Optional[int] = None,
     tol: Optional[float] = None,
 ) -> List[RecoveryResult]:
@@ -373,8 +344,7 @@ def solve_bsbl_batch(
     Each EM iteration is one stack of ``m x m`` Cholesky factorizations
     over the active windows.
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+    check_variance(noise_var, "noise_var")
     y_stack = stack_measurements(problem, ys)
     em = _bsbl_overrides(bsbl, max_iter, tol)
     info = {
@@ -383,7 +353,7 @@ def solve_bsbl_batch(
         "batch": float(y_stack.shape[1]),
     }
     return _solve_bsbl_stack(
-        problem, y_stack, noise_var, None, None, em, alpha0, "bsbl-bo-batch", info
+        problem, y_stack, noise_var, None, None, em, "bsbl-bo-batch", info
     )
 
 
@@ -395,7 +365,6 @@ def solve_bsbl_dequant_batch(
     quant_var: float,
     *,
     bsbl: Optional[BsblSettings] = None,
-    alpha0: Optional[np.ndarray] = None,
     max_iter: Optional[int] = None,
     tol: Optional[float] = None,
 ) -> List[RecoveryResult]:
@@ -407,10 +376,8 @@ def solve_bsbl_dequant_batch(
     stack ``Ψ^T x_mid`` enters the shared E-step as
     pseudo-observations.
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    if quant_var <= 0:
-        raise ValueError("quant_var must be positive")
+    check_variance(noise_var, "noise_var")
+    check_variance(quant_var, "quant_var")
     if len(x_mids) != len(ys):
         raise ValueError("need one x_mid vector per measurement window")
     y_stack = stack_measurements(problem, ys)
@@ -431,6 +398,6 @@ def solve_bsbl_dequant_batch(
         "batch": float(y_stack.shape[1]),
     }
     return _solve_bsbl_stack(
-        problem, y_stack, noise_var, c_stack, quant_var, em, alpha0,
+        problem, y_stack, noise_var, c_stack, quant_var, em,
         "bsbl-bo-dequant-batch", info,
     )

@@ -8,7 +8,7 @@ Solves::
 the paper calls "normal CS" / "CS" in Figs. 7-8.  :func:`solve_bpdn` runs
 the fused Eq. 1 kernel (:func:`repro.recovery.eq1.solve_eq1`) without
 bounds; :func:`ball_block` states the same ball as a constraint block of
-the generic PDHG engine (reweighted L1, and the kernel's oracle).
+the generic PDHG engine, the kernel's test oracle.
 """
 
 from __future__ import annotations

@@ -238,19 +238,14 @@ def ar1_estimate(
     return np.clip(raw, -corr_limit, corr_limit)
 
 
-def initial_gamma(
-    alpha0: Optional[np.ndarray], k: int, g: int, block_len: int
-) -> np.ndarray:
-    """Block scales seeding the EM: flat 1.0 cold, energy-based warm.
+def check_variance(value: float, name: str) -> None:
+    """Reject a variance that is not a finite positive number.
 
-    ``alpha0`` is ``None`` (cold start) or an ``(n, k)`` coefficient
-    stack; warm scales are the per-block mean square plus a small offset
-    so a zero warm-start block can still wake up.
+    A plain ``value <= 0`` guard lets NaN and inf through to a NaN
+    posterior.
     """
-    if alpha0 is None:
-        return np.ones((k, g))
-    blocks = np.transpose(alpha0).reshape(k, g, block_len)
-    return np.mean(blocks * blocks, axis=2) + 1e-2
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def cholesky_forward(t: np.ndarray, leaf: int = 32) -> np.ndarray:
@@ -368,7 +363,6 @@ def _em_measurement_space(
     c_vec: Optional[np.ndarray],
     quant_var: Optional[float],
     settings: BsblSettings,
-    alpha0: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, int, bool, list]:
     """The scalar BSBL-BO loop on one window.
 
@@ -392,9 +386,7 @@ def _em_measurement_space(
     if c_vec is not None:
         logdet_r += n * math.log(quant_var)
         c_stack = c_vec[None, :]
-    gamma = initial_gamma(
-        None if alpha0 is None else alpha0[:, None], 1, g, blen
-    )
+    gamma = np.ones((1, g))
     r = np.zeros(1)
     mu = np.zeros(n)
     history: list = []
@@ -467,17 +459,12 @@ def _check_inputs(
     basis: SynthesisBasis,
     y: np.ndarray,
     problem: Optional[CsProblem],
-    alpha0: Optional[np.ndarray],
-) -> Tuple[CsProblem, np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[CsProblem, np.ndarray]:
     if problem is None:
         problem = CsProblem(phi, basis)
     y = check_finite(np.asarray(y, dtype=float), name="y")
     y = check_shape(y, (problem.m,), name="y")
-    if alpha0 is not None:
-        alpha0 = check_shape(
-            np.asarray(alpha0, dtype=float), (problem.n,), name="alpha0"
-        )
-    return problem, y, alpha0
+    return problem, y
 
 
 def solve_bsbl(
@@ -488,7 +475,6 @@ def solve_bsbl(
     *,
     settings: Optional[BsblSettings] = None,
     problem: Optional[CsProblem] = None,
-    alpha0: Optional[np.ndarray] = None,
 ) -> RecoveryResult:
     """BSBL-BO posterior-mean recovery from CS measurements alone.
 
@@ -497,16 +483,12 @@ def solve_bsbl(
     noise_var:
         Measurement-noise variance ``lambda`` (use
         :func:`measurement_noise_var` for the quantization-derived value).
-    alpha0:
-        Optional warm start; seeds the block scales (the posterior mean
-        itself is recomputed from scratch each E-step).
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
+    check_variance(noise_var, "noise_var")
     settings = settings or BsblSettings()
-    problem, y, alpha0 = _check_inputs(phi, basis, y, problem, alpha0)
+    problem, y = _check_inputs(phi, basis, y, problem)
     mu, iterations, converged, history = _em_measurement_space(
-        problem.a, y, noise_var, None, None, settings, alpha0
+        problem.a, y, noise_var, None, None, settings
     )
     return _finish(
         problem,
@@ -531,7 +513,6 @@ def solve_bsbl_dequant(
     *,
     settings: Optional[BsblSettings] = None,
     problem: Optional[CsProblem] = None,
-    alpha0: Optional[np.ndarray] = None,
 ) -> RecoveryResult:
     """BSBL with the low-res path as Gaussian pseudo-observations.
 
@@ -543,17 +524,15 @@ def solve_bsbl_dequant(
     everything else is the plain BSBL iteration, so the de-quantizer
     inherits its convergence and batching behavior unchanged.
     """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    if quant_var <= 0:
-        raise ValueError("quant_var must be positive")
+    check_variance(noise_var, "noise_var")
+    check_variance(quant_var, "quant_var")
     settings = settings or BsblSettings()
-    problem, y, alpha0 = _check_inputs(phi, basis, y, problem, alpha0)
+    problem, y = _check_inputs(phi, basis, y, problem)
     x_mid = check_finite(np.asarray(x_mid, dtype=float), name="x_mid")
     x_mid = check_shape(x_mid, (problem.n,), name="x_mid")
     mu, iterations, converged, history = _em_measurement_space(
         problem.a, y, noise_var, problem.basis.analyze(x_mid), quant_var,
-        settings, alpha0,
+        settings,
     )
     return _finish(
         problem,

@@ -25,9 +25,8 @@ start and stopping rule — specialised to these two sets:
   clip ``minimum(maximum(.))``, a third of ``np.clip``'s dispatch cost
   at n = 512.
 
-The generic engine stays the differential oracle
-(``tests/recovery/test_eq1_kernel.py``) and the engine of reweighted
-L1 (:mod:`repro.recovery.structured`).
+The generic engine stays as the differential oracle
+(``tests/recovery/test_eq1_kernel.py``).
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ def solve_eq1(
     y:
         Measurements, shape ``(m,)``; must be finite.
     sigma:
-        Fidelity radius (non-negative).
+        Fidelity radius (finite, non-negative).
     bounds:
-        ``(lower, upper)`` signal bounds, each shape ``(n,)``, with
+        ``(lower, upper)`` finite signal bounds, each shape ``(n,)``, with
         ``lower <= upper``; ``None`` drops the box.
     settings:
         PDHG iteration controls.  The iteration starts cold: at ``Ψ^T``
@@ -83,8 +82,8 @@ def solve_eq1(
         raise ValueError(f"expected {m} measurements")
     if not np.all(np.isfinite(y)):
         raise ValueError("measurements must be finite")
-    if sigma < 0:
-        raise ValueError("sigma cannot be negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
     radius = float(sigma)
     box = bounds is not None
     if box:
@@ -92,6 +91,8 @@ def solve_eq1(
         hi = np.asarray(bounds[1], dtype=float)
         if lo.shape != (n,) or hi.shape != (n,):
             raise ValueError(f"bounds must be vectors of length {n}")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("empty box: a lower bound exceeds its upper bound")
     a = problem.a

@@ -5,19 +5,14 @@ with Nesterov acceleration.  Included as (a) an independent cross-check of
 the PDHG solutions (for matched ``lam``/``sigma`` pairs the solution paths
 agree) and (b) a baseline the solver ablation benchmarks exercise.
 
-Two optional behaviors extend the textbook iteration:
-
-* **warm starting** (``alpha0``) — start from a previous window's
-  solution; the momentum state and ``t_k`` sequence restart from scratch,
-  so a warm-started solve is exactly a cold solve of the shifted problem;
-* **monotone adaptive restart** (``adaptive_restart``) — the
-  O'Donoghue–Candès function scheme with step rejection: when the
-  accelerated candidate increases the composite objective, the momentum
-  is discarded (``t_k = 1``) and the iterate is recomputed as a plain
-  ISTA step from the previous point, which the majorization property
-  guarantees is non-increasing.  With the flag on, the composite
-  objective is non-increasing at *every* accepted iterate — a property
-  the hypothesis suite checks.
+One optional behavior extends the textbook iteration: **monotone
+adaptive restart** (``adaptive_restart``), the O'Donoghue–Candès function
+scheme with step rejection.  When the accelerated candidate increases the
+composite objective, the momentum is discarded (``t_k = 1``) and the
+iterate is recomputed as a plain ISTA step from the previous point, which
+the majorization property guarantees is non-increasing.  With the flag
+on, the composite objective is non-increasing at *every* accepted
+iterate — a property the hypothesis suite checks.
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ def solve_fista(
     max_iter: int = 2000,
     tol: float = 1e-6,
     problem: Optional[CsProblem] = None,
-    alpha0: Optional[np.ndarray] = None,
     adaptive_restart: bool = False,
     objective_history: Optional[List[float]] = None,
 ) -> RecoveryResult:
@@ -73,8 +67,6 @@ def solve_fista(
         Iteration cap and relative-change stopping tolerance.
     problem:
         Optional pre-built :class:`CsProblem`.
-    alpha0:
-        Optional warm start (defaults to zero).
     adaptive_restart:
         Enable the monotone restart scheme (see module docstring); the
         number of restarts taken is reported in ``info["restarts"]``.
@@ -90,12 +82,7 @@ def solve_fista(
         raise ValueError(f"expected {prob.m} measurements")
 
     step = 1.0 / prob.opnorm_sq()
-    if alpha0 is None:
-        alpha = np.zeros(prob.n)
-    else:
-        alpha = np.asarray(alpha0, dtype=float).copy()
-        if alpha.shape != (prob.n,):
-            raise ValueError(f"alpha0 must be a vector of length {prob.n}")
+    alpha = np.zeros(prob.n)
     momentum = alpha.copy()
     t_k = 1.0
     restarts = 0

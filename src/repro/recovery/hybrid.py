@@ -11,9 +11,9 @@ where ``lower = x_dot`` (the dequantized low-resolution samples) and
 :func:`solve_hybrid` runs the fused Eq. 1 kernel
 (:func:`repro.recovery.eq1.solve_eq1`).  :func:`box_block` states the same
 box as a constraint block of the generic PDHG engine — the L2 ball in
-measurement space and the box in *signal* space — for reweighted L1 and
-as the kernel's differential oracle; since Ψ is orthonormal its block
-contributes exactly 1 to the squared operator norm.
+measurement space and the box in *signal* space — for the kernel's
+differential oracle; since Ψ is orthonormal its block contributes
+exactly 1 to the squared operator norm.
 
 The paper solved this with the SDPT3 conic toolbox; any convergent convex
 solver reaches the same optimum (DESIGN.md §2).

@@ -98,8 +98,6 @@ def solve_l1_constrained(
     settings: PdhgSettings = PdhgSettings(),
     synthesize: Optional[Callable[[Vector], Vector]] = None,
     alpha0: Optional[Vector] = None,
-    weights: Optional[Vector] = None,
-    solver_name: str = "pdhg",
 ) -> RecoveryResult:
     """Minimize ``||alpha||_1`` subject to the blocks' set constraints.
 
@@ -115,13 +113,7 @@ def solve_l1_constrained(
         Optional coefficient-to-signal map for the returned ``x``
         (defaults to identity).
     alpha0:
-        Warm start (defaults to zero).
-    weights:
-        Optional non-negative per-coefficient weights: the objective
-        becomes ``sum_i weights_i |alpha_i|`` (used by reweighted-L1
-        recovery).  ``None`` means unit weights.
-    solver_name:
-        Label recorded in the result.
+        Starting point (defaults to zero).
 
     Returns
     -------
@@ -133,12 +125,6 @@ def solve_l1_constrained(
         raise ValueError("need at least one constraint block")
     if n <= 0:
         raise ValueError("n must be positive")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError(f"weights must be a vector of length {n}")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
 
     lip_sq = float(sum(b.opnorm_sq for b in blocks))
     if lip_sq <= 0:
@@ -164,14 +150,7 @@ def solve_l1_constrained(
         grad = np.zeros(n)
         for i, blk in enumerate(blocks):
             grad += blk.adjoint(duals[i])
-        step_in = alpha - tau * grad
-        if weights is None:
-            alpha_new = soft_threshold(step_in, tau)
-        else:
-            # Weighted L1: per-coefficient thresholds tau * w_i.
-            alpha_new = np.sign(step_in) * np.maximum(
-                np.abs(step_in) - tau * weights, 0.0
-            )
+        alpha_new = soft_threshold(alpha - tau * grad, tau)
         alpha_bar = 2.0 * alpha_new - alpha
         change = float(np.linalg.norm(alpha_new - alpha))
         alpha = alpha_new
@@ -195,17 +174,13 @@ def solve_l1_constrained(
     }
     for i, blk in enumerate(blocks):
         info[f"violation_{i}"] = float(blk.violation(blk.forward(alpha)))
-    if weights is None:
-        objective = float(np.sum(np.abs(alpha)))
-    else:
-        objective = float(np.sum(weights * np.abs(alpha)))
     return RecoveryResult(
         alpha=alpha,
         x=x,
         iterations=iterations,
         converged=converged,
         residual_norm=float(first_violation),
-        objective=objective,
-        solver=solver_name,
+        objective=float(np.sum(np.abs(alpha))),
+        solver="pdhg",
         info=info,
     )

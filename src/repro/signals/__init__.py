@@ -35,7 +35,6 @@ from repro.signals.noise import (
     white_noise,
 )
 from repro.signals.detectors import QrsDetector, detect_r_peaks
-from repro.signals.hrv import HrvSummary, hrv_summary, lf_hf_ratio, rr_intervals
 from repro.signals.preprocessing import clean, notch_mains, remove_baseline
 from repro.signals.records import (
     BeatAnnotation,
@@ -56,11 +55,7 @@ __all__ = [
     "BeatAnnotation",
     "DEFAULT_RECORD_DURATION_S",
     "EcgMorphology",
-    "HrvSummary",
     "MITBIH_HEADER",
-    "hrv_summary",
-    "lf_hf_ratio",
-    "rr_intervals",
     "MITBIH_RECORD_NAMES",
     "NORMAL_MORPHOLOGY",
     "NoiseProfile",

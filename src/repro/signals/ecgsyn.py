@@ -41,8 +41,6 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import signal as sps
 
-from repro.perf import profiled
-
 __all__ = [
     "EcgMorphology",
     "RRParameters",
@@ -222,7 +220,6 @@ def _gaussian_wave_drive(
     return -omega * np.sum(bumps, axis=1)
 
 
-@profiled("signals.ecgsyn")
 def synthesize_ecg(
     duration_s: float,
     fs_hz: float = 360.0,

@@ -4,7 +4,7 @@ The batched solver is the scalar solver's arithmetic reordered into
 GEMMs, so its solutions must track a per-window loop of
 :func:`~repro.recovery.admm.solve_bpdn_admm` to BLAS rounding.  These
 tests pin the agreement at 1e-8 (absolute, coefficient level) over the
-CR × warm-start grid — far looser than the observed ~1e-12, far tighter
+CR grid — far looser than the observed ~1e-12, far tighter
 than anything a logic bug would pass.  The batched BSBL engines are
 checked against their scalar oracles in ``test_properties.py``.
 """
@@ -53,24 +53,15 @@ def _sigma(ys):
 
 class TestBatchedMatchesLoop:
     @pytest.mark.parametrize("m", CR_MEASUREMENTS)
-    @pytest.mark.parametrize("warm_start", [False, True])
-    def test_agreement(self, windows, m, warm_start):
+    def test_agreement(self, windows, m):
         problem, ys = windows[m]
         sigma = _sigma(ys)
-        alpha0 = (
-            np.stack([problem.matched_filter(y) * 0.1 for y in ys], axis=1)
-            if warm_start
-            else None
-        )
-        batched = solve_bpdn_admm_batch(
-            problem, ys, sigma, max_iter=400, tol=1e-9, alpha0=alpha0
-        )
+        batched = solve_bpdn_admm_batch(problem, ys, sigma, max_iter=400, tol=1e-9)
         assert len(batched) == len(ys)
-        for j, (y, b) in enumerate(zip(ys, batched)):
+        for y, b in zip(ys, batched):
             s = solve_bpdn_admm(
                 problem.phi, problem.basis, y, sigma,
                 max_iter=400, tol=1e-9, problem=problem,
-                alpha0=None if alpha0 is None else alpha0[:, j],
             )
             assert np.max(np.abs(b.alpha - s.alpha)) < AGREEMENT_ATOL
             assert np.max(np.abs(b.x - s.x)) < AGREEMENT_ATOL
@@ -101,28 +92,13 @@ class TestBatchSolvers:
         for r in results:
             assert r.residual_norm <= sigma * 1.10
 
-    def test_warm_start_shapes(self, windows):
-        problem, ys = windows[40]
-        sigma = _sigma(ys)
-        seed = np.ones(N) * 0.1
-        broadcast = solve_bpdn_admm_batch(
-            problem, ys[:2], sigma, alpha0=seed, max_iter=50
-        )
-        stacked = solve_bpdn_admm_batch(
-            problem, ys[:2], sigma,
-            alpha0=np.stack([seed, seed], axis=1), max_iter=50,
-        )
-        for b, s in zip(broadcast, stacked):
-            assert np.array_equal(b.alpha, s.alpha)
-
     def test_validation(self, windows):
         problem, ys = windows[40]
-        with pytest.raises(ValueError):
-            solve_bpdn_admm_batch(problem, ys, sigma=-1.0)
+        for bad_sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                solve_bpdn_admm_batch(problem, ys, sigma=bad_sigma)
         with pytest.raises(ValueError):
             solve_bpdn_admm_batch(problem, ys, sigma=1.0, rho=0.0)
-        with pytest.raises(ValueError):
-            solve_bpdn_admm_batch(problem, ys, sigma=1.0, alpha0=np.ones(N - 1))
 
     def test_stack_measurements_validation(self, windows):
         problem, ys = windows[40]

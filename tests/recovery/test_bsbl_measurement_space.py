@@ -7,7 +7,7 @@ the coefficient-space form it replaced: a dense ``n x n`` solve against
 the evidence, and the BO denominator from ``G - G Sigma G``.  It lives
 here only as the oracle: both forms must give the same posterior means,
 iteration counts and evidence histories on {``bsbl``, ``bsbl-dequant``}
-x CR {25, 50, 75} x {cold, warm} x ``learn_correlation`` {on, off}, and
+x CR {25, 50, 75} x ``learn_correlation`` {on, off}, and
 the new form must stay finite where block scales sit at ``gamma_floor``.
 """
 
@@ -22,7 +22,6 @@ from repro.recovery.bsbl import (
     ar1_estimate,
     bo_gamma_factor,
     cholesky_forward,
-    initial_gamma,
     measurement_estep,
     solve_bsbl,
     solve_bsbl_dequant,
@@ -46,7 +45,7 @@ def ar1_blocks(r, blen):
     return bmat, binv, (blen - 1) * np.log(1.0 - r * r)
 
 
-def em_information_form(G, b_vec, y_quad, logdet_r, settings, alpha0):
+def em_information_form(G, b_vec, y_quad, logdet_r, settings):
     """The coefficient-space BSBL-BO loop on one information pair ``(G, b)``.
 
     Returns ``(mu, iterations, converged, objective_history)`` exactly as
@@ -57,9 +56,7 @@ def em_information_form(G, b_vec, y_quad, logdet_r, settings, alpha0):
     g = settings.blocks_for(n)
     idx = np.arange(g)
     gdiag = G.reshape(g, blen, g, blen)[idx, :, idx, :]
-    gamma = initial_gamma(
-        None if alpha0 is None else alpha0[:, None], 1, g, blen
-    )[0]
+    gamma = np.ones(g)
     r = 0.0
     mu = np.zeros(n)
     history = []
@@ -115,7 +112,7 @@ def em_information_form(G, b_vec, y_quad, logdet_r, settings, alpha0):
     return mu, iterations, converged, history
 
 
-def oracle_solve(problem, y, x_mid: Optional[np.ndarray], settings, alpha0):
+def oracle_solve(problem, y, x_mid: Optional[np.ndarray], settings):
     """The information pair of ``solve_bsbl``/``solve_bsbl_dequant``, solved
     by :func:`em_information_form`."""
     G = problem.gram() / NOISE_VAR
@@ -127,7 +124,7 @@ def oracle_solve(problem, y, x_mid: Optional[np.ndarray], settings, alpha0):
         b_vec = b_vec + problem.basis.analyze(x_mid) / QUANT_VAR
         y_quad += float(x_mid @ x_mid) / QUANT_VAR
         logdet_r += problem.n * float(np.log(QUANT_VAR))
-    return em_information_form(G, b_vec, y_quad, logdet_r, settings, alpha0)
+    return em_information_form(G, b_vec, y_quad, logdet_r, settings)
 
 
 def _window(cr: float, seed: int):
@@ -148,32 +145,29 @@ def _window(cr: float, seed: int):
     return problem, y, x_mid
 
 
-def _solve(method, problem, y, x_mid, settings, alpha0):
+def _solve(method, problem, y, x_mid, settings):
     if method == "bsbl":
         return solve_bsbl(
             problem.phi, _BASIS, y, NOISE_VAR,
-            settings=settings, problem=problem, alpha0=alpha0,
+            settings=settings, problem=problem,
         )
     return solve_bsbl_dequant(
         problem.phi, _BASIS, y, NOISE_VAR, x_mid, QUANT_VAR,
-        settings=settings, problem=problem, alpha0=alpha0,
+        settings=settings, problem=problem,
     )
 
 
 @pytest.mark.parametrize("learn", (True, False), ids=("learn-r", "fixed-r"))
-@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
 @pytest.mark.parametrize("cr", (25.0, 50.0, 75.0))
 @pytest.mark.parametrize("method", ("bsbl", "bsbl-dequant"))
-def test_matches_information_form(method, cr, warm, learn):
+def test_matches_information_form(method, cr, learn):
     settings = BsblSettings(
         block_len=BLOCK_LEN, max_iter=150, tol=1e-6, learn_correlation=learn
     )
-    problem, y, x_mid = _window(cr, seed=int(cr) + 7 * warm)
-    alpha0 = problem.matched_filter(y) * 0.1 if warm else None
-    result = _solve(method, problem, y, x_mid, settings, alpha0)
+    problem, y, x_mid = _window(cr, seed=int(cr))
+    result = _solve(method, problem, y, x_mid, settings)
     mu, iterations, converged, history = oracle_solve(
-        problem, y, x_mid if method == "bsbl-dequant" else None,
-        settings, alpha0,
+        problem, y, x_mid if method == "bsbl-dequant" else None, settings
     )
     assert result.iterations == iterations
     assert result.converged == converged
@@ -232,7 +226,7 @@ class TestConditioning:
         # gamma_floor within the first few dozen iterations.
         settings = BsblSettings(block_len=BLOCK_LEN, max_iter=300, tol=1e-10)
         problem, y, x_mid = _window(50.0, seed=11)
-        result = _solve(method, problem, y, x_mid, settings, None)
+        result = _solve(method, problem, y, x_mid, settings)
         history = np.asarray(result.info["objective_history"])
         assert np.all(np.isfinite(result.alpha))
         assert np.all(np.isfinite(history))
@@ -242,7 +236,7 @@ class TestConditioning:
         settings = BsblSettings(block_len=BLOCK_LEN)
         problem, y, _ = _window(50.0, seed=5)
         zeros = np.zeros(N)
-        result = _solve(method, problem, np.zeros_like(y), zeros, settings, zeros)
+        result = _solve(method, problem, np.zeros_like(y), zeros, settings)
         assert np.array_equal(result.alpha, zeros)
         assert result.converged
         assert np.isfinite(result.info["em_objective"])

@@ -19,6 +19,7 @@ from repro.core.codebooks import CodebookKey
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments.runner import SMALL_SCALE
 from repro.recovery.bpdn import ball_block
+from repro.recovery.bsbl import solve_bsbl, solve_bsbl_dequant
 from repro.recovery.eq1 import solve_eq1
 from repro.recovery.hybrid import box_block
 from repro.recovery.pdhg import solve_l1_constrained
@@ -154,3 +155,26 @@ class TestEntryValidation:
     def test_empty_box(self, problem):
         with pytest.raises(ValueError, match="empty box"):
             solve_eq1(problem, np.zeros(16), 0.1, (np.ones(128), np.zeros(128)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sigma(self, problem, bad):
+        # A NaN radius made every ball test vacuous: the solve reported
+        # converged=True far outside the ball.
+        with pytest.raises(ValueError, match="sigma"):
+            solve_eq1(problem, np.zeros(16), bad)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["lower", "upper"])
+    def test_nan_bound(self, problem, side):
+        bounds = [-np.ones(128), np.ones(128)]
+        bounds[side][7] = np.nan
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            solve_eq1(problem, np.zeros(16), 0.1, tuple(bounds))
+
+    def test_bsbl_non_finite_variance(self, problem):
+        phi, basis, y = problem.phi, problem.basis, np.zeros(16)
+        with pytest.raises(ValueError, match="noise_var"):
+            solve_bsbl(phi, basis, y, np.nan, problem=problem)
+        with pytest.raises(ValueError, match="quant_var"):
+            solve_bsbl_dequant(
+                phi, basis, y, 0.1, np.zeros(128), np.inf, problem=problem
+            )

@@ -1,8 +1,11 @@
 """The recovery-method registry: specs, dispatch, and error reporting."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import repro.recovery
 from repro.core.config import FrontEndConfig
 from repro.core.receiver import HybridReceiver
 from repro.recovery.methods import (
@@ -39,6 +42,17 @@ class TestRegistry:
             assert (spec.stripped is not None) == spec.uses_lowres
         assert resolve_method("hybrid").stripped == "normal"
         assert resolve_method("bsbl-dequant").stripped == "bsbl"
+
+    def test_no_warm_start_parameter(self):
+        """Every decode starts cold: only the generic PDHG engine, the
+        fused kernel's test oracle, still takes a starting point."""
+        warm = [
+            name
+            for name in repro.recovery.__all__
+            if callable(obj := getattr(repro.recovery, name))
+            and "alpha0" in inspect.signature(obj).parameters
+        ]
+        assert warm == ["solve_l1_constrained"]
 
 
 class TestDispatchErrors:

@@ -12,8 +12,7 @@ Randomized instances of the paper's convex programs, checking the
   fixed-``B`` EM evidence is monotone non-increasing, the Bayesian
   de-quantization solution stays within one quantizer cell of the
   Eq. 1 box solution, and the batched EM engines (plain and
-  de-quantized) match their scalar oracles to 1e-8 across CRs and
-  warm-start states.
+  de-quantized) match their scalar oracles to 1e-8 across CRs.
 
 Marked ``property`` so `make test-fast` can skip them locally; CI always
 runs them.  Instances are kept small (n = 64) so the whole suite stays
@@ -110,21 +109,19 @@ def test_hybrid_solution_respects_box(seed, m, box_width):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     m=st.integers(min_value=20, max_value=48),
     lam_frac=st.floats(min_value=0.01, max_value=0.5),
-    warm=st.booleans(),
 )
-def test_fista_monotone_after_restarts(seed, m, lam_frac, warm):
+def test_fista_monotone_after_restarts(seed, m, lam_frac):
     """With adaptive restart on, the composite objective is non-increasing
     at every accepted iterate — the restart *rejects* any accelerated step
     that would break monotonicity, so the property holds across restart
     points too (the O'Donoghue–Candès scheme with step rejection)."""
     problem, _, y = _instance(seed, m, k=6, noise=0.02)
     lam = lam_frac * lambda_max(problem, y)
-    alpha0 = problem.matched_filter(y) * 0.1 if warm else None
     history = []
     result = solve_fista(
         problem.phi, _BASIS, y, lam,
         max_iter=600, tol=1e-10, problem=problem,
-        alpha0=alpha0, adaptive_restart=True, objective_history=history,
+        adaptive_restart=True, objective_history=history,
     )
     assert len(history) == result.iterations + 1
     diffs = np.diff(np.asarray(history))
@@ -247,18 +244,17 @@ _BSBL_BATCH_CASES = [
 ] + [pytest.param(50.0, "bsbl-dequant", id="50.0-dequant")]
 
 
-@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
 @pytest.mark.parametrize("cr, method", _BSBL_BATCH_CASES)
-def test_bsbl_batched_matches_scalar(cr, method, warm):
+def test_bsbl_batched_matches_scalar(cr, method):
     """The batched EM engines are the scalar solvers' arithmetic
-    reordered: across the CR grid, both warm-start states and both
-    likelihoods (plain and de-quantized), every coefficient agrees to
-    1e-8 (measured: BLAS-rounding level)."""
+    reordered: across the CR grid and both likelihoods (plain and
+    de-quantized), every coefficient agrees to 1e-8 (measured:
+    BLAS-rounding level)."""
     m = int(round(N * (1.0 - cr / 100.0)))
-    rng = np.random.default_rng(int(cr) * 10 + warm)
+    rng = np.random.default_rng(int(cr) * 10)
     phi = bernoulli_matrix(m, N, seed=5)
     problem = CsProblem(phi, _BASIS)
-    ys, alpha0s, x_mids = [], [], []
+    ys, x_mids = [], []
     box_width = 0.5
     for _ in range(5):
         alpha = np.zeros(N)
@@ -266,30 +262,25 @@ def test_bsbl_batched_matches_scalar(cr, method, warm):
         x = _BASIS.synthesize(alpha)
         y = phi @ x + 0.02 * rng.standard_normal(m)
         ys.append(y)
-        alpha0s.append(problem.matched_filter(y) * 0.1)
         x_mids.append((np.floor(x / box_width) + 0.5) * box_width)
-    alpha0 = np.stack(alpha0s, axis=1) if warm else None
     quant_var = box_width**2 / 12.0
 
     if method == "bsbl":
-        batched = solve_bsbl_batch(
-            problem, ys, 0.02**2, bsbl=_BSBL, alpha0=alpha0
-        )
+        batched = solve_bsbl_batch(problem, ys, 0.02**2, bsbl=_BSBL)
     else:
         batched = solve_bsbl_dequant_batch(
-            problem, ys, 0.02**2, x_mids, quant_var, bsbl=_BSBL, alpha0=alpha0
+            problem, ys, 0.02**2, x_mids, quant_var, bsbl=_BSBL
         )
     for j, (y, result) in enumerate(zip(ys, batched)):
-        seed = alpha0[:, j] if warm else None
         if method == "bsbl":
             scalar = solve_bsbl(
                 problem.phi, _BASIS, y, 0.02**2,
-                settings=_BSBL, problem=problem, alpha0=seed,
+                settings=_BSBL, problem=problem,
             )
         else:
             scalar = solve_bsbl_dequant(
                 problem.phi, _BASIS, y, 0.02**2, x_mids[j], quant_var,
-                settings=_BSBL, problem=problem, alpha0=seed,
+                settings=_BSBL, problem=problem,
             )
         assert np.max(np.abs(result.alpha - scalar.alpha)) <= 1e-8
         assert result.iterations == scalar.iterations

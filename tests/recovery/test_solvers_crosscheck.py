@@ -52,8 +52,9 @@ class TestPdhgVsAdmm:
 
     def test_admm_validation(self):
         phi, basis, _, y = _instance()
-        with pytest.raises(ValueError):
-            solve_bpdn_admm(phi, basis, y, sigma=-1.0)
+        for bad_sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                solve_bpdn_admm(phi, basis, y, sigma=bad_sigma)
         with pytest.raises(ValueError):
             solve_bpdn_admm(phi, basis, y, sigma=0.1, rho=0.0)
 
