@@ -9,18 +9,25 @@ or, with no bounds, its normal-CS baseline (the ball alone).  The
 iteration is exactly the Chambolle-Pock iteration of
 :func:`repro.recovery.pdhg.solve_l1_constrained` with
 :func:`~repro.recovery.bpdn.ball_block` and
-:func:`~repro.recovery.hybrid.box_block` — the same step sizes, cold
-start and stopping rule — specialised to these two sets:
+:func:`~repro.recovery.hybrid.box_block` — the same step sizes, primal
+weight rule, cold start and stopping rule — specialised to these two
+sets:
 
 * the operators come from the :class:`CsProblem` cache: ``A`` (``A^T``
   is its transposed view, not a copy, so that at CR 50 ``A`` and the
   CSR Ψ/Ψ^T pair still fit a 2 MiB L2 together) and the CSR pair
   itself (db4 Ψ is 8.4% non-zero);
 * every input is validated once, at entry; the loop runs no contract
-  checks and calls no closures;
-* the ball dual is evaluated in closed form,
-  ``u <- s max(0, 1 - sigma/||w||) w`` with ``w = u/s + A alpha_bar - y``
-  (Moreau's identity applied to the ball projection);
+  checks, calls no closures and allocates only the CSR products: every
+  other step writes into a buffer made before the loop;
+* the duals are carried scaled by the dual step, ``d = u/s`` and
+  ``e = v/s``.  Moreau's identity then reads ``d <- w - P(w)`` with
+  ``w = d + K alpha_bar`` (minus ``y`` for the ball), free of ``s``: the
+  ball dual is ``max(0, 1 - sigma/||w||) w`` in closed form, the box
+  dual ``w - clip(w, lower, upper)``, and the primal step
+  ``tau (A^T u + Ψ^T v)`` is ``(A^T d + Ψ^T e) / L^2`` since
+  ``tau s = 1/L^2`` at every primal weight.  A weight change rescales
+  ``d`` and ``e`` so that ``u`` and ``v`` carry over;
 * soft thresholding is ``v - clip(v, -tau, tau)``; the loop spells each
   clip ``minimum(maximum(.))``, a third of ``np.clip``'s dispatch cost
   at n = 512.
@@ -36,7 +43,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.recovery.pdhg import PdhgSettings
+from repro.recovery.pdhg import PdhgSettings, step_sizes, update_primal_weight
 from repro.recovery.problem import CsProblem
 from repro.recovery.result import RecoveryResult
 
@@ -66,15 +73,17 @@ def solve_eq1(
         ``lower <= upper``; ``None`` drops the box.
     settings:
         PDHG iteration controls.  The iteration starts cold: at ``Ψ^T``
-        of the box midpoint with bounds and at zero without.
+        of the box midpoint with bounds and at zero without, with primal
+        weight 1.
 
     Returns
     -------
     RecoveryResult
         Labelled ``"pdhg-hybrid"`` with bounds and ``"pdhg-bpdn"``
-        without; ``residual_norm = ||A alpha - y||``; ``info`` holds ``tau``,
-        ``sigma``, ``lipschitz_sq``, ``violation_0`` (ball) and, with
-        bounds, ``violation_1`` (box).
+        without; ``residual_norm = ||A alpha - y||``; ``info`` holds the
+        final ``tau``, ``dual_step`` and ``primal_weight``,
+        ``lipschitz_sq``, ``violation_0`` (ball) and, with bounds,
+        ``violation_1`` (box).
     """
     n, m = problem.n, problem.m
     y = np.asarray(y, dtype=float)
@@ -101,9 +110,8 @@ def solve_eq1(
     lip_sq = problem.opnorm_sq() + (1.0 if box else 0.0)  # ||Ψ|| = 1
     if lip_sq <= 0:
         raise ValueError("operator norms must be positive")
-    # tau * s * L^2 = 1 with tau/s = step_ratio (s is the dual step).
-    s = 1.0 / np.sqrt(lip_sq * settings.step_ratio)
-    tau = settings.step_ratio * s
+    weight = 1.0
+    tau, s = step_sizes(lip_sq, weight)  # s is the dual step
     tol = settings.tol
     check_every = settings.check_every
 
@@ -113,43 +121,76 @@ def solve_eq1(
         alpha = psi_t @ ((lo + hi) / 2.0)
     else:
         alpha = np.zeros(n)
-    alpha_bar = alpha
-    u = np.zeros(m)  # ball dual
-    v = np.zeros(n)  # box dual (unused without bounds)
+    alpha_bar = alpha.copy()
+    alpha_new = np.empty(n)
+    step = np.empty(n)
+    clipped = np.empty(n)
+    # Scaled duals (see the module docstring): d = u/s (ball), e = v/s (box).
+    inv_lip_sq = 1.0 / lip_sq  # = tau * s at every weight
+    d = np.zeros(m)
+    w = np.empty(m)
+    e = np.zeros(n)
+    z = np.empty(n)
+    # Primal and (unscaled) duals at the previous check, for the weight update.
+    alpha_ref, u_ref, v_ref = alpha.copy(), np.zeros(m), np.zeros(n)
 
     converged = False
     iterations = 0
     for iterations in range(1, settings.max_iter + 1):
-        w = u / s + a @ alpha_bar - y
+        # w = d + A alpha_bar - y; d <- w - P_ball(w) = max(0, 1 - radius/||w||) w.
+        np.dot(a, alpha_bar, out=w)
+        w -= y
+        w += d
         norm_w = math.sqrt(w @ w)
-        u = (s * (1.0 - radius / norm_w)) * w if norm_w > radius else np.zeros(m)
-        if box:
-            z = v + s * (psi @ alpha_bar)
-            v = z - s * np.minimum(np.maximum(z / s, lo), hi)
-            grad = a_t @ u + psi_t @ v
+        if norm_w > radius:
+            np.multiply(w, 1.0 - radius / norm_w, out=d)
         else:
-            grad = a_t @ u
-        step = alpha - tau * grad
-        alpha_new = step - np.minimum(np.maximum(step, -tau), tau)
-        alpha_bar = 2.0 * alpha_new - alpha
+            d.fill(0.0)
+        np.dot(a_t, d, out=step)
+        if box:
+            # z = e + Ψ alpha_bar; e <- z - clip(z, lo, hi).
+            np.add(psi @ alpha_bar, e, out=z)
+            np.maximum(z, lo, out=e)
+            np.minimum(e, hi, out=e)
+            np.subtract(z, e, out=e)
+            step += psi_t @ e
+        # step = alpha - tau (A^T u + Ψ^T v); alpha_new = step - clip(step, -tau, tau).
+        step *= -inv_lip_sq
+        step += alpha
+        np.maximum(step, -tau, out=clipped)
+        np.minimum(clipped, tau, out=clipped)
+        np.subtract(step, clipped, out=alpha_new)
+        np.multiply(alpha_new, 2.0, out=alpha_bar)
+        alpha_bar -= alpha
+        alpha, alpha_new = alpha_new, alpha
 
-        check = iterations % check_every == 0
-        change = float(np.linalg.norm(alpha_new - alpha)) if check else 0.0
-        alpha = alpha_new
-        if check:
+        if iterations % check_every == 0:
             limit = tol * max(float(np.linalg.norm(alpha)), 1.0)
             if (
                 _ball_violation(a @ alpha, y, radius) <= limit
                 and (not box or _box_violation(psi @ alpha, lo, hi) <= limit)
-                and change <= limit
+                and float(np.linalg.norm(alpha - alpha_new)) <= limit
             ):
                 converged = True
                 break
+            u, v = s * d, s * e
+            dual_move = math.hypot(
+                float(np.linalg.norm(u - u_ref)), float(np.linalg.norm(v - v_ref))
+            )
+            weight = update_primal_weight(
+                weight, dual_move, float(np.linalg.norm(alpha - alpha_ref))
+            )
+            s_old = s
+            tau, s = step_sizes(lip_sq, weight)
+            d *= s_old / s
+            e *= s_old / s
+            alpha_ref, u_ref, v_ref = alpha.copy(), u, v
 
     residual = float(np.linalg.norm(a @ alpha - y))
     info = {
         "tau": float(tau),
-        "sigma": float(s),
+        "dual_step": float(s),
+        "primal_weight": float(weight),
         "lipschitz_sq": float(lip_sq),
         "violation_0": max(0.0, residual - radius),
     }

@@ -7,10 +7,10 @@ repeated window solves BLAS-bound instead of transform-bound.
 
 Beyond the composed matrix itself, a :class:`CsProblem` memoizes every
 piece of per-operator precomputation the solvers need — the Gram matrix,
-the squared operator norm, the ADMM Cholesky factor of ``I + A^T A`` and
-the least-squares factor of ``A A^T`` — so a problem shared across
-thousands of windows (see :mod:`repro.recovery.opcache`) pays each
-factorization exactly once per process instead of once per window.  The
+the squared operator norm and the ADMM Cholesky factor of ``I + A^T A``
+— so a problem shared across thousands of windows (see
+:mod:`repro.recovery.opcache`) pays each factorization exactly once per
+process instead of once per window.  The
 dense Ψ and the CSR Ψ/Ψ^T pair of the Eq. 1 kernel are memoized one
 level up, on the basis, and shared by every problem over it.
 """
@@ -59,7 +59,6 @@ class CsProblem:
         self._opnorm_sq: Optional[float] = None
         self._gram: Optional[np.ndarray] = None
         self._admm_factor: Optional[Tuple[np.ndarray, bool]] = None
-        self._lstsq_factor: Optional[Tuple[np.ndarray, bool]] = None
 
     @property
     def m(self) -> int:
@@ -109,12 +108,6 @@ class CsProblem:
             np.asarray(x, dtype=float), (self.n,), name="x"
         )
 
-    def matched_filter(self, y: np.ndarray) -> np.ndarray:
-        """The matched-filter estimate ``A^T y``, shape ``(n,)``."""
-        return self.adjoint(
-            check_finite(np.asarray(y, dtype=float), name="y")
-        )
-
     def gram(self) -> np.ndarray:
         """The Gram matrix ``A^T A``, shape ``(n, n)`` (built lazily)."""
         if self._gram is None:
@@ -135,32 +128,3 @@ class CsProblem:
 
             self._admm_factor = cho_factor(np.eye(self.n) + self.gram())
         return self._admm_factor
-
-    def lstsq_factor(self) -> Tuple[np.ndarray, bool]:
-        """Cached Cholesky factorization of ``A A^T`` (for least squares).
-
-        ``A`` has full row rank for every ensemble used here (m < n random
-        rows), so ``A A^T`` is positive definite and the minimum-norm
-        least-squares solution is ``A^T (A A^T)^{-1} y``.
-        """
-        if self._lstsq_factor is None:
-            from scipy.linalg import cho_factor
-
-            a = self.a
-            self._lstsq_factor = cho_factor(a @ a.T)
-        return self._lstsq_factor
-
-    def least_squares_init(self, y: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares warm start, shape ``(n,)``.
-
-        Solves ``min_alpha ||alpha||_2 s.t. A alpha = y`` as
-        ``A^T (A A^T)^{-1} y`` through the cached Cholesky factor of
-        ``A A^T`` — the factorization is computed once per problem and
-        every subsequent call is two triangular solves plus a matvec,
-        instead of a fresh ``lstsq`` decomposition per window.
-        """
-        from scipy.linalg import cho_solve
-
-        y = check_finite(np.asarray(y, dtype=float), name="y")
-        y = check_shape(y, (self.m,), name="y")
-        return self.a.T @ cho_solve(self.lstsq_factor(), y)

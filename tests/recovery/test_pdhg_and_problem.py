@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.recovery.bpdn import ball_block
+from repro.recovery.eq1 import solve_eq1
 from repro.recovery.pdhg import ConstraintBlock, PdhgSettings, solve_l1_constrained
 from repro.recovery.problem import CsProblem
 from repro.recovery.prox import project_box
@@ -22,7 +23,6 @@ class TestPdhgSettings:
             {"max_iter": 0},
             {"tol": 0.0},
             {"check_every": 0},
-            {"step_ratio": -1.0},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -74,15 +74,21 @@ class TestEngine:
         assert np.allclose(r.alpha, 0.0)
 
     def test_step_sizes_satisfy_pdhg_condition(self, basis_128, rng):
+        """tau * s * L^2 = 1 holds at the final, adapted primal weight, in
+        the generic engine and in the Eq. 1 kernel."""
         phi = bernoulli_matrix(32, 128, seed=0)
         prob = CsProblem(phi, basis_128)
         y = phi @ rng.standard_normal(128)
-        r = solve_l1_constrained(
-            128, [ball_block(prob, y, 0.1)],
-            settings=PdhgSettings(max_iter=10),
-        )
-        tau, sigma = r.info["tau"], r.info["sigma"]
-        assert tau * sigma * r.info["lipschitz_sq"] <= 1.0 + 1e-9
+        settings = PdhgSettings(max_iter=200, tol=1e-12)
+        results = [
+            solve_l1_constrained(128, [ball_block(prob, y, 0.1)], settings=settings),
+            solve_eq1(prob, y, 0.1, settings=settings),
+        ]
+        for r in results:
+            assert r.iterations == 200
+            assert r.info["primal_weight"] != 1.0  # rebalanced
+            product = r.info["tau"] * r.info["dual_step"] * r.info["lipschitz_sq"]
+            assert product == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 class TestCsProblem:
@@ -133,33 +139,6 @@ class TestProblemFactorizations:
     def _problem(self):
         return CsProblem(bernoulli_matrix(24, 64, seed=11), WaveletBasis(64, "db2"))
 
-    def test_least_squares_init_matches_lstsq(self, rng):
-        """The cached-factor path must return the canonical minimum-norm
-        least-squares solution (what np.linalg.lstsq computes)."""
-        prob = self._problem()
-        y = rng.standard_normal(prob.m)
-        alpha = prob.least_squares_init(y)
-        expected, *_ = np.linalg.lstsq(prob.a, y, rcond=None)
-        assert alpha.shape == (prob.n,)
-        assert np.allclose(alpha, expected, atol=1e-10)
-        # It actually interpolates the data (A has full row rank here).
-        assert np.allclose(prob.a @ alpha, y, atol=1e-8)
-
-    def test_least_squares_factor_computed_once(self, rng):
-        prob = self._problem()
-        prob.least_squares_init(rng.standard_normal(prob.m))
-        factor = prob._lstsq_factor
-        assert factor is not None
-        prob.least_squares_init(rng.standard_normal(prob.m))
-        assert prob._lstsq_factor is factor  # reused, not recomputed
-
-    def test_least_squares_init_validation(self):
-        prob = self._problem()
-        with pytest.raises(ValueError):
-            prob.least_squares_init(np.zeros(prob.m - 1))
-        with pytest.raises(ValueError):
-            prob.least_squares_init(np.full(prob.m, np.nan))
-
     def test_admm_factor_cached_and_correct(self):
         from scipy.linalg import cho_solve
 
@@ -171,11 +150,6 @@ class TestProblemFactorizations:
         assert np.allclose(
             (np.eye(prob.n) + prob.gram()) @ solved, rhs, atol=1e-8
         )
-
-    def test_matched_filter(self, rng):
-        prob = self._problem()
-        y = rng.standard_normal(prob.m)
-        assert np.allclose(prob.matched_filter(y), prob.a.T @ y)
 
 
 class TestRecoveryResult:
