@@ -6,10 +6,10 @@ a pure function of ``(record identity, config, method, window count)``
 (tested by ``tests/integration/test_paper_invariants.py``), so results can
 be cached on disk and sweeps resumed across processes.
 
-The cache key hashes the full config (solver settings included) plus the
-record's identity; any parameter change misses cleanly.  Storage is one
-small JSON file per outcome under the cache directory — trivially
-inspectable and deletable.
+The cache key hashes the full config (solver settings included),
+:data:`DECODER_REVISION` and the record's identity; any parameter change
+misses cleanly.  Storage is one small JSON file per outcome under the
+cache directory — trivially inspectable and deletable.
 
 Opt-in: pass a :class:`SweepCache` to
 :func:`repro.experiments.runner.sweep_compression_ratios`, or set the
@@ -33,6 +33,7 @@ from repro.metrics.compression import CompressionBudget
 from repro.runtime.engine import RecordJob, StageHook
 
 __all__ = [
+    "DECODER_REVISION",
     "config_fingerprint",
     "SweepCache",
     "SweepCacheHook",
@@ -40,9 +41,18 @@ __all__ = [
 ]
 
 
+# Revision of the decode arithmetic, hashed with the config.  A change to
+# how a window is decoded that leaves the config alone (a new iteration, a
+# new stopping rule) must bump it, or sweeps are served outcomes of the old
+# decoder.  1: relaxed, primal-first PDHG.
+DECODER_REVISION = 1
+
+
 def config_fingerprint(config: FrontEndConfig) -> str:
-    """Stable short hash of every config field (solver settings included)."""
+    """Stable short hash of every config field (solver settings included)
+    and of :data:`DECODER_REVISION`."""
     payload = {
+        "decoder_revision": DECODER_REVISION,
         "window_len": config.window_len,
         "n_measurements": config.n_measurements,
         "lowres_bits": config.lowres_bits,

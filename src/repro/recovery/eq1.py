@@ -6,12 +6,12 @@ Solves the paper's Eq. 1::
                                           lower <= Ψ alpha <= upper
 
 or, with no bounds, its normal-CS baseline (the ball alone).  The
-iteration is exactly the Chambolle-Pock iteration of
-:func:`repro.recovery.pdhg.solve_l1_constrained` with
+iteration is exactly the relaxed, primal-first Chambolle-Pock iteration
+of :func:`repro.recovery.pdhg.solve_l1_constrained` with
 :func:`~repro.recovery.bpdn.ball_block` and
-:func:`~repro.recovery.hybrid.box_block` — the same step sizes, primal
-weight rule, cold start and stopping rule — specialised to these two
-sets:
+:func:`~repro.recovery.hybrid.box_block` — the same step sizes,
+relaxation, primal weight rule, cold start and stopping rule —
+specialised to these two sets:
 
 * the operators come from the :class:`CsProblem` cache: ``A`` (``A^T``
   is its transposed view, not a copy, so that at CR 50 ``A`` and the
@@ -21,13 +21,16 @@ sets:
   checks, calls no closures and allocates only the CSR products: every
   other step writes into a buffer made before the loop;
 * the duals are carried scaled by the dual step, ``d = u/s`` and
-  ``e = v/s``.  Moreau's identity then reads ``d <- w - P(w)`` with
+  ``e = v/s``.  Moreau's identity then reads ``d^ = w - P(w)`` with
   ``w = d + K alpha_bar`` (minus ``y`` for the ball), free of ``s``: the
   ball dual is ``max(0, 1 - sigma/||w||) w`` in closed form, the box
   dual ``w - clip(w, lower, upper)``, and the primal step
   ``tau (A^T u + Ψ^T v)`` is ``(A^T d + Ψ^T e) / L^2`` since
   ``tau s = 1/L^2`` at every primal weight.  A weight change rescales
   ``d`` and ``e`` so that ``u`` and ``v`` carry over;
+* the relaxation ``x <- x + rho (x^ - x)`` at ``rho = 3/2`` is
+  ``(alpha^ + alpha_bar)/2`` for the primal, two ops into the primal's
+  own buffer;
 * soft thresholding is ``v - clip(v, -tau, tau)``; the loop spells each
   clip ``minimum(maximum(.))``, a third of ``np.clip``'s dispatch cost
   at n = 512.
@@ -43,7 +46,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.recovery.pdhg import PdhgSettings, step_sizes, update_primal_weight
+from repro.recovery.pdhg import (
+    RELAXATION,
+    PdhgSettings,
+    step_sizes,
+    update_primal_weight,
+)
 from repro.recovery.problem import CsProblem
 from repro.recovery.result import RecoveryResult
 
@@ -74,7 +82,8 @@ def solve_eq1(
     settings:
         PDHG iteration controls.  The iteration starts cold: at ``Ψ^T``
         of the box midpoint with bounds and at zero without, with primal
-        weight 1.
+        weight 1.  It returns the last soft-thresholded iterate
+        ``alpha^``, the one the stopping rule tested.
 
     Returns
     -------
@@ -121,8 +130,8 @@ def solve_eq1(
         alpha = psi_t @ ((lo + hi) / 2.0)
     else:
         alpha = np.zeros(n)
-    alpha_bar = alpha.copy()
-    alpha_new = np.empty(n)
+    alpha_hat = np.empty(n)
+    alpha_bar = np.empty(n)
     step = np.empty(n)
     clipped = np.empty(n)
     # Scaled duals (see the module docstring): d = u/s (ball), e = v/s (box).
@@ -137,42 +146,55 @@ def solve_eq1(
     converged = False
     iterations = 0
     for iterations in range(1, settings.max_iter + 1):
-        # w = d + A alpha_bar - y; d <- w - P_ball(w) = max(0, 1 - radius/||w||) w.
-        np.dot(a, alpha_bar, out=w)
-        w -= y
-        w += d
-        norm_w = math.sqrt(w @ w)
-        if norm_w > radius:
-            np.multiply(w, 1.0 - radius / norm_w, out=d)
-        else:
-            d.fill(0.0)
+        # step = alpha - tau (A^T u + Ψ^T v); alpha_hat = step - clip(step, -tau, tau).
         np.dot(a_t, d, out=step)
         if box:
-            # z = e + Ψ alpha_bar; e <- z - clip(z, lo, hi).
-            np.add(psi @ alpha_bar, e, out=z)
-            np.maximum(z, lo, out=e)
-            np.minimum(e, hi, out=e)
-            np.subtract(z, e, out=e)
             step += psi_t @ e
-        # step = alpha - tau (A^T u + Ψ^T v); alpha_new = step - clip(step, -tau, tau).
         step *= -inv_lip_sq
         step += alpha
         np.maximum(step, -tau, out=clipped)
         np.minimum(clipped, tau, out=clipped)
-        np.subtract(step, clipped, out=alpha_new)
-        np.multiply(alpha_new, 2.0, out=alpha_bar)
+        np.subtract(step, clipped, out=alpha_hat)
+        np.multiply(alpha_hat, 2.0, out=alpha_bar)
         alpha_bar -= alpha
-        alpha, alpha_new = alpha_new, alpha
 
-        if iterations % check_every == 0:
-            limit = tol * max(float(np.linalg.norm(alpha)), 1.0)
+        check = iterations % check_every == 0
+        if check:
+            limit = tol * max(float(np.linalg.norm(alpha_hat)), 1.0)
             if (
-                _ball_violation(a @ alpha, y, radius) <= limit
-                and (not box or _box_violation(psi @ alpha, lo, hi) <= limit)
-                and float(np.linalg.norm(alpha - alpha_new)) <= limit
+                _ball_violation(a @ alpha_hat, y, radius) <= limit
+                and (not box or _box_violation(psi @ alpha_hat, lo, hi) <= limit)
+                and float(np.linalg.norm(alpha_hat - alpha)) <= limit
             ):
                 converged = True
                 break
+
+        # w = d + A alpha_bar - y; d_hat = w - P_ball(w) = max(0, 1 - radius/||w||) w;
+        # d <- d + rho (d_hat - d).
+        np.dot(a, alpha_bar, out=w)
+        w -= y
+        w += d
+        norm_w = math.sqrt(w @ w)
+        d *= 1.0 - RELAXATION
+        if norm_w > radius:
+            w *= RELAXATION * (1.0 - radius / norm_w)
+            d += w
+        if box:
+            # e_hat = z - clip(z, lo, hi) with z = e + Ψ alpha_bar, so
+            # e <- e + rho (e_hat - e) = e + rho (Ψ alpha_bar - clip(z, lo, hi)).
+            psi_bar = psi @ alpha_bar
+            np.add(psi_bar, e, out=z)
+            np.maximum(z, lo, out=z)
+            np.minimum(z, hi, out=z)
+            np.subtract(psi_bar, z, out=z)
+            z *= RELAXATION
+            e += z
+        # alpha <- alpha + rho (alpha_hat - alpha), which at rho = 3/2 is
+        # (alpha_hat + alpha_bar) / 2.
+        np.add(alpha_hat, alpha_bar, out=alpha)
+        alpha *= 0.5
+
+        if check:
             u, v = s * d, s * e
             dual_move = math.hypot(
                 float(np.linalg.norm(u - u_ref)), float(np.linalg.norm(v - v_ref))
@@ -186,6 +208,7 @@ def solve_eq1(
             e *= s_old / s
             alpha_ref, u_ref, v_ref = alpha.copy(), u, v
 
+    alpha = alpha_hat
     residual = float(np.linalg.norm(a @ alpha - y))
     info = {
         "tau": float(tau),

@@ -10,19 +10,25 @@ in signal space).  This is exactly the structure of the paper's Eq. 1 —
 the SDPT3 conic solve is replaced by this first-order method, which finds
 the same optimum of the same convex problem (DESIGN.md §2).
 
-The iteration (Chambolle & Pock 2011, with over-relaxation ``theta = 1``)::
+The iteration is Chambolle & Pock's (2011) with extrapolation
+``theta = 1``, run primal first and relaxed (Chambolle & Pock 2016)::
 
-    u_i <- prox_{sigma f_i*}(u_i + sigma K_i alpha_bar)     (dual ascent)
-    alpha+ <- prox_{tau g}(alpha - tau sum_i K_i^T u_i)     (primal descent)
-    alpha_bar <- 2 alpha+ - alpha
+    alpha^ <- prox_{tau g}(alpha - tau sum_i K_i^T u_i)     (primal descent)
+    alpha_bar <- 2 alpha^ - alpha                          (extrapolation)
+    u_i^ <- prox_{sigma f_i*}(u_i + sigma K_i alpha_bar)    (dual ascent)
+    (alpha, u_i) <- (alpha, u_i) + rho ((alpha^, u_i^) - (alpha, u_i))
 
 where ``prox_{sigma f*}`` is evaluated through Moreau's identity from the
-*projection* implementing ``prox_f``.  Step sizes satisfy
-``tau * sigma * L^2 = 1`` with ``L^2 = sum_i ||K_i||^2``: ``tau = eta/w``
-and ``sigma = eta w`` with ``eta = 1/L`` and a primal weight ``w`` that
-starts at 1 and is rebalanced at every convergence check from how far the
-primal and the duals moved since the previous one
-(:func:`update_primal_weight`, after PDLP: Applegate et al., 2021).
+*projection* implementing ``prox_f``.  The relaxation ``rho`` is the
+constant :data:`RELAXATION`; at ``rho = 1`` the last line is plain
+assignment.  The stopping rule tests the fixed-point residual
+``||alpha^ - alpha||`` and the feasibility of ``alpha^``, and a solve
+returns the last ``alpha^``, the soft-thresholded iterate.  Step sizes
+satisfy ``tau * sigma * L^2 = 1`` with ``L^2 = sum_i ||K_i||^2``:
+``tau = eta/w`` and ``sigma = eta w`` with ``eta = 1/L`` and a primal
+weight ``w`` that starts at 1 and is rebalanced at every convergence
+check from how far the relaxed primal and duals moved since the previous
+one (:func:`update_primal_weight`, after PDLP: Applegate et al., 2021).
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from repro.recovery.result import RecoveryResult
 __all__ = [
     "ConstraintBlock",
     "PdhgSettings",
+    "RELAXATION",
     "solve_l1_constrained",
     "step_sizes",
     "update_primal_weight",
@@ -52,6 +59,15 @@ Vector = np.ndarray
 # 564 / 208, 0.5 627 / 228 (one window at 3,175), 1.0 903 / 239 with two
 # normal-CS windows stopped unconverged at the 4,000 cap.
 _WEIGHT_SMOOTHING = 0.2
+
+# Relaxation rho of both PDHG loops; the iteration converges for any rho in
+# (0, 2).  Measured on the first window of each SMALL_SCALE record at
+# CR 50/75/81 (mean iterations, normal / hybrid): 1.0 566 / 209, 1.5
+# 417 / 149, 1.9 968 / 146 with four normal-CS windows at CR 81 stopped
+# unconverged at the 4,000 cap; at 1.95 all eight normal-CS windows at
+# CR 81 diverged to NaN.  The kernel relaxes the primal as
+# (alpha^ + alpha_bar)/2, which is alpha + rho (alpha^ - alpha) only at 1.5.
+RELAXATION = 1.5
 
 
 @dataclass(frozen=True)
@@ -88,9 +104,10 @@ class ConstraintBlock:
 class PdhgSettings:
     """Iteration controls for :func:`solve_l1_constrained`.
 
-    ``tol`` bounds both the relative primal change and the scaled
-    constraint violation at the accepted solution; ``check_every`` sets how
-    often the (slightly costly) convergence test runs.
+    ``tol`` bounds both the fixed-point residual ``||alpha^ - alpha||``
+    and the constraint violation at the accepted solution, each relative
+    to ``max(||alpha^||, 1)``; ``check_every`` sets how often the
+    (slightly costly) convergence test runs.
     """
 
     max_iter: int = 4000
@@ -172,7 +189,7 @@ def solve_l1_constrained(
     tau, sigma = step_sizes(lip_sq, weight)
 
     alpha = np.zeros(n) if alpha0 is None else np.asarray(alpha0, dtype=float).copy()
-    alpha_bar = alpha.copy()
+    alpha_hat = alpha
     duals: List[Vector] = [np.zeros(b.out_dim) for b in blocks]
     # Primal and duals at the previous check, for the weight update.
     alpha_ref = alpha.copy()
@@ -180,31 +197,33 @@ def solve_l1_constrained(
 
     converged = False
     iterations = 0
-    # Scale for the relative-violation test: typical magnitude of the data.
     for iterations in range(1, settings.max_iter + 1):
+        grad = np.zeros(n)
+        for i, blk in enumerate(blocks):
+            grad += blk.adjoint(duals[i])
+        alpha_hat = soft_threshold(alpha - tau * grad, tau)
+        alpha_bar = 2.0 * alpha_hat - alpha
+
+        check = iterations % settings.check_every == 0
+        if check:
+            # Scale for the relative tests: the size of the solution, at least 1.
+            limit = settings.tol * max(float(np.linalg.norm(alpha_hat)), 1.0)
+            feasible = all(
+                blk.violation(blk.forward(alpha_hat)) <= limit for blk in blocks
+            )
+            if feasible and float(np.linalg.norm(alpha_hat - alpha)) <= limit:
+                converged = True
+                break
+
         # Dual step with Moreau: prox_{sigma f*}(v) = v - sigma prox_{f/sigma}(v/sigma)
         # and for an indicator prox_{f/sigma} is the projection.
         for i, blk in enumerate(blocks):
             v = duals[i] + sigma * blk.forward(alpha_bar)
-            duals[i] = v - sigma * blk.project(v / sigma)
+            dual_hat = v - sigma * blk.project(v / sigma)
+            duals[i] = duals[i] + RELAXATION * (dual_hat - duals[i])
+        alpha = alpha + RELAXATION * (alpha_hat - alpha)
 
-        grad = np.zeros(n)
-        for i, blk in enumerate(blocks):
-            grad += blk.adjoint(duals[i])
-        alpha_new = soft_threshold(alpha - tau * grad, tau)
-        alpha_bar = 2.0 * alpha_new - alpha
-        change = float(np.linalg.norm(alpha_new - alpha))
-        alpha = alpha_new
-
-        if iterations % settings.check_every == 0:
-            scale = max(float(np.linalg.norm(alpha)), 1.0)
-            feasible = all(
-                blk.violation(blk.forward(alpha)) <= settings.tol * max(scale, 1.0)
-                for blk in blocks
-            )
-            if feasible and change <= settings.tol * scale:
-                converged = True
-                break
+        if check:
             dual_move = math.sqrt(
                 sum(float(np.sum((d - r) ** 2)) for d, r in zip(duals, duals_ref))
             )
@@ -215,6 +234,7 @@ def solve_l1_constrained(
             alpha_ref = alpha.copy()
             duals_ref = [d.copy() for d in duals]
 
+    alpha = alpha_hat
     x = synthesize(alpha) if synthesize is not None else alpha.copy()
     first_violation = blocks[0].violation(blocks[0].forward(alpha))
     info = {

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import FrontEndConfig
 from repro.core.pipeline import run_record
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import SweepCache, cache_from_env, config_fingerprint
 from repro.experiments.runner import ExperimentScale, sweep_compression_ratios
 from repro.recovery.bsbl import BsblSettings
@@ -42,6 +43,15 @@ class TestFingerprint:
             FAST, bsbl=BsblSettings(noise_scale=2 * FAST.bsbl.noise_scale)
         )
         assert config_fingerprint(noisier) != config_fingerprint(FAST)
+
+    def test_sensitive_to_decoder_revision(self, monkeypatch):
+        """A new decoder with the same config must not be served the old
+        decoder's outcomes."""
+        base = config_fingerprint(FAST)
+        monkeypatch.setattr(
+            cache_module, "DECODER_REVISION", cache_module.DECODER_REVISION + 1
+        )
+        assert config_fingerprint(FAST) != base
 
 
 class TestSweepCache:
