@@ -44,8 +44,8 @@ __all__ = [
 # Revision of the decode arithmetic, hashed with the config.  A change to
 # how a window is decoded that leaves the config alone (a new iteration, a
 # new stopping rule) must bump it, or sweeps are served outcomes of the old
-# decoder.  1: relaxed, primal-first PDHG.
-DECODER_REVISION = 1
+# decoder.  1: relaxed, primal-first PDHG.  2: block dual steps.
+DECODER_REVISION = 2
 
 
 def config_fingerprint(config: FrontEndConfig) -> str:

@@ -20,14 +20,16 @@ specialised to these two sets:
 * every input is validated once, at entry; the loop runs no contract
   checks, calls no closures and allocates only the CSR products: every
   other step writes into a buffer made before the loop;
-* the duals are carried scaled by the dual step, ``d = u/s`` and
-  ``e = v/s``.  Moreau's identity then reads ``d^ = w - P(w)`` with
-  ``w = d + K alpha_bar`` (minus ``y`` for the ball), free of ``s``: the
-  ball dual is ``max(0, 1 - sigma/||w||) w`` in closed form, the box
-  dual ``w - clip(w, lower, upper)``, and the primal step
-  ``tau (A^T u + Ψ^T v)`` is ``(A^T d + Ψ^T e) / L^2`` since
-  ``tau s = 1/L^2`` at every primal weight.  A weight change rescales
-  ``d`` and ``e`` so that ``u`` and ``v`` carry over;
+* each block has its own dual step, ``s/||A||^2`` for the ball and
+  ``s`` for the box (``||Ψ|| = 1``), and the duals are carried scaled by
+  it, ``d = u ||A||^2/s`` and ``e = v/s``.  Moreau's identity then reads
+  ``d^ = w - P(w)`` with ``w = d + K alpha_bar`` (minus ``y`` for the
+  ball), free of any step: the ball dual is ``max(0, 1 - sigma/||w||) w``
+  in closed form, the box dual ``w - clip(w, lower, upper)``, and the
+  primal step ``tau (A^T u + Ψ^T v)`` is
+  ``(A^T d/||A||^2 + Ψ^T e) / N`` for ``N`` blocks, since ``tau s = 1/N``
+  at every primal weight.  A weight change rescales ``d`` and ``e`` so
+  that ``u`` and ``v`` carry over;
 * the relaxation ``x <- x + rho (x^ - x)`` at ``rho = 3/2`` is
   ``(alpha^ + alpha_bar)/2`` for the primal, two ops into the primal's
   own buffer;
@@ -90,9 +92,10 @@ def solve_eq1(
     RecoveryResult
         Labelled ``"pdhg-hybrid"`` with bounds and ``"pdhg-bpdn"``
         without; ``residual_norm = ||A alpha - y||``; ``info`` holds the
-        final ``tau``, ``dual_step`` and ``primal_weight``,
-        ``lipschitz_sq``, ``violation_0`` (ball) and, with bounds,
-        ``violation_1`` (box).
+        final ``tau``, ``dual_step`` (the box's; the ball's is
+        ``dual_step/||A||^2``) and ``primal_weight``, ``lipschitz_sq``
+        (the block count ``N``: 2 with bounds, 1 without),
+        ``violation_0`` (ball) and, with bounds, ``violation_1`` (box).
     """
     n, m = problem.n, problem.m
     y = np.asarray(y, dtype=float)
@@ -116,11 +119,13 @@ def solve_eq1(
     a = problem.a
     a_t = a.T
     psi, psi_t = problem.basis.matvec_pair()
-    lip_sq = problem.opnorm_sq() + (1.0 if box else 0.0)  # ||Ψ|| = 1
-    if lip_sq <= 0:
+    a_sq = problem.opnorm_sq()
+    if a_sq <= 0:
         raise ValueError("operator norms must be positive")
+    lip_sq = 2.0 if box else 1.0  # the block count N
     weight = 1.0
-    tau, s = step_sizes(lip_sq, weight)  # s is the dual step
+    tau, s = step_sizes(lip_sq, weight)  # s/||A||^2 is the ball's dual step
+    norm_a = math.sqrt(a_sq)
     tol = settings.tol
     check_every = settings.check_every
 
@@ -134,13 +139,16 @@ def solve_eq1(
     alpha_bar = np.empty(n)
     step = np.empty(n)
     clipped = np.empty(n)
-    # Scaled duals (see the module docstring): d = u/s (ball), e = v/s (box).
-    inv_lip_sq = 1.0 / lip_sq  # = tau * s at every weight
+    # Scaled duals (see the module docstring): d = u ||A||^2/s (ball),
+    # e = v/s (box).  The primal step scales A^T d by 1/||A||^2 and the sum
+    # by tau s = 1/N; without the box both fold into one multiply.
+    inv_a_sq = 1.0 / a_sq
+    primal_scale = -1.0 / lip_sq if box else -inv_a_sq
     d = np.zeros(m)
     w = np.empty(m)
     e = np.zeros(n)
     z = np.empty(n)
-    # Primal and (unscaled) duals at the previous check, for the weight update.
+    # Primal and block-normalised duals at the previous check, for the weight update.
     alpha_ref, u_ref, v_ref = alpha.copy(), np.zeros(m), np.zeros(n)
 
     converged = False
@@ -149,8 +157,9 @@ def solve_eq1(
         # step = alpha - tau (A^T u + Ψ^T v); alpha_hat = step - clip(step, -tau, tau).
         np.dot(a_t, d, out=step)
         if box:
+            step *= inv_a_sq
             step += psi_t @ e
-        step *= -inv_lip_sq
+        step *= primal_scale
         step += alpha
         np.maximum(step, -tau, out=clipped)
         np.minimum(clipped, tau, out=clipped)
@@ -195,7 +204,8 @@ def solve_eq1(
         alpha *= 0.5
 
         if check:
-            u, v = s * d, s * e
+            # Block-normalised duals ||A|| u and v (||Ψ|| = 1).
+            u, v = (s / norm_a) * d, s * e
             dual_move = math.hypot(
                 float(np.linalg.norm(u - u_ref)), float(np.linalg.norm(v - v_ref))
             )

@@ -12,8 +12,8 @@ where ``lower = x_dot`` (the dequantized low-resolution samples) and
 (:func:`repro.recovery.eq1.solve_eq1`).  :func:`box_block` states the same
 box as a constraint block of the generic PDHG engine — the L2 ball in
 measurement space and the box in *signal* space — for the kernel's
-differential oracle; since Ψ is orthonormal its block contributes
-exactly 1 to the squared operator norm.
+differential oracle; since Ψ is orthonormal its block has
+``||Ψ||^2 = 1``, so its block dual step is the engine's ``sigma`` itself.
 
 The paper solved this with the SDPT3 conic toolbox; any convergent convex
 solver reaches the same optimum (DESIGN.md §2).

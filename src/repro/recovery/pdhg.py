@@ -15,20 +15,28 @@ The iteration is Chambolle & Pock's (2011) with extrapolation
 
     alpha^ <- prox_{tau g}(alpha - tau sum_i K_i^T u_i)     (primal descent)
     alpha_bar <- 2 alpha^ - alpha                          (extrapolation)
-    u_i^ <- prox_{sigma f_i*}(u_i + sigma K_i alpha_bar)    (dual ascent)
+    u_i^ <- prox_{sigma_i f_i*}(u_i + sigma_i K_i alpha_bar)  (dual ascent)
     (alpha, u_i) <- (alpha, u_i) + rho ((alpha^, u_i^) - (alpha, u_i))
 
-where ``prox_{sigma f*}`` is evaluated through Moreau's identity from the
+where ``prox_{sigma_i f_i*}`` is evaluated through Moreau's identity from the
 *projection* implementing ``prox_f``.  The relaxation ``rho`` is the
 constant :data:`RELAXATION`; at ``rho = 1`` the last line is plain
 assignment.  The stopping rule tests the fixed-point residual
 ``||alpha^ - alpha||`` and the feasibility of ``alpha^``, and a solve
-returns the last ``alpha^``, the soft-thresholded iterate.  Step sizes
-satisfy ``tau * sigma * L^2 = 1`` with ``L^2 = sum_i ||K_i||^2``:
-``tau = eta/w`` and ``sigma = eta w`` with ``eta = 1/L`` and a primal
-weight ``w`` that starts at 1 and is rebalanced at every convergence
-check from how far the relaxed primal and duals moved since the previous
-one (:func:`update_primal_weight`, after PDLP: Applegate et al., 2021).
+returns the last ``alpha^``, the soft-thresholded iterate.
+
+Each block gets its own dual step ``sigma_i = sigma/||K_i||^2``: diagonal
+preconditioning at block granularity (Pock & Chambolle, ICCV 2011), which
+keeps every ``prox_{sigma_i f_i*}`` a scalar-step prox.  The steps
+satisfy ``tau * sum_i sigma_i ||K_i||^2 = tau * sigma * N = 1`` for ``N``
+blocks: ``tau = eta/w`` and ``sigma = eta w`` with ``eta = 1/sqrt(N)``
+and a primal weight ``w`` that starts at 1 and is rebalanced at every
+convergence check from how far the relaxed primal and the block-normalised
+duals ``||K_i|| u_i`` moved since the previous one
+(:func:`update_primal_weight`, after PDLP: Applegate et al., 2021).  So
+the iterates do not depend on the scale of any one block: scaling ``K_i``
+and its set together leaves every ``alpha`` unchanged (the stopping
+rule's violation test stays in the block's own units).
 """
 
 from __future__ import annotations
@@ -54,18 +62,19 @@ __all__ = [
 Vector = np.ndarray
 
 # Share of the measured log(dual move / primal move) that each check moves
-# log w by.  Measured on the first window of each SMALL_SCALE record at
-# CR 50/75/81 (mean iterations, normal / hybrid): 0.1 621 / 202, 0.2
-# 564 / 208, 0.5 627 / 228 (one window at 3,175), 1.0 903 / 239 with two
-# normal-CS windows stopped unconverged at the 4,000 cap.
+# log w by.  Measured with block dual steps and rho = 1.5 on the first
+# window of each SMALL_SCALE record at CR 50/75/81 (mean iterations,
+# normal / hybrid): 0.1 386 / 97, 0.2 367 / 106, 0.3 375 / 111, 0.5
+# 390 / 120, 1.0 807 / 148 with two normal-CS windows at CR 81 stopped
+# unconverged at the 4,000 cap.
 _WEIGHT_SMOOTHING = 0.2
 
 # Relaxation rho of both PDHG loops; the iteration converges for any rho in
-# (0, 2).  Measured on the first window of each SMALL_SCALE record at
-# CR 50/75/81 (mean iterations, normal / hybrid): 1.0 566 / 209, 1.5
-# 417 / 149, 1.9 968 / 146 with four normal-CS windows at CR 81 stopped
-# unconverged at the 4,000 cap; at 1.95 all eight normal-CS windows at
-# CR 81 diverged to NaN.  The kernel relaxes the primal as
+# (0, 2).  Measured with block dual steps on the first window of each
+# SMALL_SCALE record at CR 50/75/81 (mean iterations, normal / hybrid):
+# 1.0 519 / 146, 1.5 367 / 106, 1.9 342 / 103; at 1.95 three normal-CS
+# windows at CR 81 diverged to NaN.  1.9 saves under 7% next to that
+# edge, so 1.5 stays.  The kernel relaxes the primal as
 # (alpha^ + alpha_bar)/2, which is alpha + rho (alpha^ - alpha) only at 1.5.
 RELAXATION = 1.5
 
@@ -84,7 +93,8 @@ class ConstraintBlock:
         Euclidean projection onto the constraint set (the prox of the
         indicator ``f_i``).
     opnorm_sq:
-        An upper bound on ``||K_i||^2`` (used for step sizing).
+        An upper bound on ``||K_i||^2``: the block's dual step is
+        ``sigma/opnorm_sq``, and its dual move is weighed by it.
     violation:
         Distance-style feasibility measure ``z -> dist(z, set)`` used by
         the stopping rule; returns 0 when feasible.
@@ -126,7 +136,9 @@ class PdhgSettings:
 def step_sizes(lipschitz_sq: float, weight: float) -> Tuple[float, float]:
     """``(tau, sigma)`` for primal weight ``weight``: ``tau = eta/weight`` and
     ``sigma = eta * weight`` with ``eta = 1/sqrt(lipschitz_sq)``, so that
-    ``tau * sigma * L^2 = 1`` whatever the weight."""
+    ``tau * sigma * L^2 = 1`` whatever the weight.  With block steps
+    ``L^2`` is the block count ``N``, the squared norm bound of the
+    block-normalised operator ``(K_i/||K_i||)_i``."""
     eta = 1.0 / math.sqrt(lipschitz_sq)
     return eta / weight, eta * weight
 
@@ -175,16 +187,20 @@ def solve_l1_constrained(
     -------
     RecoveryResult
         ``residual_norm`` reports the first block's violation (by
-        convention the measurement-fidelity block goes first).
+        convention the measurement-fidelity block goes first); ``info``
+        holds the final ``tau``, ``dual_step`` (the ``sigma`` that block
+        ``i`` divides by ``||K_i||^2``) and ``primal_weight``,
+        ``lipschitz_sq`` (the block count ``N``) and each block's
+        ``violation_i``.
     """
     if not blocks:
         raise ValueError("need at least one constraint block")
     if n <= 0:
         raise ValueError("n must be positive")
 
-    lip_sq = float(sum(b.opnorm_sq for b in blocks))
-    if lip_sq <= 0:
+    if any(b.opnorm_sq <= 0 for b in blocks):
         raise ValueError("operator norms must be positive")
+    lip_sq = float(len(blocks))  # of the block-normalised operator
     weight = 1.0
     tau, sigma = step_sizes(lip_sq, weight)
 
@@ -215,17 +231,23 @@ def solve_l1_constrained(
                 converged = True
                 break
 
-        # Dual step with Moreau: prox_{sigma f*}(v) = v - sigma prox_{f/sigma}(v/sigma)
-        # and for an indicator prox_{f/sigma} is the projection.
+        # Block dual step s_i = sigma/||K_i||^2 with Moreau:
+        # prox_{s_i f*}(v) = v - s_i prox_{f/s_i}(v/s_i), and for an
+        # indicator prox_{f/s_i} is the projection.
         for i, blk in enumerate(blocks):
-            v = duals[i] + sigma * blk.forward(alpha_bar)
-            dual_hat = v - sigma * blk.project(v / sigma)
+            step_i = sigma / blk.opnorm_sq
+            v = duals[i] + step_i * blk.forward(alpha_bar)
+            dual_hat = v - step_i * blk.project(v / step_i)
             duals[i] = duals[i] + RELAXATION * (dual_hat - duals[i])
         alpha = alpha + RELAXATION * (alpha_hat - alpha)
 
         if check:
+            # In block-normalised units: the norm of (||K_i|| (u_i - u_i_ref))_i.
             dual_move = math.sqrt(
-                sum(float(np.sum((d - r) ** 2)) for d, r in zip(duals, duals_ref))
+                sum(
+                    blk.opnorm_sq * float(np.sum((d - r) ** 2))
+                    for blk, d, r in zip(blocks, duals, duals_ref)
+                )
             )
             weight = update_primal_weight(
                 weight, dual_move, float(np.linalg.norm(alpha - alpha_ref))

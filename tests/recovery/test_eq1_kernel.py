@@ -23,7 +23,7 @@ from repro.recovery.bpdn import ball_block
 from repro.recovery.bsbl import solve_bsbl, solve_bsbl_dequant
 from repro.recovery.eq1 import solve_eq1
 from repro.recovery.hybrid import box_block
-from repro.recovery.pdhg import solve_l1_constrained
+from repro.recovery.pdhg import PdhgSettings, solve_l1_constrained
 from repro.recovery.problem import CsProblem
 from repro.runtime import stages
 from repro.runtime.task import CodebookSpec
@@ -34,10 +34,10 @@ CRS = (50.0, 75.0, 81.0)
 ALPHA_ATOL = 1e-8
 STEP_RTOL = 1e-12
 AMPLITUDES = (0.01, 1.0, 100.0)
-# Mean iterations over the first windows at CRS: 0.85x those of the
-# unrelaxed iteration (208 hybrid, 564 normal); the relaxed one reads
-# 149 and 417.
-MAX_MEAN_ITERATIONS = {"hybrid": 177, "normal": 480}
+# Mean iterations over the first windows at CRS: 0.85x (hybrid) and 0.95x
+# (normal) those of one shared dual step (149 hybrid, 417 normal); block
+# dual steps read 106.2 and 366.7.
+MAX_MEAN_ITERATIONS = {"hybrid": 126, "normal": 396}
 HYBRID_SPEC = CodebookSpec.default(
     CodebookKey(
         lowres_bits=DEFAULT_CONFIG.lowres_bits,
@@ -172,6 +172,50 @@ def test_normal_cs_iterations_amplitude_free(first_windows, cr):
         assert all(r.converged for r in runs)
         counts = [r.iterations for r in runs]
         assert max(counts) <= 4 * min(counts), counts
+
+
+@pytest.mark.parametrize("cr", CRS)
+def test_hybrid_amplitude_free(first_windows, cr):
+    """Scaling ``y``, ``sigma`` and the bounds together scales the optimum,
+    not the work or the answer.  With one dual step shared by the ball and
+    the box, 16 of the 24 x100 solves over CRS stopped at the first check
+    (a 25x spread, up to 19.9% from the x1 solve)."""
+    settings = DEFAULT_CONFIG.solver
+    for window in first_windows:
+        problem, y, sigma, (lower, upper) = _inputs(cr, "hybrid", window)
+        runs = [
+            solve_eq1(
+                problem, f * y, f * sigma, (f * lower, f * upper), settings=settings
+            )
+            for f in AMPLITUDES
+        ]
+        assert all(r.converged for r in runs)
+        counts = [r.iterations for r in runs]
+        assert min(counts) > settings.check_every, counts
+        assert max(counts) <= 6 * min(counts), counts
+        reference = runs[AMPLITUDES.index(1.0)].x
+        for f, r in zip(AMPLITUDES, runs):
+            distance = np.linalg.norm(r.x / f - reference) / np.linalg.norm(reference)
+            assert distance <= 0.025, (f, distance)
+
+
+@pytest.mark.parametrize("cr", CRS)
+def test_ball_scale_free(first_windows, cr):
+    """Scaling the ball block (``Φ``, ``y`` and ``sigma`` by ``c``) leaves
+    every iterate unchanged: its dual step is ``s/||A||^2`` and the weight
+    rule reads its dual move as ``||A|| u``.  Checked over 100 iterations
+    that never stop (measured 6e-16 of ``||alpha||``); with one shared
+    dual step the iterates differed by up to 3.2e-2 of ``||alpha||``."""
+    settings = PdhgSettings(max_iter=100, tol=1e-12)
+    for window in first_windows:
+        problem, y, sigma, bounds = _inputs(cr, "hybrid", window)
+        reference = solve_eq1(problem, y, sigma, bounds, settings=settings).alpha
+        for c in (0.1, 10.0):
+            scaled = CsProblem(c * problem.phi, problem.basis)
+            alpha = solve_eq1(scaled, c * y, c * sigma, bounds, settings=settings).alpha
+            np.testing.assert_allclose(
+                alpha, reference, rtol=0, atol=1e-10 * np.linalg.norm(reference)
+            )
 
 
 class TestEntryValidation:

@@ -74,8 +74,10 @@ class TestEngine:
         assert np.allclose(r.alpha, 0.0)
 
     def test_step_sizes_satisfy_pdhg_condition(self, basis_128, rng):
-        """tau * s * L^2 = 1 holds at the final, adapted primal weight, in
-        the generic engine and in the Eq. 1 kernel."""
+        """tau * sum_i s_i ||K_i||^2 = tau * s * N = 1 for N blocks with
+        block dual steps s_i = s/||K_i||^2 (``lipschitz_sq`` reports N)
+        holds at the final, adapted primal weight, in the generic engine
+        and in the Eq. 1 kernel."""
         phi = bernoulli_matrix(32, 128, seed=0)
         prob = CsProblem(phi, basis_128)
         y = phi @ rng.standard_normal(128)
@@ -87,6 +89,7 @@ class TestEngine:
         for r in results:
             assert r.iterations == 200
             assert r.info["primal_weight"] != 1.0  # rebalanced
+            assert r.info["lipschitz_sq"] == 1.0  # one block, the ball
             product = r.info["tau"] * r.info["dual_step"] * r.info["lipschitz_sq"]
             assert product == pytest.approx(1.0, rel=0, abs=1e-12)
 
