@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-full perfbench stream-smoke loadtest-smoke report examples clean-cache
+.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-full perfbench loadtest-smoke report examples clean-cache
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -52,12 +52,6 @@ perfbench:
 	for w in $(PERFBENCH_WORKLOADS); do \
 		$(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 20 --trace 1 || exit 1; \
 	done
-
-# 4-patient online streaming run over a 10% lossy link through the
-# multi-session gateway; writes the final telemetry snapshot.
-stream-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli stream --patients 4 --duration 10 \
-		--workers 2 --output benchmarks/results/STREAM_smoke.json
 
 # Deterministic 200-patient load test against the 2-shard wire-framed
 # cluster, cross-checked against a single-process baseline for byte

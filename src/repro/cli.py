@@ -6,13 +6,11 @@ The subcommands cover the everyday workflows:
 * ``repro compress``   — run a record through a front-end and report the
   per-window quality/compression table (``--workers N`` fans the window
   solves out over processes);
-* ``repro stream``     — the multi-patient streaming telemetry gateway:
-  N synthetic patients through a lossy link into a ``StreamGateway``,
-  with periodic snapshots (see ``docs/streaming.md``);
-* ``repro loadtest``   — the deterministic gateway load test: hundreds
-  to thousands of interleaved synthetic patients with scripted
-  loss/overload phases against the single-process or sharded gateway,
-  writing ``BENCH_gateway.json`` (see ``docs/streaming.md``);
+* ``repro loadtest``   — the streaming telemetry gateway under a
+  deterministic load: interleaved synthetic patients through scripted
+  lossy/overload link phases (``--phases lossy`` is the plain 10%
+  erasure run) into the single-process or sharded gateway, writing
+  ``BENCH_gateway.json`` (see ``docs/streaming.md``);
 * ``repro tradeoff``   — the low-resolution channel design table
   (Figs. 5-6 / Table I in one view);
 * ``repro power``      — the Section VI power comparison for a given pair
@@ -176,61 +174,6 @@ def _cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.core.config import FrontEndConfig
-    from repro.recovery.pdhg import PdhgSettings
-    from repro.runtime.executors import executor_from_workers
-    from repro.stream.driver import StreamScenario, run_stream_scenario
-
-    config = FrontEndConfig(
-        window_len=args.window,
-        n_measurements=args.measurements,
-        lowres_bits=args.lowres_bits,
-        solver=PdhgSettings(max_iter=args.max_iter),
-    )
-    scenario = StreamScenario(
-        patients=args.patients,
-        duration_s=args.duration,
-        config=config,
-        method=args.method,
-        chunk_size=args.chunk,
-        erasure_rate=args.erasure_rate,
-        bit_error_rate=args.bit_error_rate,
-        seed=args.seed,
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.policy,
-        reorder_depth=args.reorder_depth,
-        poll_every=args.poll_every,
-    )
-    print(
-        f"streaming {scenario.patients} patients x {scenario.duration_s:g} s "
-        f"(erasure {scenario.erasure_rate:.0%}, BER {scenario.bit_error_rate:g}, "
-        f"chunk {scenario.chunk_size})"
-    )
-    final = run_stream_scenario(
-        scenario,
-        executor=executor_from_workers(args.workers),
-        on_snapshot=lambda snap: print(snap.summary_line()),
-    )
-    print(final.summary_line())
-    per_patient_prd = ", ".join(
-        f"{s.patient_id}: "
-        + (
-            f"{s.rolling_prd_percent:.2f}%"
-            if s.rolling_prd_percent is not None
-            else "-"
-        )
-        for s in final.per_session
-    )
-    print(f"rolling PRD by patient: {per_patient_prd}")
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(final.to_json() + "\n")
-        print(f"wrote {out}")
-    return 0
-
-
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     import json
 
@@ -301,6 +244,17 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         f"shed {payload['shed_frames']}) | "
         f"concealed {payload['concealed']}"
     )
+    prds = {
+        pid: prd
+        for pid, prd in payload["rolling_prd_pct"].items()
+        if prd is not None
+    }
+    if prds:
+        worst = max(prds, key=prds.get)
+        print(
+            f"rolling PRD: mean {sum(prds.values()) / len(prds):.2f}% | "
+            f"worst {worst} {prds[worst]:.2f}%"
+        )
     if payload["per_shard"]:
         balance = ", ".join(
             f"{name}: {stats['sessions']}s/{stats['windows_completed']}w"
@@ -404,42 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser(
-        "stream",
-        help="online multi-patient streaming demo over a lossy link",
-    )
-    p.add_argument("--patients", type=int, default=4,
-                   help="concurrent synthetic patient streams")
-    p.add_argument("--duration", type=float, default=10.0,
-                   help="seconds of signal per patient")
-    p.add_argument("--method", choices=method_names(), default="hybrid")
-    p.add_argument("--window", type=int, default=512)
-    p.add_argument("--measurements", "-m", type=int, default=96)
-    p.add_argument("--lowres-bits", type=int, default=7)
-    p.add_argument("--max-iter", type=int, default=3000)
-    p.add_argument("--chunk", type=int, default=181,
-                   help="samples per playback chunk (window-misaligned by "
-                        "default to exercise the incremental framer)")
-    p.add_argument("--erasure-rate", type=float, default=0.1,
-                   help="per-frame packet erasure probability")
-    p.add_argument("--bit-error-rate", type=float, default=0.0,
-                   help="per-bit flip probability on surviving frames")
-    p.add_argument("--seed", type=int, default=0, help="base channel seed")
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="per-session ingress queue bound")
-    p.add_argument("--policy", default="drop-oldest",
-                   choices=("drop-oldest", "drop-newest", "shed-patient"),
-                   help="ingress queue overflow policy (default: drop-oldest)")
-    p.add_argument("--reorder-depth", type=int, default=4,
-                   help="windows a frame may run ahead before a gap is "
-                        "declared lost and concealed")
-    p.add_argument("--poll-every", type=int, default=8,
-                   help="gateway poll cadence, in playback chunks")
-    _add_workers_option(p)
-    p.add_argument("--output", "-o",
-                   help="also write the final gateway snapshot as JSON")
-    p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser(
         "loadtest",
         help="deterministic gateway load test; writes BENCH_gateway.json",
     )
@@ -463,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ingress queue overflow policy (default: drop-oldest)")
     p.add_argument("--reorder-depth", type=int, default=4)
     p.add_argument("--phases", default="nominal",
-                   choices=("nominal", "stress"),
-                   help="scripted load timeline: steady nominal traffic, or "
+                   choices=("nominal", "lossy", "stress"),
+                   help="scripted load timeline: steady nominal traffic, "
+                        "a 10%% erasure link throughout, or "
                         "nominal -> loss -> poll-starved overload")
     p.add_argument("--shards", type=int, default=1,
                    help="gateway shards (1 = single-process StreamGateway)")

@@ -233,8 +233,8 @@ def module_name_for(path: Path) -> str:
     """The dotted module name for a source file.
 
     Walks up while the parent directory is a package (has an
-    ``__init__.py``), so ``src/repro/stream/driver.py`` maps to
-    ``repro.stream.driver`` no matter what the runner was given as a
+    ``__init__.py``), so ``src/repro/stream/gateway.py`` maps to
+    ``repro.stream.gateway`` no matter what the runner was given as a
     root.  A package ``__init__.py`` maps to the package name itself.
     """
     path = Path(path).resolve()

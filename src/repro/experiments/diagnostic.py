@@ -16,12 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.codebooks import CodebookKey
 from repro.core.config import FrontEndConfig
-from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
-from repro.core.pipeline import default_codebook
-from repro.core.receiver import HybridReceiver
 from repro.experiments.runner import ExperimentScale, active_scale
 from repro.metrics.diagnostic import reconstruction_fidelity
+from repro.runtime.stages import link_for_params
+from repro.runtime.task import CodebookSpec
 
 __all__ = ["DiagnosticPoint", "DiagnosticData", "run_diagnostic"]
 
@@ -74,21 +74,22 @@ def run_diagnostic(
     config_base = base_config or FrontEndConfig()
     scale = scale or active_scale()
     records = scale.records()
-    codebook = default_codebook(
-        config_base.lowres_bits, config_base.acquisition_bits
-    )
+    specs = {
+        "hybrid": CodebookSpec.default(
+            CodebookKey(
+                lowres_bits=config_base.lowres_bits,
+                acquisition_bits=config_base.acquisition_bits,
+            )
+        ),
+        "normal": CodebookSpec.none(),
+    }
     center = 1 << (config_base.acquisition_bits - 1)
 
     points: List[DiagnosticPoint] = []
     for cr in cr_values:
         config = config_base.for_cr(cr)
-        for method in ("hybrid", "normal"):
-            if method == "hybrid":
-                frontend = HybridFrontEnd(config, codebook)
-                receiver = HybridReceiver(config, codebook)
-            else:
-                frontend = NormalCsFrontEnd(config)
-                receiver = HybridReceiver(config)
+        for method, spec in specs.items():
+            frontend, receiver = link_for_params(config, method, spec)
             sens, ppv, f1s, n_ref = [], [], [], 0
             for record in records:
                 originals, recons = [], []

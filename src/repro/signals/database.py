@@ -431,9 +431,9 @@ def interleave_playback(
     (chunks are 1-D integer arrays; a record's final chunk may be
     shorter).  Records that run out simply drop from the rotation, so
     differing record lengths are fine.  The ordering is a deterministic
-    function of the inputs alone — this is how the ``repro stream``
-    driver simulates N concurrent patients without any wall-clock
-    dependency.
+    function of the inputs alone — this is how the ``gateway_realtime``
+    workload of ``perfbench/`` and the gateway tests simulate N
+    concurrent patients without any wall-clock dependency.
     """
     if not records:
         raise ValueError("need at least one record")

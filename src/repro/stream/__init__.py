@@ -20,7 +20,6 @@ See ``docs/streaming.md``.
 """
 
 from repro.stream.cluster import ShardedGateway, stable_hash
-from repro.stream.driver import StreamScenario, run_stream_scenario
 from repro.stream.gateway import (
     SHEDDING_POLICIES,
     BoundedQueue,
@@ -72,7 +71,6 @@ __all__ = [
     "StepClock",
     "StreamFrame",
     "StreamGateway",
-    "StreamScenario",
     "WireError",
     "build_gateway",
     "codebook_spec_for",
@@ -81,6 +79,5 @@ __all__ = [
     "execute_recovery_task",
     "recovered_digest",
     "run_loadtest",
-    "run_stream_scenario",
     "stable_hash",
 ]

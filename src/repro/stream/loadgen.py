@@ -120,6 +120,9 @@ PHASE_SCRIPTS: Dict[str, Tuple[LoadPhase, ...]] = {
     # Steady nominal-rate traffic, no impairments: the acceptance run —
     # every frame must arrive and zero frames may be shed.
     "nominal": (LoadPhase("nominal", 1.0),),
+    # One stretch over a 10% erasure link, seeded ``seed + i`` per
+    # patient: the everyday lossy-telemetry run, with concealment.
+    "lossy": (LoadPhase("lossy", 1.0, erasure_rate=0.1),),
     # Nominal warm-up, then a lossy stretch, then a poll-starved
     # overload burst: exercises concealment and shedding in one run.
     "stress": (
@@ -287,7 +290,8 @@ def run_loadtest(
     The returned dict is the ``BENCH_gateway.json`` schema: scenario
     echo, runtime mode, wall/simulated time, frame accounting, latency
     percentiles (simulated clock), per-policy shedding counters,
-    per-phase traffic, per-shard balance, and the
+    per-phase traffic, per-shard balance, each patient's rolling PRD
+    (``None`` for a patient with no scored window), and the
     :func:`recovered_digest` identity hash.
     """
     cfg = scenario.config
@@ -455,5 +459,9 @@ def run_loadtest(
         "shed_rate": _rate(snapshot.frames_lost, frames_delivered),
         "per_phase": per_phase,
         "per_shard": balance,
+        "rolling_prd_pct": {
+            s.patient_id: s.rolling_prd_percent
+            for s in sorted(snapshot.per_session, key=lambda s: s.patient_id)
+        },
         "recovered_digest": digest,
     }

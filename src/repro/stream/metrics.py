@@ -5,13 +5,14 @@ statistic here is either a counter or a bounded rolling aggregate:
 :class:`RollingStat` keeps the last ``window`` observations of one
 scalar, and the snapshot dataclasses (:class:`SessionSnapshot`,
 :class:`GatewaySnapshot`) are immutable, JSON-serializable views of the
-gateway state at one instant — the wire format ``repro stream`` prints
-periodically and writes at shutdown.
+gateway state at one instant.  ``repro loadtest --verbose`` prints one
+:meth:`GatewaySnapshot.summary_line` per poll, and its
+``BENCH_gateway.json`` artifact carries the final snapshot's counters
+and each session's rolling PRD.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -208,10 +209,6 @@ class GatewaySnapshot:
             "recovery_cache": self.recovery_cache,
             "per_session": [s.to_dict() for s in self.per_session],
         }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """JSON document form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     def summary_line(self) -> str:
         """One human-readable status line (the periodic CLI output)."""

@@ -38,7 +38,7 @@ class TestGatewayCacheTelemetry:
         snap = gateway.snapshot()
         payload = snap.to_dict()
         assert payload["recovery_cache"] == snap.recovery_cache
-        parsed = json.loads(snap.to_json())
+        parsed = json.loads(json.dumps(snap.to_dict(), allow_nan=False))
         assert parsed["recovery_cache"]["maxsize"] >= 1
 
     def test_default_is_none_for_hand_built_snapshots(self):

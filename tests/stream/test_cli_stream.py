@@ -1,59 +1,8 @@
-"""CLI smoke tests for `repro stream` and `repro loadtest`."""
+"""CLI smoke tests for `repro loadtest`."""
 
 import json
 
 from repro.cli import main
-
-
-class TestStreamCommand:
-    def test_smoke_writes_snapshot(self, tmp_path, capsys):
-        out = tmp_path / "snap.json"
-        code = main(
-            [
-                "stream",
-                "--patients", "2",
-                "--duration", "2",
-                "--window", "128",
-                "--measurements", "48",
-                "--max-iter", "200",
-                "--chunk", "97",
-                "--erasure-rate", "0.2",
-                "--output", str(out),
-            ]
-        )
-        assert code == 0
-        data = json.loads(out.read_text())
-        assert data["schema"] == "repro-stream-snapshot/v1"
-        assert data["sessions"] == 2
-        assert data["windows_completed"] > 0
-        assert len(data["per_session"]) == 2
-        text = capsys.readouterr().out
-        assert "streaming 2 patients" in text
-        assert "rolling PRD by patient" in text
-
-    def test_invalid_patients_errors_cleanly(self, capsys):
-        code = main(["stream", "--patients", "0", "--duration", "2"])
-        assert code != 0
-        assert "error:" in capsys.readouterr().err
-
-    def test_policy_flag_selects_shedding(self, tmp_path):
-        out = tmp_path / "snap.json"
-        code = main(
-            [
-                "stream",
-                "--patients", "1",
-                "--duration", "1",
-                "--window", "128",
-                "--measurements", "48",
-                "--max-iter", "200",
-                "--chunk", "97",
-                "--erasure-rate", "0",
-                "--policy", "drop-newest",
-                "--output", str(out),
-            ]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["shed_policy"] == "drop-newest"
 
 
 LOADTEST_FAST = [
@@ -100,3 +49,50 @@ class TestLoadtestCommand:
             == data["baseline_single"]["recovered_digest"]
         )
         assert "identity vs single-process: True" in capsys.readouterr().out
+
+    def test_lossy_phase_reports_concealment_and_rolling_prd(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "BENCH_gateway.json"
+        code = main(
+            LOADTEST_FAST
+            + ["--duration", "3", "--phases", "lossy", "--output", str(out)]
+        )
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["scenario"]["phases"][0]["erasure_rate"] == 0.1
+        assert data["frames_erased"] > 0
+        assert data["concealed"] > 0
+        prds = data["rolling_prd_pct"]
+        assert sorted(prds) == ["p0000", "p0001", "p0002", "p0003"]
+        assert all(0.0 < prd < 100.0 for prd in prds.values())
+        text = capsys.readouterr().out
+        assert "[lossy]" in text
+        assert "rolling PRD: mean" in text
+
+    def test_policy_flag_is_echoed(self, tmp_path):
+        out = tmp_path / "BENCH_gateway.json"
+        code = main(
+            LOADTEST_FAST
+            + [
+                "--phases", "lossy",
+                "--policy", "drop-newest",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["scenario"]["shed_policy"] == (
+            "drop-newest"
+        )
+
+    def test_invalid_patients_errors_cleanly(self, tmp_path, capsys):
+        code = main(
+            [
+                "loadtest",
+                "--patients", "0",
+                "--phases", "lossy",
+                "--output", str(tmp_path / "unused.json"),
+            ]
+        )
+        assert code != 0
+        assert "error: patients must be >= 1" in capsys.readouterr().err

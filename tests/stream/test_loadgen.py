@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.core.channel import LossyLink
+from repro.signals.database import iter_record_chunks, load_record
 from repro.stream.gateway import SHEDDING_POLICIES
+from repro.stream.ingest import IngestSession
 from repro.stream.loadgen import (
     PHASE_SCRIPTS,
     LoadPhase,
@@ -42,6 +45,10 @@ class TestScenarioValidation:
     def test_rejects_bad_parameters(self, stream_config):
         with pytest.raises(ValueError):
             _scenario(stream_config, patients=0)
+        with pytest.raises(ValueError):
+            _scenario(stream_config, duration_s=0)
+        with pytest.raises(ValueError):
+            _scenario(stream_config, chunk_size=0)
         with pytest.raises(ValueError):
             _scenario(stream_config, shed_policy="drop-random")
         with pytest.raises(ValueError):
@@ -113,6 +120,58 @@ class TestNominalRun:
             sum(b["sessions"] for b in sharded["per_shard"].values())
             == payload["scenario"]["patients"]
         )
+
+
+class TestLossyScript:
+    @pytest.fixture(scope="class")
+    def lossy(self, stream_config):
+        progress = []
+        payload = run_loadtest(
+            _scenario(stream_config, duration_s=3.0, phases=PHASE_SCRIPTS["lossy"]),
+            on_progress=progress.append,
+        )
+        return payload, progress
+
+    def test_erasures_are_concealed(self, lossy):
+        payload, progress = lossy
+        assert payload["frames_erased"] > 0
+        assert payload["frames_lost"] == 0
+        assert payload["concealed"] > 0
+        assert progress and all(line.startswith("[lossy]") for line in progress)
+
+    def test_rolling_prd_per_patient(self, lossy):
+        payload, _ = lossy
+        prds = payload["rolling_prd_pct"]
+        assert list(prds) == [f"p{i:04d}" for i in range(6)]
+        assert all(0.0 < prd < 100.0 for prd in prds.values())
+
+    def test_links_seeded_seed_plus_patient(self, lossy, stream_config):
+        """Phase 0 seeds patient ``i``'s link with ``seed + i``."""
+        payload, _ = lossy
+        scenario = _scenario(stream_config, duration_s=3.0)
+        erased = 0
+        for i, pid in enumerate(scenario.patient_ids()):
+            record = load_record(scenario.record_name_for(i), duration_s=3.0)
+            link = LossyLink(packet_erasure_rate=0.1, seed=scenario.seed + i)
+            encoder = IngestSession(pid, stream_config)
+            for chunk in iter_record_chunks(record, scenario.chunk_size):
+                for frame in encoder.push(chunk):
+                    erased += link.transmit(frame.packet) is None
+        assert payload["frames_erased"] == erased
+
+    def test_deterministic_per_session_output(self, lossy, stream_config):
+        payload, _ = lossy
+        again = run_loadtest(
+            _scenario(stream_config, duration_s=3.0, phases=PHASE_SCRIPTS["lossy"])
+        )
+        for key in (
+            "frames_erased",
+            "concealed",
+            "latency_p99_s",
+            "rolling_prd_pct",
+            "recovered_digest",
+        ):
+            assert again[key] == payload[key], key
 
 
 class TestScriptedPhases:
