@@ -10,6 +10,7 @@ from repro.runtime.executors import ParallelExecutor
 from repro.signals.database import interleave_playback, load_record
 from repro.stream.gateway import BoundedQueue, StreamGateway
 from repro.stream.ingest import IngestSession, StreamFrame
+from repro.stream.loadgen import LoadScenario
 
 
 class FakeClock:
@@ -358,3 +359,13 @@ class TestExecutorEquivalence:
         serial = run(None)
         parallel = run(ParallelExecutor(workers=2))
         assert np.array_equal(serial, parallel)
+
+
+class TestScenarioDriver:
+    def test_scenario_validation(self, stream_config):
+        with pytest.raises(ValueError):
+            LoadScenario(patients=0, config=stream_config)
+        with pytest.raises(ValueError):
+            LoadScenario(duration_s=0, config=stream_config)
+        with pytest.raises(ValueError):
+            LoadScenario(chunk_size=0, config=stream_config)

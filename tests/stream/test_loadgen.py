@@ -46,10 +46,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             _scenario(stream_config, patients=0)
         with pytest.raises(ValueError):
-            _scenario(stream_config, duration_s=0)
-        with pytest.raises(ValueError):
-            _scenario(stream_config, chunk_size=0)
-        with pytest.raises(ValueError):
             _scenario(stream_config, shed_policy="drop-random")
         with pytest.raises(ValueError):
             _scenario(stream_config, phases=())
