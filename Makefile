@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-cov lint lint-fast lint-sarif bench bench-full perfbench loadtest-smoke report examples clean-cache
+.PHONY: install test test-fast test-cov lint bench bench-full perfbench loadtest-smoke report examples clean-cache
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -29,19 +29,8 @@ test-cov:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint src --strict
 
-# The quick local loop: warm content-hash cache, all CPUs for the
-# per-file pass, findings reported only for files changed vs HEAD
-# (the whole-program RL1xx analysis still sees every file).
-lint-fast:
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint src --strict --jobs 0 --changed
-
-# The CI artifact: the same strict run, written as SARIF 2.1.0.
-lint-sarif:
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint src --strict \
-		--format sarif --output benchmarks/results/LINT.sarif
-
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The ROADMAP baseline: one traced perfbench run per workload (about a
 # minute each).  Compare against a run of the parent commit on the same
@@ -64,14 +53,14 @@ loadtest-smoke:
 		--compare-single --output benchmarks/results/BENCH_gateway.json
 
 bench-full:
-	REPRO_BENCH_SCALE=full REPRO_CACHE_DIR=.repro_cache \
+	PYTHONPATH=src REPRO_BENCH_SCALE=full REPRO_CACHE_DIR=.repro_cache \
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 report:
-	$(PYTHON) -m repro.cli report --strict
+	PYTHONPATH=src $(PYTHON) -m repro.cli report --strict
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 clean-cache:
 	rm -rf .repro_cache benchmarks/results

@@ -272,7 +272,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.devtools.reprolint import (
         get_rules,
         render_json,
-        render_sarif,
         render_text,
         run_lint,
     )
@@ -286,19 +285,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             [Path(p) for p in (args.paths or ["src"])],
             select=args.select or None,
             ignore=args.ignore or None,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            changed_base=args.changed,
         )
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }[args.format]
+    render = {"json": render_json, "text": render_text}[args.format]
     report = render(run.findings)
     if args.output:
         out = Path(args.output)
@@ -415,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint", help="run the reprolint static-analysis pass")
     p.add_argument("paths", nargs="*", help="files/directories (default: src)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
+    p.add_argument("--format", choices=("text", "json"),
                    default="text", help="reporter (default: text)")
     p.add_argument("--output", "-o",
                    help="write the report to a file instead of stdout")
@@ -425,18 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only run these rule ids (e.g. RL001 RL100)")
     p.add_argument("--ignore", nargs="*", metavar="RULE",
                    help="skip these rule ids")
-    p.add_argument("--jobs", "-j", type=int, default=1,
-                   help="worker processes for the per-file pass "
-                        "(1 = in-process, 0 = all CPUs)")
-    p.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                   metavar="REF",
-                   help="report findings only in files changed vs REF "
-                        "(default HEAD) plus untracked files; the "
-                        "whole-program analysis still sees every file")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the content-hash result cache")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache directory (default .repro_cache)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the registered rules and exit")
     p.set_defaults(func=_cmd_lint)

@@ -1,25 +1,24 @@
 """``reprolint`` — domain-aware static analysis for the CS pipeline.
 
-Two passes over the tree: per-file rules (RL001–RL007) against a
-:class:`FileContext`, then the whole-program RL1xx family — import
-layering, cycles, executor-payload picklability, shared-state safety,
-contract/doc drift — against a :class:`ProjectModel` assembled from
-per-file :class:`ModuleSummary` records.  The runner adds a
-content-hash result cache, a multiprocess pass 1 (``--jobs``) and
-git-diff report scoping (``--changed``); reporters cover human text,
-versioned JSON and SARIF 2.1.0.
+One serial run, two passes over the tree: per-file rules (RL001–RL007)
+against a :class:`FileContext`, then the whole-program RL1xx family —
+import layering, cycles, executor-payload picklability, shared-state
+safety, contract/doc drift — against a :class:`ProjectModel` assembled
+from per-file :class:`ModuleSummary` records.  A file that cannot be
+read, decoded or parsed is one ``RL000`` finding, not an abort.
+Reporters cover human text and versioned JSON.
 
 Public surface: the rule framework (:class:`Rule`,
 :class:`ProgramRule`, :func:`register`, :func:`get_rules`,
-:func:`all_rule_ids`), the runners (:func:`lint_paths`,
-:func:`lint_source`, :func:`run_lint`, :func:`iter_python_files`), the
-project model (:class:`ProjectModel`, :class:`ModuleSummary`,
-:class:`LayerConfig`, :data:`REPRO_LAYERS`), the :class:`Finding`
-record, and the three reporters.  Importing the package loads both
-built-in rule sets into the registry.
+:func:`all_rule_ids`), the runner (:func:`run_lint`, :class:`LintRun`,
+:func:`lint_source`, :func:`iter_python_files`), the project model
+(:class:`ProjectModel`, :class:`ModuleSummary`, :class:`LayerConfig`,
+:data:`REPRO_LAYERS`), the :class:`Finding` record, and the two
+reporters.  Importing the package loads both built-in rule sets into
+the registry.
 
-Run it as ``repro lint <paths> [--strict] [--jobs N] [--changed]
-[--format json|sarif]`` or through ``make lint`` / ``make lint-fast``.
+Run it as ``repro lint <paths> [--strict] [--format json]`` or through
+``make lint``.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from repro.devtools.reprolint.core import (
     all_rule_ids,
     get_rules,
     iter_python_files,
-    lint_paths,
-    lint_source,
     read_source,
     register,
 )
@@ -41,12 +38,10 @@ from repro.devtools.reprolint import rules_program as _program_rules  # noqa: F4
 from repro.devtools.reprolint.graph import LayerConfig, REPRO_LAYERS
 from repro.devtools.reprolint.project import ModuleSummary, ProjectModel
 from repro.devtools.reprolint.rules_program import ProgramRule
-from repro.devtools.reprolint.runner import LintRun, run_lint
+from repro.devtools.reprolint.runner import LintRun, lint_source, run_lint
 from repro.devtools.reprolint.reporters import (
     JSON_SCHEMA_VERSION,
-    SARIF_VERSION,
     render_json,
-    render_sarif,
     render_text,
 )
 
@@ -63,14 +58,11 @@ __all__ = [
     "all_rule_ids",
     "get_rules",
     "iter_python_files",
-    "lint_paths",
     "lint_source",
     "read_source",
     "register",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_lint",
     "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
 ]

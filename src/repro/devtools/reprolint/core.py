@@ -1,4 +1,4 @@
-"""``reprolint`` core: findings, the rule registry, suppressions, runner.
+"""``reprolint`` core: findings, the rule registry, suppressions.
 
 The framework is deliberately small: a rule is a class with a
 ``rule_id``, a one-line ``title``, a ``rationale`` tying it to the
@@ -25,7 +25,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
 __all__ = [
     "Finding",
@@ -37,8 +37,6 @@ __all__ = [
     "iter_python_files",
     "read_source",
     "decode_failure_finding",
-    "lint_source",
-    "lint_paths",
 ]
 
 #: Packages whose inner loops feed the paper's headline figures; some
@@ -163,8 +161,8 @@ class Rule:
     """Base class for lint rules; subclass and :func:`register`.
 
     ``scope`` partitions the registry between the two runner passes:
-    ``"file"`` rules see one :class:`FileContext` at a time (and are
-    cacheable per file), ``"program"`` rules run once over the whole
+    ``"file"`` rules see one :class:`FileContext` at a time, ``"program"``
+    rules run once over the whole
     :class:`~repro.devtools.reprolint.project.ProjectModel` after every
     file has been summarized.
     """
@@ -255,37 +253,6 @@ def decode_failure_finding(path: Path, exc: Exception) -> Finding:
     )
 
 
-def lint_source(
-    source: str, path: Path, rules: Sequence[Rule]
-) -> List[Finding]:
-    """Run the file-scope ``rules`` over one module's text.
-
-    Suppression comments are honored; program-scope rules in ``rules``
-    are skipped (they need a whole project, see
-    :func:`repro.devtools.reprolint.runner.run_lint`).
-    """
-    try:
-        ctx = FileContext(Path(path), source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule_id="RL000",
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    findings = [
-        f
-        for rule in rules
-        if rule.scope == "file"
-        for f in rule.check(ctx)
-        if not ctx.is_suppressed(f)
-    ]
-    return sorted(findings)
-
-
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     """All ``.py`` files under ``paths``, skipping caches and hidden dirs."""
     for path in paths:
@@ -300,25 +267,3 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
                 yield sub
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
-
-
-def lint_paths(
-    paths: Iterable[Path],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    layers=None,
-) -> List[Finding]:
-    """Lint every Python file under ``paths``; the main library entry.
-
-    Runs both passes — per-file rules and the whole-program RL1xx family
-    over the project model built from exactly these files — serially and
-    without the result cache (the CLI runner adds caching and ``--jobs``;
-    see :func:`repro.devtools.reprolint.runner.run_lint`).  ``layers``
-    overrides the import-layering config for RL100 (tests use this to
-    lint fixture projects against fixture layers).
-    """
-    from repro.devtools.reprolint.runner import run_lint
-
-    return run_lint(
-        paths, select=select, ignore=ignore, use_cache=False, layers=layers
-    ).findings

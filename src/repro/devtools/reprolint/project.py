@@ -4,10 +4,9 @@ The RL1xx rule family (:mod:`repro.devtools.reprolint.rules_program`)
 reasons about facts that span files — who imports whom, which values
 reach an executor boundary, who mutates another module's state.  This
 module extracts everything those rules need from *one* file into a
-:class:`ModuleSummary`: a small, JSON-serializable record that the
-result cache can persist and a worker process can ship back whole.
-Pass 2 assembles the summaries into a :class:`ProjectModel`, which adds
-the cross-file resolution the per-file pass cannot do (import-alias →
+:class:`ModuleSummary`, a small record of plain values.  Pass 2
+assembles the summaries into a :class:`ProjectModel`, which adds the
+cross-file resolution the per-file pass cannot do (import-alias →
 defining module, layer assignment, the import graph).
 
 Everything here is approximate by design — a static over/under-
@@ -21,7 +20,7 @@ list of container-mutator method names.
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -159,8 +158,8 @@ class FunctionFacts:
 class ModuleSummary:
     """Every program-level fact extracted from one module.
 
-    JSON-serializable via :meth:`to_dict`/:meth:`from_dict` so the lint
-    cache can persist it and skip re-parsing unchanged files entirely.
+    Pass 1 builds one per file that parses; pass 2 resolves them against
+    each other in a :class:`ProjectModel`.
     """
 
     module: str
@@ -172,54 +171,6 @@ class ModuleSummary:
     functions: List[FunctionFacts] = field(default_factory=list)
     line_disables: Dict[int, List[str]] = field(default_factory=dict)
     file_disables: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        """A plain-JSON mapping (tuples become lists)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ModuleSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
-        return cls(
-            module=str(data["module"]),
-            path=str(data["path"]),
-            imports=[ImportRecord(**rec) for rec in data.get("imports", [])],
-            mutable_globals={
-                str(k): int(v)
-                for k, v in dict(data.get("mutable_globals", {})).items()
-            },
-            mutations=[
-                MutationSite(
-                    chain=tuple(rec["chain"]),
-                    verb=rec["verb"],
-                    line=rec["line"],
-                    col=rec["col"],
-                )
-                for rec in data.get("mutations", [])
-            ],
-            payload_suspects=[
-                PayloadSuspect(**rec) for rec in data.get("payload_suspects", [])
-            ],
-            functions=[
-                FunctionFacts(
-                    name=rec["name"],
-                    line=rec["line"],
-                    col=rec["col"],
-                    public=rec["public"],
-                    has_doc=rec["has_doc"],
-                    doc_has_shape=rec["doc_has_shape"],
-                    check_shape_chains=tuple(
-                        tuple(c) for c in rec["check_shape_chains"]
-                    ),
-                )
-                for rec in data.get("functions", [])
-            ],
-            line_disables={
-                int(k): list(v)
-                for k, v in dict(data.get("line_disables", {})).items()
-            },
-            file_disables=list(data.get("file_disables", [])),
-        )
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         """Whether a suppression comment covers ``rule_id`` at ``line``."""

@@ -1,49 +1,30 @@
-"""Finding reporters: human text, machine JSON, and SARIF for CI.
+"""Finding reporters: human text and machine JSON.
 
-All three take the finding list produced by the runner and return a
-string.  Every reporter is fully deterministic — findings are re-sorted
-by ``(path, line, col, rule)`` and every mapping is emitted with sorted
-keys — so CI diffs of committed reports are meaningful and the result
-cache can safely replay stored findings in any order.
+Both take the finding list produced by the runner and return a string.
+Both are fully deterministic — findings are re-sorted by ``(path,
+line, col, rule)`` and every mapping is emitted with sorted keys — so
+CI diffs of committed reports are meaningful.
 
 The JSON document is versioned so CI consumers can detect schema
-changes; the SARIF document targets the 2.1.0 schema that GitHub code
-scanning and most CI annotators ingest.
+changes.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from pathlib import PurePath
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.devtools.reprolint.core import Finding, get_rules
+from repro.devtools.reprolint.core import Finding
 
-__all__ = [
-    "render_text",
-    "render_json",
-    "render_sarif",
-    "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
-]
+__all__ = ["render_text", "render_json", "JSON_SCHEMA_VERSION"]
 
 JSON_SCHEMA_VERSION = 1
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _ordered(findings: Sequence[Finding]) -> List[Finding]:
-    """Findings in the canonical ``(path, line, col, rule)`` order."""
-    return sorted(findings)
 
 
 def render_text(findings: Sequence[Finding]) -> str:
     """One ``path:line:col: ID message`` line per finding plus a summary."""
-    findings = _ordered(findings)
+    findings = sorted(findings)
     if not findings:
         return "reprolint: no findings"
     lines = [f.format() for f in findings]
@@ -62,10 +43,9 @@ def render_json(findings: Sequence[Finding]) -> str:
     Deterministic by construction: findings sorted by ``(path, line,
     col, rule)``, ``by_rule`` keys sorted, and the serializer emits
     sorted keys — two runs over the same tree produce byte-identical
-    documents (this stability is what the cache keys and CI diffs rely
-    on).
+    documents (this stability is what CI diffs rely on).
     """
-    findings = _ordered(findings)
+    findings = sorted(findings)
     by_rule: Dict[str, int] = dict(
         sorted(Counter(f.rule_id for f in findings).items())
     )
@@ -74,79 +54,5 @@ def render_json(findings: Sequence[Finding]) -> str:
         "count": len(findings),
         "by_rule": by_rule,
         "findings": [f.to_dict() for f in findings],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_rules(rule_ids: Sequence[str]) -> List[dict]:
-    """SARIF ``tool.driver.rules`` descriptors for the ids in use."""
-    descriptors: Dict[str, dict] = {
-        "RL000": {
-            "id": "RL000",
-            "shortDescription": {"text": "unreadable or unparsable file"},
-            "fullDescription": {
-                "text": "The file could not be decoded or parsed, so it "
-                "cannot be audited at all."
-            },
-        }
-    }
-    for rule in get_rules():
-        descriptors[rule.rule_id] = {
-            "id": rule.rule_id,
-            "shortDescription": {"text": rule.title},
-            "fullDescription": {"text": rule.rationale},
-        }
-    return [descriptors[rid] for rid in sorted(set(rule_ids) & set(descriptors))]
-
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """The findings as a SARIF 2.1.0 document (CI annotation format).
-
-    Emits one ``run`` with the full registered-rule metadata for every
-    rule that fired, and one ``result`` per finding with a physical
-    location (URIs are forward-slash relative paths).  Deterministic for
-    the same reasons as :func:`render_json`.
-    """
-    findings = _ordered(findings)
-    fired = [f.rule_id for f in findings]
-    rules = _sarif_rules(fired)
-    rule_index = {r["id"]: i for i, r in enumerate(rules)}
-    results = []
-    for f in findings:
-        result = {
-            "ruleId": f.rule_id,
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": PurePath(f.path).as_posix()
-                        },
-                        "region": {
-                            "startLine": max(f.line, 1),
-                            "startColumn": f.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if f.rule_id in rule_index:
-            result["ruleIndex"] = rule_index[f.rule_id]
-        results.append(result)
-    payload = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -1,38 +1,25 @@
-"""The two-pass lint runner: cache, parallel pass 1, program pass 2.
+"""The two-pass lint runner.
 
-Pass 1 maps every file to ``(file-scope findings, ModuleSummary)`` — a
-pure function of the file's bytes, which makes it both cacheable
-(:mod:`repro.devtools.reprolint.cache`) and embarrassingly parallel
-(``--jobs`` fans files out over a ``ProcessPoolExecutor``; results are
-merged in file order, so the output is deterministic regardless of
-scheduling).  Pass 2 assembles the summaries into a
+Pass 1 reads every file once, runs the file-scope rules over its
+:class:`~repro.devtools.reprolint.core.FileContext` and extracts its
+:class:`~repro.devtools.reprolint.project.ModuleSummary`.  A file that
+cannot be read, decoded or parsed becomes one ``RL000`` finding and
+the run goes on.  Pass 2 assembles the summaries into a
 :class:`~repro.devtools.reprolint.project.ProjectModel` and runs the
-RL1xx program rules over it in-process.
-
-``--changed`` scoping keeps the *analysis* whole-program — every file
-under the given paths is still summarized (warm cache makes that
-cheap) so import-layering and shared-state findings stay correct — and
-only the *reporting* is restricted to files touched per ``git diff``
-plus untracked files.
+RL1xx program rules over it.  Both passes run serially, and the
+findings come back sorted, so the output is deterministic.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.devtools.reprolint.cache import (
-    LintCache,
-    analyzer_signature,
-    content_key,
-)
 from repro.devtools.reprolint.core import (
     FileContext,
     Finding,
+    Rule,
     decode_failure_finding,
     get_rules,
     iter_python_files,
@@ -44,11 +31,7 @@ from repro.devtools.reprolint.project import (
     summarize_module,
 )
 
-__all__ = ["LintRun", "run_lint", "changed_files", "DEFAULT_CACHE_DIR"]
-
-#: Default store location; already covered by ``.gitignore`` and the
-#: ``make clean-cache`` target.
-DEFAULT_CACHE_DIR = Path(".repro_cache")
+__all__ = ["LintRun", "lint_source", "run_lint"]
 
 
 @dataclass
@@ -62,50 +45,38 @@ class LintRun:
         every reporter preserves.
     files:
         How many files were examined.
-    cache_hits / cache_misses:
-        Pass-1 cache accounting (both zero when the cache is off).
-    jobs:
-        Worker processes used for pass 1.
     """
 
     findings: List[Finding] = field(default_factory=list)
     files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    jobs: int = 1
 
     def summary_line(self) -> str:
         """One status line for the CLI (stderr, not part of the report)."""
         return (
             f"reprolint: {self.files} file(s), "
-            f"{len(self.findings)} finding(s), cache "
-            f"{self.cache_hits} hit(s) / {self.cache_misses} miss(es), "
-            f"jobs {self.jobs}"
+            f"{len(self.findings)} finding(s)"
         )
 
 
-def _analyze_file(
-    task: Tuple[str, Tuple[str, ...], Tuple[str, ...]],
-) -> Tuple[str, List[Finding], Optional[ModuleSummary]]:
-    """Pass 1 for one file (module-level so it pickles to workers)."""
-    path_str, select, ignore = task
-    path = Path(path_str)
-    try:
-        source = read_source(path)
-    except UnicodeDecodeError as exc:
-        return path_str, [decode_failure_finding(path, exc)], None
+def _analyze_source(
+    source: str, path: Path, rules: Sequence[Rule]
+) -> Tuple[List[Finding], Optional[ModuleSummary]]:
+    """Pass 1 for one module: its file-scope findings and its summary.
+
+    A file that does not parse yields one ``RL000`` finding and no
+    summary.
+    """
     try:
         ctx = FileContext(path, source)
     except SyntaxError as exc:
         finding = Finding(
-            path=path_str,
+            path=str(path),
             line=exc.lineno or 1,
             col=(exc.offset or 1) - 1,
             rule_id="RL000",
             message=f"file does not parse: {exc.msg}",
         )
-        return path_str, [finding], None
-    rules = get_rules(select or None, ignore or None)
+        return [finding], None
     findings = sorted(
         f
         for rule in rules
@@ -113,45 +84,18 @@ def _analyze_file(
         for f in rule.check(ctx)
         if not ctx.is_suppressed(f)
     )
-    return path_str, findings, summarize_module(ctx)
+    return findings, summarize_module(ctx)
 
 
-def changed_files(base: str = "HEAD") -> Set[Path]:
-    """Files touched relative to ``base`` plus untracked files (resolved).
+def lint_source(
+    source: str, path: Path, rules: Sequence[Rule]
+) -> List[Finding]:
+    """Run the file-scope ``rules`` over one module's text.
 
-    Raises ``ValueError`` when git is unavailable or the working
-    directory is not a checkout, so the CLI reports a clean error
-    instead of a traceback.
+    Suppression comments are honored; program-scope rules in ``rules``
+    are skipped (they need a whole project, see :func:`run_lint`).
     """
-
-    def git(*args: str) -> List[str]:
-        proc = subprocess.run(
-            ["git", *args],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-        if proc.returncode != 0:
-            raise ValueError(
-                f"--changed needs a git checkout: git {' '.join(args)} "
-                f"failed: {proc.stderr.strip()}"
-            )
-        return [line for line in proc.stdout.splitlines() if line]
-
-    root = Path(git("rev-parse", "--show-toplevel")[0])
-    names = git("diff", "--name-only", base, "--")
-    names += git("ls-files", "--others", "--exclude-standard")
-    return {(root / name).resolve() for name in names}
-
-
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs == 1:
-        return 1
-    if jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError("jobs cannot be negative")
-    return int(jobs)
+    return _analyze_source(source, Path(path), rules)[0]
 
 
 def run_lint(
@@ -159,10 +103,6 @@ def run_lint(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     *,
-    jobs: Optional[int] = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
-    changed_base: Optional[str] = None,
     layers=None,
 ) -> LintRun:
     """Run both passes over every Python file under ``paths``.
@@ -171,107 +111,35 @@ def run_lint(
     ----------
     select / ignore:
         Rule-id filters, exactly as :func:`get_rules` takes them.
-    jobs:
-        Pass-1 worker processes (``1`` = in-process, ``0`` = all CPUs).
-    use_cache / cache_dir:
-        Per-file result cache (default location
-        :data:`DEFAULT_CACHE_DIR`); the cache key covers file bytes,
-        the analyzer's own sources, and the file-rule selection.
-    changed_base:
-        When set, restrict *reported* findings to files that differ
-        from this git ref (analysis still covers everything).
     layers:
         Layer-config override for RL100 (fixture projects in tests).
     """
     rules = get_rules(select=select, ignore=ignore)
-    file_rule_ids = tuple(r.rule_id for r in rules if r.scope == "file")
-    program_rules = [r for r in rules if r.scope == "program"]
-    select_t = tuple(s.upper() for s in select) if select else ()
-    ignore_t = tuple(s.upper() for s in ignore) if ignore else ()
+    files = list(dict.fromkeys(iter_python_files(paths)))
 
-    files = list(iter_python_files(paths))
-    changed: Optional[Set[Path]] = (
-        changed_files(changed_base) if changed_base is not None else None
-    )
+    findings: List[Finding] = []
+    summaries: List[ModuleSummary] = []
+    for path in files:
+        try:
+            source = read_source(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            findings.append(decode_failure_finding(path, exc))
+            continue
+        file_findings, summary = _analyze_source(source, path, rules)
+        findings.extend(file_findings)
+        if summary is not None:
+            summaries.append(summary)
 
-    cache: Optional[LintCache] = None
-    if use_cache:
-        cache = LintCache(
-            cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR,
-            analyzer_signature(file_rule_ids),
-        )
-
-    results: Dict[str, Tuple[List[Finding], Optional[ModuleSummary]]] = {}
-    keys: Dict[str, str] = {}
-    pending: List[str] = []
-    for file in files:
-        path_str = str(file)
-        if cache is not None:
-            try:
-                data = file.read_bytes()
-            except OSError as exc:
-                results[path_str] = (
-                    [decode_failure_finding(file, exc)],
-                    None,
-                )
-                continue
-            key = content_key(file, data)
-            keys[path_str] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[path_str] = hit
-                continue
-        pending.append(path_str)
-
-    jobs_n = _resolve_jobs(jobs)
-    tasks = [(p, select_t, ignore_t) for p in pending]
-    if jobs_n > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs_n
-        ) as pool:
-            analyzed = list(pool.map(_analyze_file, tasks))
-    else:
-        jobs_n = 1
-        analyzed = [_analyze_file(task) for task in tasks]
-    for path_str, findings, summary in analyzed:
-        results[path_str] = (findings, summary)
-        if cache is not None and path_str in keys:
-            cache.put(keys[path_str], findings, summary)
-
-    # Pass 2: program rules over the assembled project model.
-    summaries = [
-        summary for _, summary in results.values() if summary is not None
-    ]
     project = ProjectModel(summaries, layers=layers)
     by_path: Dict[str, ModuleSummary] = {s.path: s for s in summaries}
-    program_findings: List[Finding] = []
-    for rule in program_rules:
+    for rule in rules:
+        if rule.scope != "program":
+            continue
         for finding in rule.check_program(project):
             owner = by_path.get(finding.path)
-            if owner is not None and owner.is_suppressed(
+            if owner is None or not owner.is_suppressed(
                 finding.rule_id, finding.line
             ):
-                continue
-            program_findings.append(finding)
+                findings.append(finding)
 
-    findings = sorted(
-        f for fs, _ in results.values() for f in fs
-    ) + sorted(program_findings)
-    findings.sort()
-
-    if changed is not None:
-        keep = {str(p) for p in changed}
-        findings = [
-            f for f in findings if str(Path(f.path).resolve()) in keep
-        ]
-
-    if cache is not None:
-        cache.save()
-
-    return LintRun(
-        findings=findings,
-        files=len(files),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        jobs=jobs_n,
-    )
+    return LintRun(findings=sorted(findings), files=len(files))

@@ -31,7 +31,6 @@ def program_findings(rule_id):
     run = run_lint(
         [PROGRAM],
         select=[rule_id],
-        use_cache=False,
         layers=PROGRAM_LAYERS,
     )
     assert all(f.rule_id == rule_id for f in run.findings)
@@ -57,9 +56,7 @@ class TestImportLayering:
 
     def test_rl100_clean_when_module_unassigned(self):
         bare = LayerConfig([("only", ["proj.high"])])
-        run = run_lint(
-            [PROGRAM], select=["RL100"], use_cache=False, layers=bare
-        )
+        run = run_lint([PROGRAM], select=["RL100"], layers=bare)
         # bad_layer.py matches no layer, so its imports are exempt.
         assert run.findings == []
 

@@ -1,16 +1,14 @@
-"""Text, JSON, and SARIF reporter output formats."""
+"""Text and JSON reporter output formats."""
 
 import json
 from pathlib import Path
 
 from repro.devtools.reprolint import (
     JSON_SCHEMA_VERSION,
-    SARIF_VERSION,
     Finding,
-    lint_paths,
     render_json,
-    render_sarif,
     render_text,
+    run_lint,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -55,7 +53,7 @@ class TestJsonReporter:
         assert doc["by_rule"] == {}
 
     def test_round_trip_on_fixture(self):
-        findings = lint_paths([FIXTURES / "rl003_bad.py"])
+        findings = run_lint([FIXTURES / "rl003_bad.py"]).findings
         doc = json.loads(render_json(findings))
         assert doc["count"] == len(findings) >= 3
         assert all(f["rule"] == "RL003" for f in doc["findings"])
@@ -66,9 +64,6 @@ class TestDeterminism:
 
     def test_json_invariant_under_input_order(self):
         assert render_json(list(reversed(SAMPLE))) == render_json(SAMPLE)
-
-    def test_sarif_invariant_under_input_order(self):
-        assert render_sarif(list(reversed(SAMPLE))) == render_sarif(SAMPLE)
 
     def test_text_invariant_under_input_order(self):
         assert render_text(list(reversed(SAMPLE))) == render_text(SAMPLE)
@@ -85,51 +80,3 @@ class TestDeterminism:
             for f in doc["findings"]
         ]
         assert order == sorted(order)
-
-
-class TestSarifReporter:
-    def test_schema_and_tool(self):
-        doc = json.loads(render_sarif(SAMPLE))
-        assert doc["version"] == SARIF_VERSION
-        assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
-        (run,) = doc["runs"]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-
-    def test_rules_and_results_align(self):
-        doc = json.loads(render_sarif(SAMPLE))
-        (run,) = doc["runs"]
-        rules = run["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["RL001", "RL003"]
-        assert len(run["results"]) == 3
-        for result in run["results"]:
-            index = result["ruleIndex"]
-            assert rules[index]["id"] == result["ruleId"]
-            assert result["level"] == "error"
-
-    def test_locations_are_one_based(self):
-        doc = json.loads(render_sarif(SAMPLE))
-        first = doc["runs"][0]["results"][0]
-        region = first["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 3
-        assert region["startColumn"] == 5  # col 4, SARIF is 1-based
-
-    def test_rl000_gets_a_synthetic_descriptor(self):
-        findings = [
-            Finding(
-                path="bad.py",
-                line=1,
-                col=0,
-                rule_id="RL000",
-                message="file cannot be decoded: boom",
-            )
-        ]
-        doc = json.loads(render_sarif(findings))
-        rules = doc["runs"][0]["tool"]["driver"]["rules"]
-        assert [r["id"] for r in rules] == ["RL000"]
-        assert doc["runs"][0]["results"][0]["ruleIndex"] == 0
-
-    def test_empty_document(self):
-        doc = json.loads(render_sarif([]))
-        (run,) = doc["runs"]
-        assert run["results"] == []
-        assert run["tool"]["driver"]["rules"] == []

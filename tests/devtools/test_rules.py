@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.devtools.reprolint import (
     all_rule_ids,
     get_rules,
-    lint_paths,
     lint_source,
+    run_lint,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -26,7 +27,7 @@ CASES = {
 
 
 def rule_findings(path, rule_id):
-    return [f for f in lint_paths([path]) if f.rule_id == rule_id]
+    return [f for f in run_lint([path]).findings if f.rule_id == rule_id]
 
 
 class TestRegistry:
@@ -81,7 +82,7 @@ class TestRuleDetails:
     def test_rl000_on_syntax_error(self, tmp_path):
         broken = tmp_path / "broken.py"
         broken.write_text("def f(:\n")
-        found = lint_paths([broken])
+        found = run_lint([broken]).findings
         assert [f.rule_id for f in found] == ["RL000"]
 
     def test_lint_source_direct(self):
@@ -95,7 +96,7 @@ class TestRuleDetails:
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
-            lint_paths([Path("does/not/exist")])
+            run_lint([Path("does/not/exist")])
 
 
 class TestTolerantLoading:
@@ -105,7 +106,7 @@ class TestTolerantLoading:
         src = 'import numpy as np\nx = np.random.rand(3)\n__all__ = ["x"]\n'
         path = tmp_path / "bom.py"
         path.write_bytes(b"\xef\xbb\xbf" + src.encode("utf-8"))
-        found = lint_paths([path])
+        found = run_lint([path]).findings
         # The BOM neither crashes the parse nor shifts the findings.
         assert [f.rule_id for f in found] == ["RL001"]
         assert found[0].line == 2
@@ -118,12 +119,12 @@ class TestTolerantLoading:
         )
         path = tmp_path / "latin.py"
         path.write_bytes(src.encode("latin-1"))
-        assert lint_paths([path]) == []
+        assert run_lint([path]).findings == []
 
     def test_undecodable_bytes_become_rl000(self, tmp_path):
         path = tmp_path / "binary.py"
         path.write_bytes(b"x = '\xff\xfe\x00'\n")
-        found = lint_paths([path])
+        found = run_lint([path]).findings
         assert [f.rule_id for f in found] == ["RL000"]
         assert found[0].line == 1
         assert "cannot be decoded" in found[0].message
@@ -131,5 +132,19 @@ class TestTolerantLoading:
     def test_unknown_codec_becomes_rl000(self, tmp_path):
         path = tmp_path / "bogus.py"
         path.write_bytes(b"# -*- coding: not-a-codec -*-\nx = 1\n")
-        found = lint_paths([path])
+        found = run_lint([path]).findings
         assert [f.rule_id for f in found] == ["RL000"]
+
+    def test_unreadable_file_becomes_rl000(self, tmp_path, capsys):
+        src = 'import numpy as np\nx = np.random.rand(3)\n__all__ = ["x"]\n'
+        (tmp_path / "ok.py").write_text(src)
+        (tmp_path / "broken.py").symlink_to(tmp_path / "missing.py")
+        found = run_lint([tmp_path]).findings
+        # The dangling link is one finding; its neighbour is still linted.
+        assert [(Path(f.path).name, f.rule_id, f.line) for f in found] == [
+            ("broken.py", "RL000", 1),
+            ("ok.py", "RL001", 2),
+        ]
+        assert "cannot be decoded" in found[0].message
+        assert main(["lint", str(tmp_path)]) == 0
+        assert f"{tmp_path / 'broken.py'}:1:0: RL000" in capsys.readouterr().out

@@ -4,7 +4,6 @@ from pathlib import Path
 
 from repro.devtools.reprolint import (
     get_rules,
-    lint_paths,
     lint_source,
     run_lint,
 )
@@ -20,7 +19,7 @@ class TestLineSuppression:
     def test_fixture_suppresses_only_commented_line(self):
         findings = [
             f
-            for f in lint_paths([FIXTURES / "suppress_line.py"])
+            for f in run_lint([FIXTURES / "suppress_line.py"]).findings
             if f.rule_id == "RL001"
         ]
         # `still_flagged` keeps its finding; `legacy_draw` is suppressed.
@@ -58,7 +57,7 @@ class TestLineSuppression:
 
 class TestFileSuppression:
     def test_fixture_file_wide(self):
-        findings = lint_paths([FIXTURES / "suppress_file.py"])
+        findings = run_lint([FIXTURES / "suppress_file.py"]).findings
         assert [f for f in findings if f.rule_id == "RL001"] == []
 
     def test_disable_file_from_any_line(self):
@@ -137,7 +136,7 @@ class TestProgramRuleSuppression:
             '    """Mutate across the boundary (suppressed file-wide)."""\n'
             '    owner.CACHE["k"] = 1\n',
         )
-        run = run_lint([pkg], select=["RL103"], use_cache=False)
+        run = run_lint([pkg], select=["RL103"])
         assert run.findings == []
 
     def test_unsuppressed_program_finding_still_fires(self, tmp_path):
@@ -149,5 +148,5 @@ class TestProgramRuleSuppression:
             '    """Mutate across the boundary."""\n'
             '    owner.CACHE["k"] = 1\n',
         )
-        run = run_lint([pkg], select=["RL103"], use_cache=False)
+        run = run_lint([pkg], select=["RL103"])
         assert [f.rule_id for f in run.findings] == ["RL103"]
