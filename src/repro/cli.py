@@ -174,6 +174,10 @@ def _cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rates(rates) -> str:
+    return " / ".join("n/a" if r is None else f"{r:.1f}" for r in rates)
+
+
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     import json
 
@@ -218,19 +222,30 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     if args.compare_single and args.shards > 1:
         # The acceptance cross-check: the sharded runtime must recover
         # byte-identical output, and (given the cores) not run slower.
-        baseline = run_loadtest(scenario, shards=1, workers=args.workers)
+        # Wall-clock rates drift between runs, so sharded (S) and
+        # single-process (B) alternate S,B,B,S,S,B: each side gets three
+        # runs spread evenly over the session, for medians to compare.
+        sharded_runs = [payload]
+        single_runs = []
+        for mode_shards in (1, 1, args.shards, args.shards, 1):
+            run = run_loadtest(scenario, shards=mode_shards, workers=args.workers)
+            (single_runs if mode_shards == 1 else sharded_runs).append(run)
+        baseline = single_runs[0]
+        payload["frames_per_sec_runs"] = [r["frames_per_sec"] for r in sharded_runs]
         payload["baseline_single"] = {
             "wall_s": baseline["wall_s"],
             "frames_per_sec": baseline["frames_per_sec"],
+            "frames_per_sec_runs": [r["frames_per_sec"] for r in single_runs],
             "recovered_digest": baseline["recovered_digest"],
         }
-        payload["identical_to_single"] = (
-            payload["recovered_digest"] == baseline["recovered_digest"]
+        payload["identical_to_single"] = all(
+            r["recovered_digest"] == baseline["recovered_digest"]
+            for r in sharded_runs + single_runs
         )
         print(
             f"identity vs single-process: {payload['identical_to_single']} "
-            f"(sharded {payload['frames_per_sec']:.1f} fr/s, "
-            f"single {baseline['frames_per_sec']:.1f} fr/s)"
+            f"(sharded {_rates(payload['frames_per_sec_runs'])} fr/s, "
+            f"single {_rates(payload['baseline_single']['frames_per_sec_runs'])} fr/s)"
         )
 
     rate = payload["frames_per_sec"]
@@ -380,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gateway shards (1 = single-process StreamGateway)")
     p.add_argument("--compare-single", action="store_true",
                    help="with --shards > 1, also run single-process and "
-                        "record throughput + bit-identity of the output")
+                        "record throughput + bit-identity of the output "
+                        "(three runs a side, alternating S,B,B,S,S,B)")
     p.add_argument("--verbose", action="store_true",
                    help="print a snapshot line after every gateway poll")
     _add_workers_option(p)

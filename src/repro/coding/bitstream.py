@@ -5,11 +5,14 @@ compression-ratio numbers in the experiments are measured on streams
 produced by these classes, so the accounting is bit-exact rather than
 estimated from entropy formulas.
 
-:class:`BitWriter` is backed by a ``bytearray`` and offers a bulk
-:meth:`~BitWriter.write_bits_array` fast path (array expansion +
-``np.packbits``) used by the batched packet serializer; the bit-at-a-time
-methods remain the reference semantics and the two paths produce
-identical buffers.
+Both classes have a bulk field path next to the bit-at-a-time one:
+:meth:`BitWriter.write_bits_array` (array expansion + ``np.packbits``)
+and its inverse :meth:`BitReader.read_bits_array` (``np.unpackbits`` +
+one weighted reduction).  Packet framing
+(:meth:`repro.core.packets.WindowPacket.to_bytes` / ``from_bytes``) and
+the lossy link's code corruption run on them; the per-bit methods are
+the reference semantics, and the two paths produce identical buffers
+and values.
 """
 
 from __future__ import annotations
@@ -188,3 +191,39 @@ class BitReader:
 
     # Alias matching BitWriter.write_uint.
     read_uint = read_bits
+
+    def read_bits_array(self, lengths) -> np.ndarray:
+        """Bulk equivalent of ``[read_bits(n) for n in lengths]``.
+
+        Returns the fields as a ``uint64`` array of ``len(lengths)``.
+        Fields are at most 64 bits wide.  A read past the logical end
+        raises ``EOFError`` (as the per-bit loop does) and leaves the
+        cursor where it was.
+        """
+        lengths_arr = np.asarray(lengths, dtype=np.int64)
+        if lengths_arr.ndim != 1:
+            raise ValueError("lengths must be 1-D")
+        if np.any(lengths_arr < 0):
+            raise ValueError("n_bits cannot be negative")
+        if np.any(lengths_arr > 64):
+            raise ValueError("bulk fields are at most 64 bits wide")
+        total = int(lengths_arr.sum())
+        if total > self.bits_remaining:
+            raise EOFError("bitstream exhausted")
+        values = np.zeros(lengths_arr.size, dtype=np.uint64)
+        if total == 0:
+            return values
+        first_byte, skip = divmod(self._pos, 8)
+        span = np.frombuffer(
+            self._data, dtype=np.uint8,
+            count=(skip + total + 7) // 8, offset=first_byte,
+        )
+        bits = np.unpackbits(span)[skip : skip + total].astype(np.uint64, copy=False)
+        self._pos += total
+        keep = lengths_arr > 0
+        lens = lengths_arr[keep]
+        offsets = np.cumsum(lens) - lens
+        intra = np.arange(total, dtype=np.int64) - np.repeat(offsets, lens)
+        bits <<= (np.repeat(lens, lens) - 1 - intra).astype(np.uint64, copy=False)
+        values[keep] = np.add.reduceat(bits, offsets)
+        return values

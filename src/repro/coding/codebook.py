@@ -36,8 +36,8 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.coding.bitstream import BitReader, BitWriter
-from repro.coding.differential import difference_decode, difference_encode
+from repro.coding.bitstream import BitWriter
+from repro.coding.differential import difference_encode
 from repro.coding.huffman import HuffmanCodec
 from repro.coding.runlength import (
     MAX_RUN_EXPONENT,
@@ -146,9 +146,6 @@ class DifferenceCodebook:
             )
         return field
 
-    def _field_to_signed(self, field: int) -> int:
-        return field - (1 << (self.escape_payload_bits - 1))
-
     def encode_window(self, codes: np.ndarray) -> Tuple[bytes, int]:
         """Encode one window of B-bit codes; returns (payload, bit length).
 
@@ -221,29 +218,30 @@ class DifferenceCodebook:
             for payload, bits in zip(payloads, bit_lengths)
         ]
 
+    @cached_property
+    def decode_tables(self):
+        """Table-driven decoder state (:class:`~repro.coding.vectorized.
+        DecodeTables`), built lazily once per codebook like :attr:`tables`."""
+        from repro.coding.vectorized import build_decode_tables
+
+        return build_decode_tables(self)
+
     def decode_window(
         self, payload: bytes, n_samples: int, bit_length: int | None = None
     ) -> np.ndarray:
-        """Inverse of :meth:`encode_window`; the B-bit codes, shape ``(n,)``."""
+        """Inverse of :meth:`encode_window`; the B-bit codes, shape ``(n,)``.
+
+        Table-driven (:func:`repro.coding.vectorized.decode_code_window`):
+        a truncated payload raises ``EOFError``, a desynchronised one
+        ``ValueError``, exactly where a bit-at-a-time decode would.
+        """
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
-        reader = BitReader(payload, bit_length)
-        first = reader.read_uint(self.resolution_bits)
-        diffs: List[int] = []
-        needed = n_samples - 1
-        while len(diffs) < needed:
-            sym = self.codec.decode_symbol(reader)
-            if sym == ESCAPE:
-                diffs.append(
-                    self._field_to_signed(reader.read_uint(self.escape_payload_bits))
-                )
-            elif isinstance(sym, ZeroRun):
-                diffs.extend([0] * sym.length)
-            else:
-                diffs.append(int(sym))
-        if len(diffs) != needed:
-            raise ValueError("corrupt payload: run tokens overshoot the window")
-        return difference_decode(first, np.asarray(diffs, dtype=np.int64))
+        from repro.coding.vectorized import decode_code_window
+
+        return decode_code_window(
+            self.decode_tables, payload, n_samples, bit_length
+        )
 
     def compressed_fraction(self, codes: np.ndarray) -> float:
         """Encoded size over raw size ``n * B`` for one window.

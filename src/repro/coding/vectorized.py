@@ -1,4 +1,4 @@
-"""Table-driven vectorized batch encoder for the low-res channel.
+"""Table-driven vectorized coder for the low-res channel.
 
 The scalar transmit path (:meth:`repro.coding.codebook.DifferenceCodebook.
 encode_window`) walks one symbol at a time through the pure-Python
@@ -26,6 +26,17 @@ sample header, the same token order (largest run chunks first, single
 leftover zero last), the same MSB-first packing and zero padding.  The
 test suite asserts this equality exhaustively; ``docs/encoding.md``
 states the exactness contract.
+
+The receiver side is table-driven too.  :func:`build_decode_tables`
+left-aligns every codeword to the longest code length ``Lmax`` and
+partitions ``[0, 2**Lmax)`` into the codewords' intervals (plus the
+gaps an incomplete code leaves); :func:`decode_code_window` peeks
+``Lmax`` bits at every bit position of a payload at once, finds each
+peek's interval with one :func:`numpy.searchsorted`, and then only
+follows the token starts, one list lookup per token.  It decodes what
+the per-bit reference (``HuffmanCodec.decode_symbol`` over a
+:class:`~repro.coding.bitstream.BitReader`) decodes and raises the same
+exception classes on truncated or desynchronised payloads.
 """
 
 from __future__ import annotations
@@ -35,12 +46,21 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
+from repro.coding.differential import difference_decode
 from repro.coding.runlength import MAX_RUN_EXPONENT, ZeroRun
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.coding.codebook import DifferenceCodebook
 
-__all__ = ["CodebookTables", "build_tables", "encode_code_windows", "pack_fields"]
+__all__ = [
+    "CodebookTables",
+    "DecodeTables",
+    "build_tables",
+    "build_decode_tables",
+    "decode_code_window",
+    "encode_code_windows",
+    "pack_fields",
+]
 
 
 @dataclass(frozen=True)
@@ -312,3 +332,157 @@ def encode_code_windows(
         field_values[positions] = token_values
         field_lengths[positions] = token_lengths
     return pack_fields(field_values, field_lengths, field_starts)
+
+
+#: Longest codeword the decoder peeks: a 64-bit word read at a byte
+#: offset holds at least 57 bits from any bit position in that byte.
+MAX_PEEK_BITS = 57
+
+
+@dataclass(frozen=True)
+class DecodeTables:
+    """Interval tables that decode one trained codebook's payloads.
+
+    Every codeword, left-aligned to ``peek_bits`` (the longest code
+    length), owns the interval ``[code << (peek_bits - length), (code + 1)
+    << (peek_bits - length))``; the intervals and the gaps between them
+    partition ``[0, 2**peek_bits)`` and are listed by ``starts``.  The
+    other arrays describe each interval's token.
+
+    Attributes
+    ----------
+    resolution_bits:
+        The B of the raw first-sample field.
+    escape_bits:
+        Width of the raw signed difference after an escape codeword.
+    peek_bits:
+        Longest code length ``Lmax``.
+    starts:
+        Interval starts, ascending from 0.
+    steps:
+        Bits the token occupies (codeword, plus the raw field after an
+        escape); 0 marks a gap, where no codeword matches.
+    samples:
+        Differences the token stands for (the run length of a zero run).
+    values:
+        The token's difference (0 for zero runs and escapes).
+    escape:
+        Whether the token is the escape codeword.
+    """
+
+    resolution_bits: int
+    escape_bits: int
+    peek_bits: int
+    starts: np.ndarray
+    steps: np.ndarray
+    samples: np.ndarray
+    values: np.ndarray
+    escape: np.ndarray
+
+
+def build_decode_tables(codebook: "DifferenceCodebook") -> DecodeTables:
+    """The interval tables of a trained codebook (one pass over its symbols)."""
+    from repro.coding.codebook import ESCAPE
+
+    codes = codebook.codec.codes
+    peek = max(length for _, length in codes.values())
+    if peek > MAX_PEEK_BITS:
+        raise ValueError(f"codewords longer than {MAX_PEEK_BITS} bits")
+    rows = []  # (start, step, samples, value, escape)
+    cursor = 0
+    for start, length, sym in sorted(
+        (code << (peek - length), length, sym) for sym, (code, length) in codes.items()
+    ):
+        if start > cursor:
+            rows.append((cursor, 0, 0, 0, False))
+        if sym == ESCAPE:
+            rows.append((start, length + codebook.escape_payload_bits, 1, 0, True))
+        elif isinstance(sym, ZeroRun):
+            rows.append((start, length, sym.length, 0, False))
+        else:
+            rows.append((start, length, 1, int(sym), False))
+        cursor = start + (1 << (peek - length))
+    if cursor < 1 << peek:
+        rows.append((cursor, 0, 0, 0, False))
+    starts, steps, samples, values, escape = zip(*rows)
+    return DecodeTables(
+        resolution_bits=codebook.resolution_bits,
+        escape_bits=codebook.escape_payload_bits,
+        peek_bits=peek,
+        starts=np.array(starts, dtype=np.uint64),
+        steps=np.array(steps, dtype=np.int64),
+        samples=np.array(samples, dtype=np.int64),
+        values=np.array(values, dtype=np.int64),
+        escape=np.array(escape, dtype=bool),
+    )
+
+
+def _peek(words: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bits from each bit position, as ``uint64`` values.
+
+    ``words[i]`` is the big-endian 64-bit word at byte offset ``i``.
+    """
+    shifted = words[positions >> 3] << (positions & 7).astype(np.uint64, copy=False)
+    return shifted >> np.uint64(64 - width)
+
+
+def decode_code_window(
+    tables: DecodeTables,
+    payload: bytes,
+    n_samples: int,
+    bit_length: int | None = None,
+) -> np.ndarray:
+    """Decode one window's payload; the B-bit codes, shape ``(n_samples,)``.
+
+    Equal to the per-bit decode: the first ``bit_length`` bits (all of
+    ``payload`` when ``None``) are the stream; running out of them raises
+    ``EOFError``, ``Lmax`` bits that start no codeword raise
+    ``ValueError``, as do zero runs that overshoot the window.
+    """
+    limit = len(payload) * 8 if bit_length is None else bit_length
+    if not 0 <= limit <= len(payload) * 8:
+        raise ValueError("bit_length exceeds the buffer size")
+    first_bits = tables.resolution_bits
+    if limit < first_bits:
+        raise EOFError("bitstream exhausted")
+    padded = bytes(payload) + bytes(8)
+    words = np.ndarray(
+        shape=(len(payload) + 1,), dtype=">u8", buffer=padded, strides=(1,)
+    )
+    # One peek per bit position from the first token to the end of the
+    # stream inclusive; bits past the end never complete a codeword that
+    # the walk below accepts, so their content does not matter.
+    positions = np.arange(first_bits, limit + 1, dtype=np.int64)
+    interval = np.searchsorted(
+        tables.starts, _peek(words, positions, tables.peek_bits), side="right"
+    ) - 1
+    steps = tables.steps[interval].tolist()
+    samples = tables.samples[interval].tolist()
+
+    end = limit - first_bits
+    needed = n_samples - 1
+    produced = pos = 0
+    token_pos = []
+    while produced < needed:
+        step = steps[pos]
+        if step == 0 or pos + step > end:
+            if step == 0 and end - pos >= tables.peek_bits:
+                raise ValueError("invalid bitstream: no codeword matched")
+            raise EOFError("bitstream exhausted")
+        token_pos.append(pos)
+        produced += samples[pos]
+        pos += step
+    if produced != needed:
+        raise ValueError("corrupt payload: run tokens overshoot the window")
+
+    first = int(words[0]) >> (64 - first_bits)
+    tokens = interval[token_pos]
+    diffs = tables.values[tokens]
+    escaped = tables.escape[tokens]
+    if escaped.any():
+        field_pos = positions[token_pos][escaped] + (
+            tables.steps[tokens[escaped]] - tables.escape_bits
+        )
+        fields = _peek(words, field_pos, tables.escape_bits).astype(np.int64, copy=False)
+        diffs[escaped] = fields - (1 << (tables.escape_bits - 1))
+    return difference_decode(first, np.repeat(diffs, tables.samples[tokens]))

@@ -129,39 +129,49 @@ class LossyLink:
             raise ValueError("packet_erasure_rate must be in [0, 1)")
         self._rng = np.random.default_rng(self.seed)
 
-    def _flip_bits(self, data: bytes, n_bits: int) -> bytes:
-        if not data or self.bit_error_rate == 0.0:
-            return data
-        arr = np.frombuffer(data, dtype=np.uint8).copy()
-        total_bits = min(n_bits, arr.size * 8)
-        flips = self._rng.uniform(size=total_bits) < self.bit_error_rate
-        for pos in np.nonzero(flips)[0]:
-            arr[pos // 8] ^= 1 << (7 - pos % 8)
-        return arr.tobytes()
+    def _flip_mask(self, n_bits: int) -> Optional[np.ndarray]:
+        """Packed MSB-first mask of the bits that flip among ``n_bits``.
+
+        One ``uniform`` draw per bit, so the generator advances exactly
+        as a bit-by-bit loop would; ``None`` when no bit flips.
+        """
+        flips = self._rng.uniform(size=n_bits) < self.bit_error_rate
+        return np.packbits(flips) if flips.any() else None
 
     def transmit(self, packet: WindowPacket) -> Optional[WindowPacket]:
         """Push one packet through the channel.
 
         Returns ``None`` for an erasure, otherwise a (possibly corrupted)
-        packet.  The header is assumed protected (real links CRC and
-        retransmit the few header bytes; it is the payload that is big).
+        packet; one that no bit error hit comes back as is.  The header
+        is assumed protected (real links CRC and retransmit the few header
+        bytes; it is the payload that is big).
         """
         if self._rng.uniform() < self.packet_erasure_rate:
             return None
         if self.bit_error_rate == 0.0:
             return packet
 
-        # Corrupt measurement codes bit-by-bit on their serialized form.
-        writer = BitWriter()
-        for code in packet.measurement_codes:
-            writer.write_uint(int(code), packet.measurement_bits)
-        code_bytes = self._flip_bits(writer.getvalue(), writer.bit_length)
-        reader = BitReader(code_bytes, writer.bit_length)
-        codes = np.array(
-            [reader.read_uint(packet.measurement_bits) for _ in range(packet.m)],
-            dtype=np.int64,
+        # Bit errors hit the codes in their serialized form, then the
+        # payload; an empty field draws nothing.
+        codes = packet.measurement_codes
+        code_mask = self._flip_mask(packet.cs_bits) if codes.size else None
+        payload = packet.lowres_payload
+        payload_mask = (
+            self._flip_mask(packet.lowres_bit_length) if payload else None
         )
-        payload = self._flip_bits(packet.lowres_payload, packet.lowres_bit_length)
+        if code_mask is None and payload_mask is None:
+            return packet
+        if code_mask is not None:
+            widths = np.full(packet.m, packet.measurement_bits, dtype=np.int64)
+            writer = BitWriter()
+            writer.write_bits_array(codes, widths)
+            flipped = np.frombuffer(writer.getvalue(), dtype=np.uint8) ^ code_mask
+            reader = BitReader(flipped.tobytes(), packet.cs_bits)
+            codes = reader.read_bits_array(widths).astype(np.int64)
+        if payload_mask is not None:
+            flipped = np.frombuffer(payload, dtype=np.uint8).copy()
+            flipped[: payload_mask.size] ^= payload_mask
+            payload = flipped.tobytes()
         return WindowPacket(
             window_index=packet.window_index,
             n=packet.n,

@@ -73,8 +73,8 @@ class WindowPacket:
             raise ValueError("measurement codes out of range")
         if self.window_index < 0 or self.n <= 0:
             raise ValueError("invalid header fields")
-        if self.lowres_bit_length > len(self.lowres_payload) * 8:
-            raise ValueError("payload bit length exceeds the payload buffer")
+        if not 0 <= self.lowres_bit_length <= len(self.lowres_payload) * 8:
+            raise ValueError("payload bit length outside the payload buffer")
         object.__setattr__(self, "measurement_codes", codes.astype(np.int64))
 
     @property
@@ -105,17 +105,28 @@ class WindowPacket:
         )
 
     def to_bytes(self) -> bytes:
-        """Serialize to the on-air byte representation."""
+        """Serialize to the on-air byte representation.
+
+        Header, codes and payload go through one
+        :meth:`~repro.coding.bitstream.BitWriter.write_bits_array` call;
+        the payload travels as byte-wide fields.
+        """
+        payload_widths = _payload_widths(self.lowres_bit_length)
+        payload = np.frombuffer(
+            self.lowres_payload, dtype=np.uint8, count=payload_widths.size
+        ).astype(np.int64)
+        if payload.size:
+            payload[-1] >>= 8 - payload_widths[-1]
+        header = [self.window_index, self.n, self.m, self.lowres_bit_length]
         writer = BitWriter()
-        writer.write_uint(self.window_index, 32)
-        writer.write_uint(self.n, 16)
-        writer.write_uint(self.m, 16)
-        writer.write_uint(self.lowres_bit_length, 32)
-        for code in self.measurement_codes:
-            writer.write_uint(int(code), self.measurement_bits)
-        reader = BitReader(self.lowres_payload, self.lowres_bit_length)
-        for _ in range(self.lowres_bit_length):
-            writer.write_bit(reader.read_bit())
+        writer.write_bits_array(
+            np.concatenate([header, self.measurement_codes, payload]),
+            np.concatenate([
+                _HEADER_WIDTHS,
+                np.full(self.m, self.measurement_bits, dtype=np.int64),
+                payload_widths,
+            ]),
+        )
         return writer.getvalue()
 
     @staticmethod
@@ -123,27 +134,56 @@ class WindowPacket:
         """Parse a frame produced by :meth:`to_bytes`.
 
         ``measurement_bits`` comes from the shared config (it is offline
-        state, not per-frame signalling).
+        state, not per-frame signalling).  A frame cut short raises
+        ``EOFError``.
         """
-        reader = BitReader(data)
-        window_index = reader.read_uint(32)
-        n = reader.read_uint(16)
-        m = reader.read_uint(16)
-        lowres_bit_length = reader.read_uint(32)
-        codes = np.array(
-            [reader.read_uint(measurement_bits) for _ in range(m)], dtype=np.int64
-        )
-        payload_writer = BitWriter()
-        for _ in range(lowres_bit_length):
-            payload_writer.write_bit(reader.read_bit())
+        window_index, n, m, lowres_bit_length = _read_header(data)
+        reader = BitReader(data[HEADER_BITS // 8 :])
+        codes = reader.read_bits_array(
+            np.full(m, measurement_bits, dtype=np.int64)
+        ).astype(np.int64)
+        # A damaged header may announce up to 2^32 payload bits: check
+        # before sizing anything by it.
+        if lowres_bit_length > reader.bits_remaining:
+            raise EOFError("bitstream exhausted")
+        payload_widths = _payload_widths(lowres_bit_length)
+        payload = reader.read_bits_array(payload_widths).astype(np.uint8)
+        if payload.size:
+            payload[-1] <<= 8 - payload_widths[-1]
         return WindowPacket(
             window_index=window_index,
             n=n,
             measurement_codes=codes,
             measurement_bits=measurement_bits,
-            lowres_payload=payload_writer.getvalue(),
+            lowres_payload=payload.tobytes(),
             lowres_bit_length=lowres_bit_length,
         )
+
+
+#: Bit widths of the header fields: index, n, m, payload bit length.
+_HEADER_WIDTHS = np.array([32, 16, 16, 32], dtype=np.int64)
+
+
+def _read_header(data: bytes) -> Tuple[int, int, int, int]:
+    """The four header fields ``(window_index, n, m, payload bits)``.
+
+    The header is the frame's first ``HEADER_BITS // 8`` bytes; fewer
+    raise ``EOFError`` like any read past the end of a frame.
+    """
+    if len(data) < HEADER_BITS // 8:
+        raise EOFError("bitstream exhausted")
+    head = int.from_bytes(data[: HEADER_BITS // 8], "big")
+    return head >> 64, (head >> 48) & 0xFFFF, (head >> 32) & 0xFFFF, head & 0xFFFFFFFF
+
+
+def _payload_widths(bit_length: int) -> np.ndarray:
+    """Field widths that carry ``bit_length`` payload bits bytewise:
+    whole bytes, then the ``bit_length % 8`` leading bits of the last."""
+    full, rem = divmod(bit_length, 8)
+    widths = np.full(full + (rem > 0), 8, dtype=np.int64)
+    if rem:
+        widths[-1] = rem
+    return widths
 
 
 def split_stream(
@@ -157,11 +197,7 @@ def split_stream(
     packets = []
     offset = 0
     for _ in range(n_packets):
-        head = BitReader(data[offset : offset + (HEADER_BITS // 8)])
-        head.read_uint(32)
-        head.read_uint(16)
-        m = head.read_uint(16)
-        lowres_bits = head.read_uint(32)
+        _, _, m, lowres_bits = _read_header(data[offset : offset + HEADER_BITS // 8])
         frame_bits = HEADER_BITS + m * measurement_bits + lowres_bits
         frame_bytes = (frame_bits + 7) // 8
         packets.append(

@@ -242,14 +242,22 @@ def read_source(path: Path) -> str:
 
 
 def decode_failure_finding(path: Path, exc: Exception) -> Finding:
-    """The ``RL000`` finding for a file that cannot be decoded."""
-    reason = getattr(exc, "reason", None) or str(exc)
+    """The ``RL000`` finding for a file that cannot be read or decoded.
+
+    An ``OSError`` (missing target, no permission) reads "file cannot be
+    read"; a decode failure from :func:`read_source` reads "file cannot
+    be decoded".
+    """
+    if isinstance(exc, OSError):
+        message = f"file cannot be read: {exc}"
+    else:
+        message = f"file cannot be decoded: {getattr(exc, 'reason', None) or exc}"
     return Finding(
         path=str(path),
         line=1,
         col=0,
         rule_id="RL000",
-        message=f"file cannot be decoded: {reason}",
+        message=message,
     )
 
 

@@ -18,8 +18,10 @@ specialised to these two sets:
   CSR Ψ/Ψ^T pair still fit a 2 MiB L2 together) and the CSR pair
   itself (db4 Ψ is 8.4% non-zero);
 * every input is validated once, at entry; the loop runs no contract
-  checks, calls no closures and allocates only the CSR products: every
-  other step writes into a buffer made before the loop;
+  checks and allocates nothing: every step writes into a buffer made
+  before the loop, the Ψ/Ψ^T products too, through the basis's
+  :meth:`~repro.wavelets.operators.SynthesisBasis.matvec_into_pair`
+  (CSR or dense, decided once there);
 * each block has its own dual step, ``s/||A||^2`` for the ball and
   ``s`` for the box (``||Ψ|| = 1``), and the duals are carried scaled by
   it, ``d = u ||A||^2/s`` and ``e = v/s``.  Moreau's identity then reads
@@ -119,6 +121,7 @@ def solve_eq1(
     a = problem.a
     a_t = a.T
     psi, psi_t = problem.basis.matvec_pair()
+    psi_into, psi_t_into = problem.basis.matvec_into_pair()
     a_sq = problem.opnorm_sq()
     if a_sq <= 0:
         raise ValueError("operator norms must be positive")
@@ -148,6 +151,8 @@ def solve_eq1(
     w = np.empty(m)
     e = np.zeros(n)
     z = np.empty(n)
+    psi_t_e = np.empty(n)
+    psi_bar = np.empty(n)
     # Primal and block-normalised duals at the previous check, for the weight update.
     alpha_ref, u_ref, v_ref = alpha.copy(), np.zeros(m), np.zeros(n)
 
@@ -158,7 +163,7 @@ def solve_eq1(
         np.dot(a_t, d, out=step)
         if box:
             step *= inv_a_sq
-            step += psi_t @ e
+            step += psi_t_into(e, psi_t_e)
         step *= primal_scale
         step += alpha
         np.maximum(step, -tau, out=clipped)
@@ -172,7 +177,10 @@ def solve_eq1(
             limit = tol * max(float(np.linalg.norm(alpha_hat)), 1.0)
             if (
                 _ball_violation(a @ alpha_hat, y, radius) <= limit
-                and (not box or _box_violation(psi @ alpha_hat, lo, hi) <= limit)
+                and (
+                    not box
+                    or _box_violation(psi_into(alpha_hat, psi_bar), lo, hi) <= limit
+                )
                 and float(np.linalg.norm(alpha_hat - alpha)) <= limit
             ):
                 converged = True
@@ -191,7 +199,7 @@ def solve_eq1(
         if box:
             # e_hat = z - clip(z, lo, hi) with z = e + Ψ alpha_bar, so
             # e <- e + rho (e_hat - e) = e + rho (Ψ alpha_bar - clip(z, lo, hi)).
-            psi_bar = psi @ alpha_bar
+            psi_into(alpha_bar, psi_bar)
             np.add(psi_bar, e, out=z)
             np.maximum(z, lo, out=z)
             np.minimum(z, hi, out=z)

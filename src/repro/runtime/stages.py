@@ -3,9 +3,10 @@
 The end-to-end flow the experiment drivers used to hand-roll is an
 explicit stage graph over :class:`~repro.runtime.task.WindowTask` units:
 
-* :func:`encode`    — node side: CS measure + low-res code + frame
-  (:func:`encode_batch` runs a stack of same-link windows through the
-  batched encode engine with bit-identical output);
+* :func:`encode`    — node side: CS measure + low-res code + frame,
+  through the batched encode engine (:func:`encode_batch` runs a stack
+  of same-link windows, :func:`encode` a stack of one; both are
+  bit-identical to the front-end's scalar path);
 * :func:`transport` — the radio link (identity today; the seeded hook
   where lossy-link models plug in);
 * :func:`recover`   — receiver side: decode + Eq. 1 / BPDN solve;
@@ -162,9 +163,12 @@ def reference_centered(codes: np.ndarray, center: int) -> np.ndarray:
 
 
 def encode(task: WindowTask, link: Optional[Link] = None) -> WindowPacket:
-    """Node stage: acquire and frame one window of acquisition codes."""
-    link = link or link_for(task)
-    return link.frontend.process_window(task.codes, task.window_index)
+    """Node stage: acquire and frame one window of acquisition codes.
+
+    A batch of one through the encode engine, byte-identical to the
+    front-end's scalar ``process_window``.
+    """
+    return encode_batch([task], link)[0]
 
 
 def encode_batch(
@@ -174,8 +178,8 @@ def encode_batch(
 
     All tasks must share one link (same ``config``/``method``/codebook) —
     the batch is a stack of windows through a single front-end.  Output
-    is bit-identical to mapping :func:`encode` over the tasks (see
-    ``docs/encoding.md``); a single task takes the scalar path.
+    is bit-identical to mapping the front-end's scalar ``process_window``
+    over the tasks (see ``docs/encoding.md``).
     """
     if not tasks:
         return []
@@ -188,8 +192,6 @@ def encode_batch(
         ):
             raise ValueError("encode_batch tasks must share one link")
     link = link or link_for(first)
-    if len(tasks) == 1:
-        return [encode(task, link) for task in tasks]
     return link.frontend.encode_windows(
         np.stack([task.codes for task in tasks]),
         indices=[task.window_index for task in tasks],

@@ -160,18 +160,12 @@ class IngestSession:
         windows = list(self._framer.push(arr))
         if not windows:
             return []
-        base = self._framer.windows_emitted - len(windows)
-        if len(windows) > 1:
-            # One engine call for every window this chunk completed —
-            # bit-identical to the per-window path (docs/encoding.md).
-            packets = self._frontend.encode_windows(
-                np.stack(windows), start_index=base
-            )
-        else:
-            packets = [
-                self._frontend.process_window(window, base + offset)
-                for offset, window in enumerate(windows)
-            ]
+        # One engine call for every window this chunk completed —
+        # bit-identical to the per-window path (docs/encoding.md).
+        packets = self._frontend.encode_windows(
+            np.stack(windows),
+            start_index=self._framer.windows_emitted - len(windows),
+        )
         return [
             StreamFrame(
                 patient_id=self.patient_id,

@@ -23,10 +23,11 @@ shared read-only by every problem that uses the basis.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.fft import dct as _dct, idct as _idct
 
 from repro.wavelets.dwt import WaveletCoeffs, coeff_slices, max_level, wavedec, waverec
@@ -34,6 +35,7 @@ from repro.wavelets.filters import WaveletFilter, wavelet
 
 __all__ = [
     "MatvecOperator",
+    "MatvecInto",
     "SynthesisBasis",
     "WaveletBasis",
     "DctBasis",
@@ -43,6 +45,9 @@ __all__ = [
 
 #: A matrix usable as ``op @ v``: dense, or CSR when mostly zero.
 MatvecOperator = Union[np.ndarray, sparse.csr_matrix]
+
+#: ``product(v, out)``: writes ``op @ v`` into ``out`` and returns it.
+MatvecInto = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Largest non-zero fraction for which :meth:`SynthesisBasis.matvec_pair`
 #: stores CSR (db4 at n = 512 is 8.4% non-zero; a DCT is dense).
@@ -121,6 +126,18 @@ class SynthesisBasis(abc.ABC):
             self._matvec_pair = pair
         return self._matvec_pair
 
+    def matvec_into_pair(self) -> Tuple[MatvecInto, MatvecInto]:
+        """``(Ψ, Ψ^T)`` of :meth:`matvec_pair` as products into a buffer.
+
+        Each ``product(v, out)`` writes exactly ``op @ v`` into the
+        float64 vector ``out``: a CSR operator runs scipy's own
+        ``csr_matvec`` (the kernel behind ``op @ v``) into the zeroed
+        buffer, a dense one ``np.dot(op, v, out=out)``.  ``v`` must be a
+        contiguous float64 vector.
+        """
+        psi, psi_t = self.matvec_pair()
+        return _matvec_into(psi), _matvec_into(psi_t)
+
     def sparsity_profile(self, x: np.ndarray, energy: float = 0.99) -> int:
         """Smallest k such that the k largest coefficients capture
         ``energy`` of the total coefficient energy — a direct measure of
@@ -134,6 +151,20 @@ class SynthesisBasis(abc.ABC):
             return 0
         cum = np.cumsum(mags) / total
         return int(np.searchsorted(cum, energy) + 1)
+
+
+def _matvec_into(op: MatvecOperator) -> MatvecInto:
+    if not sparse.issparse(op):
+        return lambda v, out: np.dot(op, v, out=out)
+    rows, cols = op.shape
+    indptr, indices, data = op.indptr, op.indices, op.data
+
+    def product(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)  # csr_matvec accumulates into its output
+        _sparsetools.csr_matvec(rows, cols, indptr, indices, data, v, out)
+        return out
+
+    return product
 
 
 class WaveletBasis(SynthesisBasis):

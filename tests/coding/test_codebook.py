@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.codebook import ESCAPE, DifferenceCodebook, train_codebook
+from repro.coding.huffman import HuffmanCodec
 from repro.sensing.quantizers import requantize_codes
+from tests.per_bit_oracles import decode_window as decode_window_per_bit
 
 
 def _train(streams, bits=7, **kw):
@@ -83,6 +85,86 @@ class TestEncodeDecode:
         assert np.array_equal(
             book.decode_window(payload, window.size, bits), window
         )
+
+
+def _decode_outcome(decode, *args):
+    try:
+        return "ok", decode(*args).tolist()
+    except Exception as exc:  # noqa: BLE001 - the class is the result
+        return "raised", type(exc)
+
+
+class TestTableDecodeOracle:
+    """The table-driven decode against the per-bit decode it replaced."""
+
+    @pytest.fixture(scope="class")
+    def books(self, codebook_7bit, record_100):
+        codes = requantize_codes(record_100.adu, 11, 7)
+        incomplete = HuffmanCodec.from_lengths({ESCAPE: 2, 0: 2, 1: 3, -1: 4})
+        return {
+            "trained": (codebook_7bit, 7),
+            "plain": (train_codebook([codes], 7, use_run_length=False), 7),
+            "escape-heavy": (_train([[64, 64, 65, 65, 64]]), 7),
+            # Kraft sum 5/8: some peeks start no codeword at all.
+            "incomplete": (
+                DifferenceCodebook(3, incomplete, use_run_length=False), 3
+            ),
+        }
+
+    def _windows(self, record_100, bits, rng):
+        codes = requantize_codes(record_100.adu, 11, bits)
+        windows = [codes[i * 512 : (i + 1) * 512] for i in range(4)]
+        windows.append(rng.integers(0, 1 << bits, size=300))
+        windows.append(np.full(700, 1, dtype=np.int64))
+        windows.append(np.array([2], dtype=np.int64))
+        return windows
+
+    def _check(self, book, payload, n, bit_length):
+        new = _decode_outcome(book.decode_window, payload, n, bit_length)
+        assert new == _decode_outcome(
+            decode_window_per_bit, book, payload, n, bit_length
+        )
+        return new[0] if new[0] == "ok" else new[1]
+
+    @pytest.mark.parametrize(
+        "name", ["trained", "plain", "escape-heavy", "incomplete"]
+    )
+    def test_clean_flipped_and_truncated_payloads(self, books, record_100, name):
+        book, bits = books[name]
+        rng = np.random.default_rng(len(name))
+        seen = set()
+        for window in self._windows(record_100, bits, rng):
+            payload, length = book.encode_window(window)
+            n = window.size
+            assert self._check(book, payload, n, length) == "ok"
+            seen.add(self._check(book, payload, n, None))
+            for cut in sorted(set(rng.integers(0, length + 1, size=8).tolist())):
+                seen.add(self._check(book, payload, n, cut))
+            for wrong_n in (max(1, n - 5), n + 5, n + 300):
+                seen.add(self._check(book, payload, wrong_n, length))
+            for _ in range(40):
+                flipped = bytearray(payload)
+                for pos in rng.integers(0, length, size=rng.integers(1, 4)):
+                    flipped[pos // 8] ^= 1 << (7 - pos % 8)
+                seen.add(self._check(book, bytes(flipped), n, length))
+        # Every outcome is exercised; a complete code without run tokens
+        # cannot desynchronise into ValueError, only run out of bits.
+        assert seen == {"ok", EOFError} | ({ValueError} if name != "plain" else set())
+
+    def test_random_bytes_decode_alike(self, books):
+        rng = np.random.default_rng(7)
+        for book, _ in books.values():
+            for _ in range(200):
+                payload = bytes(
+                    rng.integers(0, 256, size=rng.integers(0, 40)).astype(np.uint8)
+                )
+                self._check(book, payload, int(rng.integers(1, 200)), None)
+
+    def test_bad_arguments_raise_alike(self, books):
+        book, _ = books["trained"]
+        payload, length = book.encode_window(np.arange(20, dtype=np.int64))
+        for n, bit_length in [(0, length), (20, len(payload) * 8 + 1), (20, -1)]:
+            self._check(book, payload, n, bit_length)
 
 
 class TestRunLengthMode:

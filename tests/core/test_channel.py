@@ -6,8 +6,10 @@ import pytest
 from repro.core.channel import LossyLink, RobustReceiver, payload_crc
 from repro.core.config import FrontEndConfig
 from repro.core.frontend import HybridFrontEnd
+from repro.core.packets import WindowPacket
 from repro.metrics.quality import snr_db
 from repro.recovery.pdhg import PdhgSettings
+from tests.per_bit_oracles import link_transmit
 
 
 @pytest.fixture
@@ -61,6 +63,47 @@ class TestLossyLink:
             LossyLink(bit_error_rate=1.0)
         with pytest.raises(ValueError):
             LossyLink(packet_erasure_rate=-0.1)
+
+
+class TestTransmitOracle:
+    """``transmit`` against the per-bit corruption loop it replaced."""
+
+    @staticmethod
+    def _packets(link_setup):
+        _, _, packets = link_setup
+        rng = np.random.default_rng(5)
+        extra = []
+        for m, bits, payload_bits in [(0, 12, 40), (7, 1, 0), (13, 16, 13), (0, 3, 0)]:
+            extra.append(
+                WindowPacket(
+                    window_index=len(extra), n=64,
+                    measurement_codes=rng.integers(0, 1 << bits, size=m),
+                    measurement_bits=bits,
+                    lowres_payload=bytes(
+                        rng.integers(0, 256, size=(payload_bits + 7) // 8 + 1)
+                        .astype(np.uint8)
+                    ),
+                    lowres_bit_length=payload_bits,
+                )
+            )
+        return list(packets) * 4 + extra
+
+    @pytest.mark.parametrize("ber", [0.0, 1e-5, 3e-3, 0.2])
+    @pytest.mark.parametrize("erasure", [0.0, 0.1])
+    def test_same_packets_and_rng_state(self, link_setup, ber, erasure):
+        new = LossyLink(bit_error_rate=ber, packet_erasure_rate=erasure, seed=11)
+        ref = LossyLink(bit_error_rate=ber, packet_erasure_rate=erasure, seed=11)
+        for packet in self._packets(link_setup):
+            got, want = new.transmit(packet), link_transmit(ref, packet)
+            if want is None:
+                assert got is None
+            else:
+                assert got.measurement_codes.dtype == want.measurement_codes.dtype
+                assert got.to_bytes() == want.to_bytes()
+                assert got.lowres_payload == want.lowres_payload
+            assert (
+                new._rng.bit_generator.state == ref._rng.bit_generator.state
+            )
 
 
 class TestPayloadCrc:

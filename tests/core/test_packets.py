@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.packets import HEADER_BITS, WindowPacket, split_stream
+from tests.per_bit_oracles import packet_from_bytes, packet_to_bytes
 
 
 def _packet(m=8, bits=12, payload=b"\xde\xad", payload_bits=15, index=3, n=128):
@@ -140,3 +141,132 @@ class TestSplitStream:
         parsed = split_stream(stream, measurement_bits=12, n_packets=4)
         assert [p.window_index for p in parsed] == [0, 1, 2, 3]
         assert [p.lowres_bit_length for p in parsed] == [7, 8, 9, 10]
+
+
+def _outcome(fn, *args):
+    """``("ok", value)`` or ``("raised", exception class)``."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the result
+        return "raised", type(exc)
+
+
+def _fields(packet):
+    return (
+        packet.window_index,
+        packet.n,
+        packet.measurement_codes.tolist(),
+        packet.measurement_bits,
+        packet.lowres_payload,
+        packet.lowres_bit_length,
+    )
+
+
+def _parse_outcome(fn, data, bits):
+    kind, value = _outcome(fn, data, bits)
+    return (kind, _fields(value)) if kind == "ok" else (kind, value)
+
+
+class TestPerBitOracle:
+    """The array framing against the per-bit loops it replaced."""
+
+    def _random_packet(self, rng):
+        m = int(rng.integers(0, 100))
+        bits = int(rng.integers(1, 17))
+        payload_bits = int(rng.choice([0, 1, 7, 8, 9, rng.integers(0, 700)]))
+        # Spare bytes and set pad bits past the bit length are legal and
+        # must not reach the wire.
+        spare = int(rng.integers(0, 3))
+        payload = rng.integers(0, 256, size=(payload_bits + 7) // 8 + spare)
+        return WindowPacket(
+            window_index=int(rng.integers(0, 2**32)),
+            n=int(rng.integers(1, 2**16)),
+            measurement_codes=rng.integers(0, 1 << bits, size=m),
+            measurement_bits=bits,
+            lowres_payload=bytes(payload.astype(np.uint8)),
+            lowres_bit_length=payload_bits,
+        )
+
+    def test_frames_and_parses_match(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            packet = self._random_packet(rng)
+            data = packet.to_bytes()
+            assert data == packet_to_bytes(packet)
+            bits = packet.measurement_bits
+            assert _fields(WindowPacket.from_bytes(data, bits)) == _fields(
+                packet_from_bytes(data, bits)
+            )
+            # Trailing bytes after a frame are ignored alike.
+            tail = data + bytes(rng.integers(0, 256, size=3).astype(np.uint8))
+            assert _parse_outcome(WindowPacket.from_bytes, tail, bits) == (
+                _parse_outcome(packet_from_bytes, tail, bits)
+            )
+
+    def test_truncated_frames_raise_alike(self):
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            packet = self._random_packet(rng)
+            data = packet.to_bytes()
+            for cut in range(len(data)):
+                new = _parse_outcome(
+                    WindowPacket.from_bytes, data[:cut], packet.measurement_bits
+                )
+                assert new == _parse_outcome(
+                    packet_from_bytes, data[:cut], packet.measurement_bits
+                )
+                assert new == ("raised", EOFError)
+
+    def test_random_bytes_parse_alike(self):
+        # Garbage headers: zero n, absurd m, oversized payload lengths.
+        rng = np.random.default_rng(29)
+        for size in list(range(0, 24)) + [40, 64, 200]:
+            for _ in range(10):
+                data = bytes(rng.integers(0, 256, size=size).astype(np.uint8))
+                # Small headers so some frames parse completely.
+                if size >= 12 and rng.uniform() < 0.5:
+                    head = bytearray(data)
+                    head[6:8] = int(rng.integers(0, 6)).to_bytes(2, "big")
+                    head[8:12] = int(rng.integers(0, 40)).to_bytes(4, "big")
+                    data = bytes(head)
+                bits = int(rng.integers(1, 17))
+                assert _parse_outcome(WindowPacket.from_bytes, data, bits) == (
+                    _parse_outcome(packet_from_bytes, data, bits)
+                )
+
+    def test_huge_announced_payload_is_eof_not_allocation(self):
+        # A damaged header may announce 2^32 - 1 payload bits; parsing
+        # must stop at the end of the data, as the per-bit loop does.
+        data = (
+            (7).to_bytes(4, "big") + (64).to_bytes(2, "big")
+            + (0).to_bytes(2, "big") + (2**32 - 1).to_bytes(4, "big") + b"\xff"
+        )
+        for parse in (WindowPacket.from_bytes, packet_from_bytes):
+            with pytest.raises(EOFError):
+                parse(data, 12)
+
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_bad_measurement_width_raises_alike(self, bits):
+        data = _packet(m=4).to_bytes()
+        new = _parse_outcome(WindowPacket.from_bytes, data, bits)
+        assert new == _parse_outcome(packet_from_bytes, data, bits)
+        assert new == ("raised", ValueError)
+
+    @pytest.mark.parametrize(
+        "field", [{"index": 2**32}, {"n": 2**16}, {"m": 2**16, "bits": 1}]
+    )
+    def test_out_of_range_header_raises_alike(self, field):
+        packet = _packet(**field)
+        new = _outcome(packet.to_bytes)
+        assert new == _outcome(packet_to_bytes, packet)
+        assert new == ("raised", ValueError)
+
+    @pytest.mark.parametrize("code", [1 << 12, -1])
+    def test_out_of_range_codes_raise_alike(self, code):
+        # The code vector is a mutable array inside the frozen packet, so
+        # a code can leave its range after construction.
+        packet = _packet(m=4)
+        packet.measurement_codes[2] = code
+        new = _outcome(packet.to_bytes)
+        assert new == _outcome(packet_to_bytes, packet)
+        assert new == ("raised", ValueError)

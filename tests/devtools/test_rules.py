@@ -145,6 +145,17 @@ class TestTolerantLoading:
             ("broken.py", "RL000", 1),
             ("ok.py", "RL001", 2),
         ]
-        assert "cannot be decoded" in found[0].message
+        assert found[0].message.startswith("file cannot be read: [Errno 2]")
         assert main(["lint", str(tmp_path)]) == 0
         assert f"{tmp_path / 'broken.py'}:1:0: RL000" in capsys.readouterr().out
+
+    def test_read_and_decode_failures_are_worded_apart(self, tmp_path):
+        (tmp_path / "broken.py").symlink_to(tmp_path / "missing.py")
+        (tmp_path / "latin.py").write_bytes('LABEL = "caf\xe9"\n'.encode("latin-1"))
+        found = {Path(f.path).name: f for f in run_lint([tmp_path]).findings}
+        assert {name: f.rule_id for name, f in found.items()} == {
+            "broken.py": "RL000",
+            "latin.py": "RL000",
+        }
+        assert found["broken.py"].message.startswith("file cannot be read: ")
+        assert found["latin.py"].message.startswith("file cannot be decoded: ")

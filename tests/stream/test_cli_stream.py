@@ -48,6 +48,13 @@ class TestLoadtestCommand:
             data["recovered_digest"]
             == data["baseline_single"]["recovered_digest"]
         )
+        # Three alternating runs a side; the first of each keeps the
+        # single-run keys.
+        runs = data["frames_per_sec_runs"]
+        base_runs = data["baseline_single"]["frames_per_sec_runs"]
+        assert len(runs) == len(base_runs) == 3
+        assert runs[0] == data["frames_per_sec"]
+        assert base_runs[0] == data["baseline_single"]["frames_per_sec"]
         assert "identity vs single-process: True" in capsys.readouterr().out
 
     def test_lossy_phase_reports_concealment_and_rolling_prd(

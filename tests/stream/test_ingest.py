@@ -80,8 +80,8 @@ class TestBitIdentity:
     def test_batched_branch_equals_scalar_sessions(
         self, stream_config, stream_record
     ):
-        # A large push completes many windows at once and takes the batch
-        # engine; one-window pushes take the scalar path.  Both must emit
+        # A large push completes many windows in one engine call;
+        # one-window pushes make one call per window.  Both must emit
         # identical frames.
         batched = IngestSession(stream_record.name, stream_config)
         scalar = IngestSession(stream_record.name, stream_config)
@@ -99,6 +99,20 @@ class TestBitIdentity:
         assert [f.crc for f in frames_batched] == [
             f.crc for f in frames_scalar
         ]
+
+    @pytest.mark.parametrize("method", ["hybrid", "normal"])
+    def test_single_window_push_equals_process_window(
+        self, stream_config, stream_record, method
+    ):
+        # The scalar front-end path stays as the oracle of the engine
+        # call that every one-window push makes.
+        session = IngestSession(stream_record.name, stream_config, method=method)
+        n = stream_config.window_len
+        for index, window in enumerate(stream_record.windows(n)):
+            (frame,) = session.push(window)
+            packet = session._frontend.process_window(window, index)
+            assert frame.packet.to_bytes() == packet.to_bytes()
+            assert frame.crc == payload_crc(packet)
 
     def test_chunking_invariance(self, stream_config, stream_record):
         # Two arbitrary chunkings of the same stream emit identical frames.

@@ -54,6 +54,31 @@ class TestOrthonormalContract:
             basis.analyze(np.ones(63))
 
 
+class TestMatvecIntoPair:
+    """The Eq. 1 loop's buffered Ψ/Ψ^T products are ``op @ v`` bit for bit.
+
+    CSR bases run scipy's private ``csr_matvec`` directly; a scipy
+    release that changes the kernel behind ``op @ v`` fails here first.
+    """
+
+    @pytest.mark.parametrize(
+        "basis, sparse_form",
+        [(WaveletBasis(512, "db4"), True), (DctBasis(512), False)],
+        ids=["db4", "dct"],
+    )
+    def test_bit_equal_to_matmul(self, basis, sparse_form, rng):
+        psi, psi_t = basis.matvec_pair()
+        assert hasattr(psi, "indptr") == sparse_form
+        into, into_t = basis.matvec_into_pair()
+        out = np.full(512, np.nan)  # stale contents must not leak through
+        for _ in range(5):
+            v = rng.standard_normal(512) * 10.0 ** rng.integers(-3, 4)
+            assert into(v, out) is out
+            assert np.array_equal(out, psi @ v)
+            assert into_t(v, out) is out
+            assert np.array_equal(out, psi_t @ v)
+
+
 class TestWaveletBasisSpecifics:
     def test_default_levels_are_max(self):
         basis = WaveletBasis(512, "db4")
