@@ -16,7 +16,7 @@ the receiver
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,20 +24,19 @@ from repro.coding.codebook import DifferenceCodebook
 from repro.core.config import FrontEndConfig
 from repro.core.packets import WindowPacket
 from repro.devtools.contracts import check_dtype, check_shape
-from repro.recovery.bpdn import solve_bpdn
 from repro.recovery.bsbl import (
     lowres_cell_stats,
     measurement_noise_var,
     solve_bsbl,
     solve_bsbl_dequant,
 )
-from repro.recovery.hybrid import solve_hybrid
+from repro.recovery.eq1 import solve_bpdn, solve_hybrid
 from repro.recovery.methods import resolve_method
 from repro.recovery.opcache import problem_for_config
 from repro.recovery.result import RecoveryResult
 from repro.sensing.quantizers import lowres_bounds, measurement_quantizer
 
-__all__ = ["WindowReconstruction", "HybridReceiver"]
+__all__ = ["DECODERS", "WindowReconstruction", "HybridReceiver"]
 
 
 @dataclass(frozen=True)
@@ -175,51 +174,7 @@ class HybridReceiver:
             )
             bounds = (lower - self.center, upper - self.center)
 
-        # The solvers are looked up in this module's namespace at call
-        # time, so a span tracer that patches them sees every decode.
-        if spec.name == "hybrid":
-            result = solve_hybrid(
-                self.phi,
-                self.basis,
-                y,
-                self.sigma(),
-                bounds[0],
-                bounds[1],
-                settings=self.config.solver,
-                problem=self.problem,
-            )
-        elif spec.name == "normal":
-            result = solve_bpdn(
-                self.phi,
-                self.basis,
-                y,
-                self.sigma(),
-                settings=self.config.solver,
-                problem=self.problem,
-            )
-        elif spec.name == "bsbl":
-            result = solve_bsbl(
-                self.phi,
-                self.basis,
-                y,
-                self.noise_var(),
-                settings=self.config.bsbl,
-                problem=self.problem,
-            )
-        elif spec.name == "bsbl-dequant":
-            mid, quant_var = lowres_cell_stats(bounds[0], bounds[1])
-            result = solve_bsbl_dequant(
-                self.phi,
-                self.basis,
-                y,
-                self.noise_var(),
-                mid,
-                quant_var,
-                settings=self.config.bsbl,
-                problem=self.problem,
-            )
-        else:  # pragma: no cover - the registry only holds the above
-            raise ValueError(f"no solver for method {spec.name!r}")
+        result = DECODERS[spec.name](self, y, bounds)
         x_codes = result.x + self.center
         return WindowReconstruction(
             window_index=packet.window_index,
@@ -227,3 +182,49 @@ class HybridReceiver:
             recovery=result,
             lowres_codes=lowres,
         )
+
+
+Bounds = Optional[Tuple[np.ndarray, np.ndarray]]
+Decoder = Callable[[HybridReceiver, np.ndarray, Bounds], RecoveryResult]
+
+#: Method name -> ``(receiver, y, bounds) -> RecoveryResult``: the one
+#: place a method meets its solver.  ``bounds`` is the centered low-res
+#: box, ``None`` for a method that does not read the payload.  Each entry
+#: names its solver in this module's namespace, looked up at call time,
+#: so a span tracer that patches the name sees every decode.
+DECODERS: Dict[str, Decoder] = {
+    "hybrid": lambda rx, y, bounds: solve_hybrid(
+        rx.phi,
+        rx.basis,
+        y,
+        rx.sigma(),
+        *bounds,
+        settings=rx.config.solver,
+        problem=rx.problem,
+    ),
+    "normal": lambda rx, y, bounds: solve_bpdn(
+        rx.phi,
+        rx.basis,
+        y,
+        rx.sigma(),
+        settings=rx.config.solver,
+        problem=rx.problem,
+    ),
+    "bsbl": lambda rx, y, bounds: solve_bsbl(
+        rx.phi,
+        rx.basis,
+        y,
+        rx.noise_var(),
+        settings=rx.config.bsbl,
+        problem=rx.problem,
+    ),
+    "bsbl-dequant": lambda rx, y, bounds: solve_bsbl_dequant(
+        rx.phi,
+        rx.basis,
+        y,
+        rx.noise_var(),
+        *lowres_cell_stats(*bounds),
+        settings=rx.config.bsbl,
+        problem=rx.problem,
+    ),
+}

@@ -20,7 +20,6 @@ from repro.devtools.contracts import (
     check_dtype,
     check_finite,
     check_shape,
-    contracts_enabled,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "check_dtype",
     "check_finite",
     "check_shape",
-    "contracts_enabled",
 ]

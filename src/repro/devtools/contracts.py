@@ -17,23 +17,19 @@ Shape specs are tuples whose entries are exact ints, ``None`` wildcards,
 or string symbols; symbols must agree across every parameter of one
 call (``("m", "n")`` and ``("n",)`` tie the two arguments together).
 
-Checks raise :class:`ContractError` and can be disabled wholesale for
-squeezing the last microseconds out of a production deployment by
-setting ``REPRO_DISABLE_CONTRACTS=1`` in the environment.
+Checks raise :class:`ContractError`; they always run.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import os
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "ContractError",
-    "contracts_enabled",
     "check_shape",
     "check_dtype",
     "check_finite",
@@ -51,15 +47,6 @@ class ContractError(TypeError, ValueError):
     sites that historically raised either keep satisfying their callers'
     ``except`` clauses (and the existing test suite) unchanged.
     """
-
-
-def contracts_enabled() -> bool:
-    """Whether contract checks run (``REPRO_DISABLE_CONTRACTS`` opts out)."""
-    return os.environ.get("REPRO_DISABLE_CONTRACTS", "") not in (
-        "1",
-        "true",
-        "yes",
-    )
 
 
 def _fmt_shape(spec: ShapeSpec) -> str:
@@ -84,8 +71,6 @@ def check_shape(
     together across arguments (``("m", "n")`` vs ``("n",)``).
     """
     a = np.asarray(arr)
-    if not contracts_enabled():
-        return a
     spec = tuple(shape)
     if a.ndim != len(spec):
         raise ContractError(
@@ -121,8 +106,6 @@ def check_dtype(arr: Any, kind: DtypeSpec, *, name: str = "array") -> np.ndarray
     array's shape is preserved (no cast is performed — violations raise).
     """
     a = np.asarray(arr)
-    if not contracts_enabled():
-        return a
     kinds = kind if isinstance(kind, tuple) else (kind,)
     abstract = {
         "integer": np.integer,
@@ -148,8 +131,6 @@ def check_finite(arr: Any, *, name: str = "array") -> np.ndarray:
     never changed.
     """
     a = np.asarray(arr)
-    if not contracts_enabled():
-        return a
     if a.size and np.issubdtype(a.dtype, np.inexact):
         finite = np.isfinite(a)
         if not finite.all():
@@ -183,8 +164,6 @@ def array_contract(
 
         @functools.wraps(func)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not contracts_enabled():
-                return func(*args, **kwargs)
             bound = sig.bind(*args, **kwargs)
             dims: Dict[str, int] = {}
             for pname, spec in specs.items():

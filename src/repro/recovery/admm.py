@@ -1,6 +1,6 @@
 """ADMM solver for basis-pursuit denoising — an independent cross-check.
 
-Solves the same problem as :func:`repro.recovery.bpdn.solve_bpdn`::
+Solves the same problem as :func:`repro.recovery.eq1.solve_bpdn`::
 
     min ||w||_1   s.t.   ||z - y|| <= sigma,  w = alpha,  z = A alpha
 
@@ -49,7 +49,7 @@ def solve_bpdn_admm(
     Parameters
     ----------
     phi, basis, y, sigma:
-        As in :func:`repro.recovery.bpdn.solve_bpdn`.
+        As in :func:`repro.recovery.eq1.solve_bpdn`.
     rho:
         Augmented-Lagrangian penalty (the method converges for any
         positive value; ``1.0`` is a fine default at our scaling).

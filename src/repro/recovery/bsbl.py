@@ -49,8 +49,8 @@ observation of the signal with the cell's own quantization-noise variance
 is orthonormal this adds ``I / \\sigma_q^2`` to the block-diagonal prior
 precision ``D`` and ``Ψ^T x_mid / \\sigma_q^2`` to ``b`` — the de-quantizer
 is the *same* EM iteration, so both modes share one E-step
-(:func:`measurement_estep`, also run by the batched loop in
-:mod:`repro.recovery.batched`).
+(:func:`measurement_estep`, written over a stack of windows and run
+here on a stack of one).
 
 The measurement noise is the CS quantizer's own error,
 ``\\lambda = step^2 / 12`` (see :func:`measurement_noise_var` and the
@@ -108,8 +108,7 @@ class BsblSettings:
         Clip for the learned ``|r|`` (keeps ``B`` well conditioned).
     gamma_floor:
         Lower clamp for block scales; blocks at the floor are effectively
-        pruned without changing the iteration shape (batched and scalar
-        paths stay aligned column-for-column).
+        pruned without changing the iteration shape.
     noise_scale:
         Multiplier on the quantization-noise standard deviation used to
         build ``lambda`` — the Bayesian analogue of ``sigma_safety``.
@@ -210,8 +209,7 @@ def bo_gamma_factor(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
     ``num = q^T B q >= 0`` and ``den = tr(B H) > 0`` in exact arithmetic;
     the guards only protect against floating-point collapse of a dead
-    block, and are shared verbatim by the scalar and batched loops so the
-    two stay aligned elementwise.
+    block.  Elementwise: the result has the shape of ``num``.
     """
     safe_den = np.maximum(den, _TINY)
     return np.sqrt(np.maximum(num, 0.0) / safe_den)
@@ -374,9 +372,7 @@ def _em_measurement_space(
     (``learn_correlation=False``).  Its quadratic term is evaluated at
     the posterior mean as ``||y - A mu||^2 / lambda + ||c - mu||^2 /
     quant_var + mu^T Gamma^{-1} mu``, which is stationary in ``mu`` and
-    so immune to the cancellation in ``y^T R^{-1} y - b^T mu``.  The
-    batched loop in :mod:`repro.recovery.batched` runs the same
-    :func:`measurement_estep` over a window stack, minus the evidence.
+    so immune to the cancellation in ``y^T R^{-1} y - b^T mu``.
     """
     m, n = a.shape
     blen = settings.block_len
@@ -522,7 +518,7 @@ def solve_bsbl_dequant(
     Ψ is orthonormal the extra channel contributes ``I / quant_var`` to
     the prior precision and ``Ψ^T x_mid / quant_var`` to ``b``;
     everything else is the plain BSBL iteration, so the de-quantizer
-    inherits its convergence and batching behavior unchanged.
+    inherits its convergence behavior unchanged.
     """
     check_variance(noise_var, "noise_var")
     check_variance(quant_var, "quant_var")

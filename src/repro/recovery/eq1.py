@@ -1,16 +1,25 @@
 """The production Eq. 1 kernel: hybrid and normal-CS PDHG in one loop.
 
-Solves the paper's Eq. 1::
+Solves the paper's Eq. 1 — its central contribution — ::
 
     min_alpha ||alpha||_1   subject to   ||A alpha - y||_2 <= sigma
                                           lower <= Ψ alpha <= upper
 
-or, with no bounds, its normal-CS baseline (the ball alone).  The
-iteration is exactly the relaxed, primal-first Chambolle-Pock iteration
-of :func:`repro.recovery.pdhg.solve_l1_constrained` with
-:func:`~repro.recovery.bpdn.ball_block` and
-:func:`~repro.recovery.hybrid.box_block` — the same step sizes,
-relaxation, primal weight rule, cold start and stopping rule —
+where ``lower = x_dot`` (the dequantized low-resolution samples) and
+``upper = x_dot + d`` with ``d`` the low-resolution step — "a strong
+bound ... an upper and lower bound for each sample" (paper §II) — or,
+with no bounds, basis-pursuit denoising: the paper's "normal CS"
+baseline of Figs. 7-8 (the ball alone).  :func:`solve_hybrid` and
+:func:`solve_bpdn` are the two programs' entry points;
+:func:`solve_eq1` is the loop behind both.  The paper solved Eq. 1 with
+the SDPT3 conic toolbox; any convergent convex solver reaches the same
+optimum (DESIGN.md §2).
+
+The iteration is the relaxed, primal-first Chambolle-Pock iteration of
+:mod:`repro.recovery.pdhg` over a ball block and a box block — the same
+step sizes, relaxation, primal weight rule, cold start and stopping
+rule as the generic engine in ``tests/recovery/pdhg_oracle.py``, its
+differential oracle (``tests/recovery/test_eq1_kernel.py``) —
 specialised to these two sets:
 
 * the operators come from the :class:`CsProblem` cache: ``A`` (``A^T``
@@ -38,9 +47,6 @@ specialised to these two sets:
 * soft thresholding is ``v - clip(v, -tau, tau)``; the loop spells each
   clip ``minimum(maximum(.))``, a third of ``np.clip``'s dispatch cost
   at n = 512.
-
-The generic engine stays as the differential oracle
-(``tests/recovery/test_eq1_kernel.py``).
 """
 
 from __future__ import annotations
@@ -58,8 +64,82 @@ from repro.recovery.pdhg import (
 )
 from repro.recovery.problem import CsProblem
 from repro.recovery.result import RecoveryResult
+from repro.wavelets.operators import SynthesisBasis
 
-__all__ = ["solve_eq1"]
+__all__ = ["solve_bpdn", "solve_eq1", "solve_hybrid"]
+
+
+def solve_hybrid(
+    phi: np.ndarray,
+    basis: SynthesisBasis,
+    y: np.ndarray,
+    sigma: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    *,
+    settings: PdhgSettings = PdhgSettings(),
+    problem: Optional[CsProblem] = None,
+) -> RecoveryResult:
+    """Recover a window using CS measurements *and* low-resolution bounds.
+
+    Parameters
+    ----------
+    phi, basis, y, sigma:
+        As in :func:`solve_bpdn`.
+    lower, upper:
+        Per-sample signal bounds from the low-resolution channel, in the
+        same units as the signal the measurements were taken from
+        (``x_dot`` and ``x_dot + d`` in the paper's notation).
+    settings:
+        PDHG iteration controls.
+    problem:
+        Pre-built :class:`CsProblem` for operator reuse across windows.
+
+    Returns
+    -------
+    RecoveryResult
+        ``info["violation_1"]`` reports the final box infeasibility
+        (0 when the bounds are met exactly).
+    """
+    prob = problem if problem is not None else CsProblem(phi, basis)
+    return solve_eq1(prob, y, sigma, (lower, upper), settings=settings)
+
+
+def solve_bpdn(
+    phi: np.ndarray,
+    basis: SynthesisBasis,
+    y: np.ndarray,
+    sigma: float,
+    *,
+    settings: PdhgSettings = PdhgSettings(),
+    problem: Optional[CsProblem] = None,
+) -> RecoveryResult:
+    """Recover a window from CS measurements alone (normal CS).
+
+    Parameters
+    ----------
+    phi:
+        ``m x n`` sensing matrix (ignored if ``problem`` is given).
+    basis:
+        Sparsifying synthesis basis Ψ.
+    y:
+        Measurement vector ``Φ x + noise``.
+    sigma:
+        Fidelity radius; use (an upper bound on) the measurement-noise
+        2-norm.  ``sigma = 0`` gives equality-constrained basis pursuit.
+    settings:
+        PDHG iteration controls.
+    problem:
+        Pre-built :class:`CsProblem` to reuse the cached composed operator
+        across windows.
+
+    Returns
+    -------
+    RecoveryResult
+        With ``x`` in signal units and ``residual_norm = ||A alpha - y||``.
+    """
+    prob = problem if problem is not None else CsProblem(phi, basis)
+    return solve_eq1(prob, y, sigma, settings=settings)
 
 
 def solve_eq1(

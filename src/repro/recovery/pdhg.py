@@ -1,14 +1,17 @@
-"""Chambolle-Pock primal-dual hybrid gradient (PDHG) engine.
+"""Step rules of the Chambolle-Pock primal-dual hybrid gradient (PDHG) loop.
 
-Solves problems of the form::
+The paper's Eq. 1 and its normal-CS baseline are problems of the form::
 
-    min_alpha  g(alpha) + sum_i f_i(K_i alpha)
+    min_alpha  ||alpha||_1 + sum_i f_i(K_i alpha)
 
-with ``g`` prox-friendly (here: the L1 norm) and each ``f_i`` the indicator
-of a simple convex set (here: an L2 ball in measurement space and/or a box
-in signal space).  This is exactly the structure of the paper's Eq. 1 —
-the SDPT3 conic solve is replaced by this first-order method, which finds
-the same optimum of the same convex problem (DESIGN.md §2).
+with each ``f_i`` the indicator of a simple convex set: an L2 ball in
+measurement space and, for Eq. 1, a box in signal space.  The SDPT3
+conic solve is replaced by a first-order method that finds the same
+optimum of the same convex problem (DESIGN.md §2).  The production loop
+is :func:`repro.recovery.eq1.solve_eq1`; the generic, block-at-a-time
+engine it is checked against lives with the tests
+(``tests/recovery/pdhg_oracle.py``).  Both import their settings and
+step rules from here.
 
 The iteration is Chambolle & Pock's (2011) with extrapolation
 ``theta = 1``, run primal first and relaxed (Chambolle & Pock 2016)::
@@ -43,23 +46,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.recovery.prox import soft_threshold
-from repro.recovery.result import RecoveryResult
+from typing import Tuple
 
 __all__ = [
-    "ConstraintBlock",
     "PdhgSettings",
     "RELAXATION",
-    "solve_l1_constrained",
     "step_sizes",
     "update_primal_weight",
 ]
-
-Vector = np.ndarray
 
 # Share of the measured log(dual move / primal move) that each check moves
 # log w by.  Measured with block dual steps and rho = 1.5 on the first
@@ -80,39 +74,8 @@ RELAXATION = 1.5
 
 
 @dataclass(frozen=True)
-class ConstraintBlock:
-    """One ``f_i(K_i alpha)`` term: a linear map plus a set projection.
-
-    Attributes
-    ----------
-    forward:
-        ``alpha -> K_i alpha``.
-    adjoint:
-        ``z -> K_i^T z``.
-    project:
-        Euclidean projection onto the constraint set (the prox of the
-        indicator ``f_i``).
-    opnorm_sq:
-        An upper bound on ``||K_i||^2``: the block's dual step is
-        ``sigma/opnorm_sq``, and its dual move is weighed by it.
-    violation:
-        Distance-style feasibility measure ``z -> dist(z, set)`` used by
-        the stopping rule; returns 0 when feasible.
-    out_dim:
-        Dimension of the block's range.
-    """
-
-    forward: Callable[[Vector], Vector]
-    adjoint: Callable[[Vector], Vector]
-    project: Callable[[Vector], Vector]
-    opnorm_sq: float
-    violation: Callable[[Vector], float]
-    out_dim: int
-
-
-@dataclass(frozen=True)
 class PdhgSettings:
-    """Iteration controls for :func:`solve_l1_constrained`.
+    """Iteration controls of the Eq. 1 PDHG loop.
 
     ``tol`` bounds both the fixed-point residual ``||alpha^ - alpha||``
     and the constraint violation at the accepted solution, each relative
@@ -156,124 +119,4 @@ def update_primal_weight(weight: float, dual_move: float, primal_move: float) ->
     return math.exp(
         _WEIGHT_SMOOTHING * math.log(dual_move / primal_move)
         + (1.0 - _WEIGHT_SMOOTHING) * math.log(weight)
-    )
-
-
-def solve_l1_constrained(
-    n: int,
-    blocks: Sequence[ConstraintBlock],
-    *,
-    settings: PdhgSettings = PdhgSettings(),
-    synthesize: Optional[Callable[[Vector], Vector]] = None,
-    alpha0: Optional[Vector] = None,
-) -> RecoveryResult:
-    """Minimize ``||alpha||_1`` subject to the blocks' set constraints.
-
-    Parameters
-    ----------
-    n:
-        Dimension of ``alpha``.
-    blocks:
-        The constraint terms (at least one).
-    settings:
-        Iteration controls.
-    synthesize:
-        Optional coefficient-to-signal map for the returned ``x``
-        (defaults to identity).
-    alpha0:
-        Starting point (defaults to zero).
-
-    Returns
-    -------
-    RecoveryResult
-        ``residual_norm`` reports the first block's violation (by
-        convention the measurement-fidelity block goes first); ``info``
-        holds the final ``tau``, ``dual_step`` (the ``sigma`` that block
-        ``i`` divides by ``||K_i||^2``) and ``primal_weight``,
-        ``lipschitz_sq`` (the block count ``N``) and each block's
-        ``violation_i``.
-    """
-    if not blocks:
-        raise ValueError("need at least one constraint block")
-    if n <= 0:
-        raise ValueError("n must be positive")
-
-    if any(b.opnorm_sq <= 0 for b in blocks):
-        raise ValueError("operator norms must be positive")
-    lip_sq = float(len(blocks))  # of the block-normalised operator
-    weight = 1.0
-    tau, sigma = step_sizes(lip_sq, weight)
-
-    alpha = np.zeros(n) if alpha0 is None else np.asarray(alpha0, dtype=float).copy()
-    alpha_hat = alpha
-    duals: List[Vector] = [np.zeros(b.out_dim) for b in blocks]
-    # Primal and duals at the previous check, for the weight update.
-    alpha_ref = alpha.copy()
-    duals_ref = [d.copy() for d in duals]
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, settings.max_iter + 1):
-        grad = np.zeros(n)
-        for i, blk in enumerate(blocks):
-            grad += blk.adjoint(duals[i])
-        alpha_hat = soft_threshold(alpha - tau * grad, tau)
-        alpha_bar = 2.0 * alpha_hat - alpha
-
-        check = iterations % settings.check_every == 0
-        if check:
-            # Scale for the relative tests: the size of the solution, at least 1.
-            limit = settings.tol * max(float(np.linalg.norm(alpha_hat)), 1.0)
-            feasible = all(
-                blk.violation(blk.forward(alpha_hat)) <= limit for blk in blocks
-            )
-            if feasible and float(np.linalg.norm(alpha_hat - alpha)) <= limit:
-                converged = True
-                break
-
-        # Block dual step s_i = sigma/||K_i||^2 with Moreau:
-        # prox_{s_i f*}(v) = v - s_i prox_{f/s_i}(v/s_i), and for an
-        # indicator prox_{f/s_i} is the projection.
-        for i, blk in enumerate(blocks):
-            step_i = sigma / blk.opnorm_sq
-            v = duals[i] + step_i * blk.forward(alpha_bar)
-            dual_hat = v - step_i * blk.project(v / step_i)
-            duals[i] = duals[i] + RELAXATION * (dual_hat - duals[i])
-        alpha = alpha + RELAXATION * (alpha_hat - alpha)
-
-        if check:
-            # In block-normalised units: the norm of (||K_i|| (u_i - u_i_ref))_i.
-            dual_move = math.sqrt(
-                sum(
-                    blk.opnorm_sq * float(np.sum((d - r) ** 2))
-                    for blk, d, r in zip(blocks, duals, duals_ref)
-                )
-            )
-            weight = update_primal_weight(
-                weight, dual_move, float(np.linalg.norm(alpha - alpha_ref))
-            )
-            tau, sigma = step_sizes(lip_sq, weight)
-            alpha_ref = alpha.copy()
-            duals_ref = [d.copy() for d in duals]
-
-    alpha = alpha_hat
-    x = synthesize(alpha) if synthesize is not None else alpha.copy()
-    first_violation = blocks[0].violation(blocks[0].forward(alpha))
-    info = {
-        "tau": float(tau),
-        "dual_step": float(sigma),
-        "primal_weight": float(weight),
-        "lipschitz_sq": lip_sq,
-    }
-    for i, blk in enumerate(blocks):
-        info[f"violation_{i}"] = float(blk.violation(blk.forward(alpha)))
-    return RecoveryResult(
-        alpha=alpha,
-        x=x,
-        iterations=iterations,
-        converged=converged,
-        residual_norm=float(first_violation),
-        objective=float(np.sum(np.abs(alpha))),
-        solver="pdhg",
-        info=info,
     )

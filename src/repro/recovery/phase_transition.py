@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.recovery.bpdn import solve_bpdn
+from repro.recovery.eq1 import solve_bpdn
 from repro.recovery.pdhg import PdhgSettings
 from repro.sensing.matrices import gaussian_matrix
 from repro.wavelets.operators import IdentityBasis

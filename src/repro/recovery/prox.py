@@ -13,8 +13,6 @@ import numpy as np
 __all__ = [
     "soft_threshold",
     "project_l2_ball",
-    "project_box",
-    "prox_l1",
 ]
 
 
@@ -27,11 +25,6 @@ def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
         raise ValueError("threshold cannot be negative")
     arr = np.asarray(v, dtype=float)
     return np.sign(arr) * np.maximum(np.abs(arr) - threshold, 0.0)
-
-
-# The prox of t*||.||_1 *is* soft thresholding; alias for readability at
-# call sites that think in prox terms.
-prox_l1 = soft_threshold
 
 
 def project_l2_ball(
@@ -50,19 +43,3 @@ def project_l2_ball(
     if norm <= radius or norm == 0.0:
         return arr.copy()
     return c + diff * (radius / norm)
-
-
-def project_box(
-    v: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """Projection onto the box ``{z : lower <= z <= upper}`` (elementwise).
-
-    ``lower``/``upper`` may be scalars or arrays broadcastable to ``v``;
-    every lower bound must not exceed its upper bound.
-    """
-    arr = np.asarray(v, dtype=float)
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), arr.shape)
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), arr.shape)
-    if np.any(lo > hi):
-        raise ValueError("box is empty: some lower bound exceeds its upper bound")
-    return np.clip(arr, lo, hi)

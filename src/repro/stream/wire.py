@@ -142,7 +142,7 @@ def decode_frame_body(body: bytes, measurement_bits: int) -> StreamFrame:
     packet_bytes = reader.take(packet_len)
     try:
         packet = WindowPacket.from_bytes(packet_bytes, measurement_bits)
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, EOFError) as exc:
         raise WireError(f"undecodable packet bytes: {exc}") from exc
     expected_bits = packet.total_bits
     if len(packet_bytes) != (expected_bits + 7) // 8:

@@ -9,7 +9,6 @@ from repro.devtools.contracts import (
     check_dtype,
     check_finite,
     check_shape,
-    contracts_enabled,
 )
 
 
@@ -125,19 +124,6 @@ class TestArrayContractDecorator:
 
         with pytest.raises(ContractError):
             f(np.array([np.nan]))
-
-
-class TestKillSwitch:
-    def test_disabled_via_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_CONTRACTS", "1")
-        assert not contracts_enabled()
-        check_shape(np.zeros(5), (4,))
-        check_dtype(np.zeros(3), "integer")
-        check_finite(np.array([np.nan]))
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_CONTRACTS", raising=False)
-        assert contracts_enabled()
 
 
 class TestEntryPointsUseContracts:

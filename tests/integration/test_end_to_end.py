@@ -127,7 +127,7 @@ class TestRmpiPath:
         instead of the matrix path, then recover with the ideal model —
         quality must survive the model mismatch."""
         from repro.sensing.rmpi import RmpiBank, RmpiNonidealities
-        from repro.recovery.hybrid import solve_hybrid
+        from repro.recovery.eq1 import solve_hybrid
         from repro.sensing.quantizers import lowres_bounds, requantize_codes
         from repro.wavelets.operators import WaveletBasis
 

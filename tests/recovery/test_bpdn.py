@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.recovery.bpdn import solve_bpdn
+from repro.recovery.eq1 import solve_bpdn
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import bernoulli_matrix, gaussian_matrix

@@ -1,10 +1,10 @@
 """Differential tests of the fused Eq. 1 kernel against the generic engine.
 
 :func:`repro.recovery.eq1.solve_eq1` is the production decode of both
-the hybrid (Eq. 1) and the normal-CS programs.  The oracle is
-:func:`repro.recovery.pdhg.solve_l1_constrained` built from
-:func:`~repro.recovery.bpdn.ball_block` and
-:func:`~repro.recovery.hybrid.box_block`: the same iteration, step sizes,
+the hybrid (Eq. 1) and the normal-CS programs.  The oracle is the
+generic engine ``solve_l1_constrained`` of
+:mod:`tests.recovery.pdhg_oracle`, built from its ``ball_block`` and
+``box_block``: the same iteration, step sizes,
 relaxation, primal weight rule, cold start and stopping rule, so both
 must agree to rounding and stop at the same iteration.  Inputs are the
 first windows of the ``SMALL_SCALE`` records at the paper's operating
@@ -19,16 +19,15 @@ import pytest
 from repro.core.codebooks import CodebookKey
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments.runner import SMALL_SCALE
-from repro.recovery.bpdn import ball_block
 from repro.recovery.bsbl import solve_bsbl, solve_bsbl_dequant
 from repro.recovery.eq1 import solve_eq1
-from repro.recovery.hybrid import box_block
-from repro.recovery.pdhg import PdhgSettings, solve_l1_constrained
+from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.runtime import stages
 from repro.runtime.task import CodebookSpec
 from repro.sensing.quantizers import lowres_bounds
 from repro.signals.database import load_record
+from tests.recovery.pdhg_oracle import ball_block, box_block, solve_l1_constrained
 
 CRS = (50.0, 75.0, 81.0)
 ALPHA_ATOL = 1e-8

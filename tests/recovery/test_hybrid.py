@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.quality import snr_db
-from repro.recovery.bpdn import solve_bpdn
-from repro.recovery.hybrid import solve_hybrid
+from repro.recovery.eq1 import solve_bpdn, solve_hybrid
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import bernoulli_matrix

@@ -44,15 +44,15 @@ class TestRegistry:
         assert resolve_method("bsbl-dequant").stripped == "bsbl"
 
     def test_no_warm_start_parameter(self):
-        """Every decode starts cold: only the generic PDHG engine, the
-        fused kernel's test oracle, still takes a starting point."""
+        """Every decode starts cold: no public solver takes a starting
+        point (only the kernel's test oracle does)."""
         warm = [
             name
             for name in repro.recovery.__all__
             if callable(obj := getattr(repro.recovery, name))
             and "alpha0" in inspect.signature(obj).parameters
         ]
-        assert warm == ["solve_l1_constrained"]
+        assert warm == []
 
 
 class TestDispatchErrors:

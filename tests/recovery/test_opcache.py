@@ -156,14 +156,13 @@ class TestProblemForConfig:
 
 class TestMixedMethodSweepCounters:
     """A mixed convex+Bayesian sweep shares one problem per CR: the
-    operator and memos built for ADMM are the same objects BSBL reads
-    ``A`` from, so adding a method to a sweep never rebuilds."""
+    operator and memos built for the Eq. 1 kernel are the same objects
+    BSBL reads ``A`` from, so adding a method to a sweep never rebuilds."""
 
     def test_operator_counters_across_mixed_sweep(self):
-        from repro.recovery.batched import (
-            solve_bpdn_admm_batch,
-            solve_bsbl_batch,
-        )
+        from repro.recovery.bsbl import BsblSettings, solve_bsbl
+        from repro.recovery.eq1 import solve_bpdn
+        from repro.recovery.pdhg import PdhgSettings
 
         PROBLEM_CACHE.clear()
         rng = np.random.default_rng(0)
@@ -171,12 +170,16 @@ class TestMixedMethodSweepCounters:
         for m in (32, 16):
             config = base.with_measurements(m)
             problem = problem_for_config(config)
-            ys = [
-                problem.measure_signal(rng.standard_normal(64))
-                for _ in range(3)
-            ]
-            solve_bpdn_admm_batch(problem, ys, 1.0, max_iter=5)
-            solve_bsbl_batch(problem, ys, 1.0 / 12, max_iter=5)
+            for _ in range(3):
+                y = problem.measure_signal(rng.standard_normal(64))
+                solve_bpdn(
+                    problem.phi, problem.basis, y, 1.0,
+                    settings=PdhgSettings(max_iter=5), problem=problem,
+                )
+                solve_bsbl(
+                    problem.phi, problem.basis, y, 1.0 / 12,
+                    settings=BsblSettings(max_iter=5), problem=problem,
+                )
             assert problem_for_config(config) is problem
 
         stats = PROBLEM_CACHE.stats()

@@ -1,15 +1,21 @@
-"""Tests of the PDHG engine internals and the CsProblem cache."""
+"""Tests of the PDHG settings, the generic engine the Eq. 1 kernel is
+checked against (``tests/recovery/pdhg_oracle.py``) and the CsProblem
+cache."""
 
 import numpy as np
 import pytest
 
-from repro.recovery.bpdn import ball_block
 from repro.recovery.eq1 import solve_eq1
-from repro.recovery.pdhg import ConstraintBlock, PdhgSettings, solve_l1_constrained
+from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
-from repro.recovery.prox import project_box
 from repro.sensing.matrices import bernoulli_matrix
 from repro.wavelets.operators import IdentityBasis, WaveletBasis
+from tests.recovery.pdhg_oracle import (
+    ConstraintBlock,
+    ball_block,
+    project_box,
+    solve_l1_constrained,
+)
 
 
 class TestPdhgSettings:

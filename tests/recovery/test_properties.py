@@ -9,10 +9,9 @@ Randomized instances of the paper's convex programs, checking the
 * monotone-restart FISTA's composite objective never increases across
   accepted iterates — including the iterates right after a restart;
 * BSBL-BO posterior means fit the data to within the noise ball, its
-  fixed-``B`` EM evidence is monotone non-increasing, the Bayesian
+  fixed-``B`` EM evidence is monotone non-increasing, and the Bayesian
   de-quantization solution stays within one quantizer cell of the
-  Eq. 1 box solution, and the batched EM engines (plain and
-  de-quantized) match their scalar oracles to 1e-8 across CRs.
+  Eq. 1 box solution.
 
 Marked ``property`` so `make test-fast` can skip them locally; CI always
 runs them.  Instances are kept small (n = 64) so the whole suite stays
@@ -24,11 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.recovery.batched import solve_bsbl_batch, solve_bsbl_dequant_batch
-from repro.recovery.bpdn import solve_bpdn
 from repro.recovery.bsbl import BsblSettings, solve_bsbl, solve_bsbl_dequant
+from repro.recovery.eq1 import solve_bpdn, solve_hybrid
 from repro.recovery.fista import lambda_max, solve_fista
-from repro.recovery.hybrid import solve_hybrid
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import bernoulli_matrix
@@ -235,52 +232,3 @@ def test_bsbl_em_objective_monotone(seed, m, k):
     assert history.size == result.iterations
     tol = 1e-9 * max(abs(history[0]), 1.0)
     assert np.all(np.diff(history) <= tol)
-
-
-#: ``(cr, method)`` cases for the batched-vs-scalar EM check: every CR
-#: for plain BSBL, plus the de-quantization engine at the paper's CR 50.
-_BSBL_BATCH_CASES = [
-    pytest.param(cr, "bsbl", id=f"{cr}") for cr in (25.0, 50.0, 75.0)
-] + [pytest.param(50.0, "bsbl-dequant", id="50.0-dequant")]
-
-
-@pytest.mark.parametrize("cr, method", _BSBL_BATCH_CASES)
-def test_bsbl_batched_matches_scalar(cr, method):
-    """The batched EM engines are the scalar solvers' arithmetic
-    reordered: across the CR grid and both likelihoods (plain and
-    de-quantized), every coefficient agrees to 1e-8 (measured:
-    BLAS-rounding level)."""
-    m = int(round(N * (1.0 - cr / 100.0)))
-    rng = np.random.default_rng(int(cr) * 10)
-    phi = bernoulli_matrix(m, N, seed=5)
-    problem = CsProblem(phi, _BASIS)
-    ys, x_mids = [], []
-    box_width = 0.5
-    for _ in range(5):
-        alpha = np.zeros(N)
-        alpha[rng.choice(N, 6, replace=False)] = rng.standard_normal(6) * 2.0
-        x = _BASIS.synthesize(alpha)
-        y = phi @ x + 0.02 * rng.standard_normal(m)
-        ys.append(y)
-        x_mids.append((np.floor(x / box_width) + 0.5) * box_width)
-    quant_var = box_width**2 / 12.0
-
-    if method == "bsbl":
-        batched = solve_bsbl_batch(problem, ys, 0.02**2, bsbl=_BSBL)
-    else:
-        batched = solve_bsbl_dequant_batch(
-            problem, ys, 0.02**2, x_mids, quant_var, bsbl=_BSBL
-        )
-    for j, (y, result) in enumerate(zip(ys, batched)):
-        if method == "bsbl":
-            scalar = solve_bsbl(
-                problem.phi, _BASIS, y, 0.02**2,
-                settings=_BSBL, problem=problem,
-            )
-        else:
-            scalar = solve_bsbl_dequant(
-                problem.phi, _BASIS, y, 0.02**2, x_mids[j], quant_var,
-                settings=_BSBL, problem=problem,
-            )
-        assert np.max(np.abs(result.alpha - scalar.alpha)) <= 1e-8
-        assert result.iterations == scalar.iterations

@@ -1,10 +1,15 @@
-"""Tests of proximal operators and projections (variational properties)."""
+"""Tests of proximal operators and projections (variational properties).
+
+The box projection lives with the Eq. 1 kernel's test oracle
+(``tests/recovery/pdhg_oracle.py``), whose box block applies it.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.recovery.prox import project_box, project_l2_ball, soft_threshold
+from repro.recovery.prox import project_l2_ball, soft_threshold
+from tests.recovery.pdhg_oracle import project_box
 
 vec = st.lists(
     st.floats(-100, 100, allow_nan=False), min_size=1, max_size=40

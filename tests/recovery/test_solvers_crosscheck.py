@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.recovery.admm import solve_bpdn_admm
-from repro.recovery.bpdn import solve_bpdn
+from repro.recovery.eq1 import solve_bpdn
 from repro.recovery.fista import lambda_max, solve_fista
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem

@@ -147,7 +147,7 @@ class TestSubsampledHadamard:
 
     def test_recovery_works(self, rng):
         """The ensemble actually senses: sparse recovery succeeds."""
-        from repro.recovery.bpdn import solve_bpdn
+        from repro.recovery.eq1 import solve_bpdn
         from repro.recovery.pdhg import PdhgSettings
         from repro.sensing.matrices import subsampled_hadamard_matrix
         from repro.wavelets.operators import IdentityBasis

@@ -10,6 +10,9 @@ Two properties, pinned under Hypothesis:
   yields a wrong frame.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +215,22 @@ class TestWireEdges:
         )
         with pytest.raises(WireError, match="integer"):
             encode_frame(bad)
+
+    @pytest.mark.parametrize("keep", [5, 12], ids=["mid-header", "no-codes"])
+    def test_cut_packet_behind_good_crc_is_wire_error(self, keep):
+        """A body whose CRC is good but whose packet bytes stop short (in
+        the header, or right after it) is a :class:`WireError`, not the
+        packet reader's bare ``EOFError``."""
+        packet_bytes = self._frame().packet.to_bytes()[:keep]
+        body = (
+            struct.pack(">BBH", WIRE_VERSION, 0, 2)
+            + b"p0"
+            + struct.pack(">II", 123, len(packet_bytes))
+            + packet_bytes
+        )
+        prefix = struct.pack(">II", len(body), zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(WireError, match="undecodable packet"):
+            FrameAssembler(BITS).feed(prefix + body)
 
     def test_empty_feed_yields_nothing(self):
         assembler = FrameAssembler(BITS)
