@@ -27,7 +27,7 @@ test-cov:
 	fi
 
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint src --strict
+	PYTHONPATH=src $(PYTHON) -m repro.cli lint src benchmarks/baselines.py --strict
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

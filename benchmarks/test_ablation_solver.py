@@ -8,19 +8,10 @@ motivate convex recovery on compressible ECG.
 """
 
 import numpy as np
+from baselines import lambda_max, solve_cosamp, solve_fista, solve_iht, solve_omp
 
 from repro.metrics.quality import snr_db
-from repro.recovery import (
-    CsProblem,
-    PdhgSettings,
-    lambda_max,
-    solve_bpdn,
-    solve_bpdn_admm,
-    solve_cosamp,
-    solve_fista,
-    solve_iht,
-    solve_omp,
-)
+from repro.recovery import CsProblem, PdhgSettings, solve_bpdn, solve_bpdn_admm
 from repro.sensing.matrices import bernoulli_matrix
 from repro.signals.database import load_record
 from repro.wavelets.operators import WaveletBasis

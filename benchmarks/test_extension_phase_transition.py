@@ -9,10 +9,7 @@ crosses the curve exactly in the 85-95 % CR band where normal CS collapses
 entirely.
 """
 
-from repro.recovery.pdhg import PdhgSettings
-from repro.recovery.phase_transition import empirical_transition
-
-SETTINGS = PdhgSettings(max_iter=2500, tol=1e-6)
+from baselines import empirical_transition
 
 
 def _run():

@@ -21,8 +21,8 @@ Subpackages
 ``repro.coding``
     Huffman/difference entropy coding of the low-resolution channel.
 ``repro.recovery``
-    Convex (PDHG/ADMM/FISTA) and greedy sparse-recovery solvers, including
-    the box-constrained hybrid problem of the paper's Eq. 1.
+    The receiver's decoders: the PDHG kernel for the box-constrained
+    hybrid problem of the paper's Eq. 1 and plain BPDN, and BSBL-BO.
 ``repro.power``
     Analytical power models (Eqs. 4-9) and architecture comparisons.
 ``repro.experiments``

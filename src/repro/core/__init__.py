@@ -7,7 +7,7 @@ from repro.core.adaptive import (
 )
 from repro.core.channel import LossyLink, RobustReceiver, payload_crc
 from repro.core.config import DEFAULT_CONFIG, FrontEndConfig
-from repro.core.encode_batch import EncodeEngineSettings, measure_window_stack
+from repro.core.encode_batch import measure_window_stack
 from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
 from repro.core.packets import HEADER_BITS, WindowPacket
 from repro.core.pipeline import (
@@ -25,7 +25,6 @@ __all__ = [
     "AdaptiveFrontEnd",
     "AdaptiveReceiver",
     "DEFAULT_CONFIG",
-    "EncodeEngineSettings",
     "FrontEndConfig",
     "HEADER_BITS",
     "HybridFrontEnd",

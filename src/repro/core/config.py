@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.encode_batch import EncodeEngineSettings
 from repro.metrics.compression import ORIGINAL_RESOLUTION_BITS, cs_channel_cr
 from repro.recovery.bsbl import BsblSettings
 from repro.recovery.pdhg import PdhgSettings
@@ -53,10 +52,6 @@ class FrontEndConfig:
         EM controls of the Bayesian recovery family
         (:mod:`repro.recovery.bsbl`); ignored by the convex methods.
         Receiver-side only — it never changes what the node transmits.
-    encode:
-        Node-side engine controls: the quantizer boundary guard of the
-        batched encode engine (bit-identical to the scalar path; see
-        ``docs/encoding.md``).  An efficiency knob only.
     """
 
     window_len: int = 512
@@ -69,7 +64,6 @@ class FrontEndConfig:
     solver: PdhgSettings = field(default_factory=PdhgSettings)
     sigma_safety: float = 2.0
     bsbl: BsblSettings = field(default_factory=BsblSettings)
-    encode: EncodeEngineSettings = field(default_factory=EncodeEngineSettings)
 
     def __post_init__(self) -> None:
         if self.window_len <= 0:

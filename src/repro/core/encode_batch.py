@@ -1,4 +1,4 @@
-"""Transmit-side batch engine: settings + the batched CS measurement kernel.
+"""Transmit-side batch engine: the batched CS measurement kernel.
 
 PR 4 batched the *receiver* (GEMM solvers + operator cache); this module
 is the transmit-side counterpart.  A record's windows are stacked into a
@@ -23,44 +23,24 @@ scalar ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.sensing.quantizers import UniformQuantizer
 
-__all__ = ["EncodeEngineSettings", "measure_window_stack"]
+__all__ = ["BOUNDARY_GUARD", "measure_window_stack"]
 
-
-@dataclass(frozen=True)
-class EncodeEngineSettings:
-    """Node-side engine controls carried on ``FrontEndConfig.encode``.
-
-    Purely a transmit-efficiency knob — with the exactness contract above
-    it never changes what the node transmits, so it is safe to vary per
-    deployment.
-
-    Attributes
-    ----------
-    boundary_guard:
-        Scaled-measurement distance to a quantizer cell edge below which
-        a window is recomputed with the scalar GEMV.  Must sit well above
-        the ULP-level GEMM/GEMV deviation; the default leaves ~3 orders
-        of magnitude of margin on both sides.
-    """
-
-    boundary_guard: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.boundary_guard < 0.5:
-            raise ValueError("boundary_guard must be in (0, 0.5)")
+#: Scaled-measurement distance to a quantizer cell edge below which a
+#: window is recomputed with the scalar GEMV.  It sits well above the
+#: ULP-level GEMM/GEMV deviation and leaves ~3 orders of magnitude of
+#: margin on both sides; a larger guard only recomputes more rows.
+BOUNDARY_GUARD = 1e-9
 
 
 def measure_window_stack(
     phi: np.ndarray,
     quantizer: UniformQuantizer,
     centered: np.ndarray,
-    boundary_guard: float = EncodeEngineSettings.boundary_guard,
+    boundary_guard: float = BOUNDARY_GUARD,
 ) -> np.ndarray:
     """Measurement codes for a stack of centered windows; shape ``(w, m)``.
 

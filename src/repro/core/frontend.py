@@ -103,12 +103,7 @@ class _CsPath:
         equals ``measure(windows[i])`` bit for bit.
         """
         centered = windows.astype(float) - self.center
-        return measure_window_stack(
-            self.phi,
-            self.quantizer,
-            centered,
-            self.config.encode.boundary_guard,
-        )
+        return measure_window_stack(self.phi, self.quantizer, centered)
 
 
 class HybridFrontEnd:

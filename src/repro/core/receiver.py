@@ -120,13 +120,10 @@ class HybridReceiver:
         """Measurement-noise variance for the Bayesian family.
 
         The same quantization-noise model as :meth:`sigma`, expressed as
-        a per-measurement variance for the Gaussian likelihood, with
-        ``config.bsbl.noise_scale`` playing ``sigma_safety``'s
-        slack role.
+        a per-measurement variance for the Gaussian likelihood, without
+        a safety multiplier.
         """
-        return measurement_noise_var(
-            self.quantizer.step, self.config.bsbl.noise_scale
-        )
+        return measurement_noise_var(self.quantizer.step)
 
     def decode_measurements(self, packet: WindowPacket) -> np.ndarray:
         """Measurement codes back to centered-domain values, shape ``(m,)``."""

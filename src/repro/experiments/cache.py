@@ -63,8 +63,6 @@ def config_fingerprint(config: FrontEndConfig) -> str:
         "solver": asdict(config.solver),
         "sigma_safety": config.sigma_safety,
         "bsbl": asdict(config.bsbl),
-        # `encode` stays out: its exactness contract means it never
-        # changes the transmitted packets.
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:20]

@@ -49,8 +49,7 @@ observation of the signal with the cell's own quantization-noise variance
 is orthonormal this adds ``I / \\sigma_q^2`` to the block-diagonal prior
 precision ``D`` and ``Ψ^T x_mid / \\sigma_q^2`` to ``b`` — the de-quantizer
 is the *same* EM iteration, so both modes share one E-step
-(:func:`measurement_estep`, written over a stack of windows and run
-here on a stack of one).
+(:func:`measurement_estep`).
 
 The measurement noise is the CS quantizer's own error,
 ``\\lambda = step^2 / 12`` (see :func:`measurement_noise_var` and the
@@ -81,6 +80,13 @@ __all__ = [
 #: Positivity floor used wherever a ratio could divide by ~0.
 _TINY = 1e-30
 
+#: Clip for the learned AR(1) ``|r|`` (keeps ``B`` well conditioned).
+CORR_LIMIT = 0.95
+
+#: Lower clamp for block scales; blocks at the floor are effectively
+#: pruned without changing the iteration shape.
+GAMMA_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class BsblSettings:
@@ -104,23 +110,12 @@ class BsblSettings:
         the posterior mean each iteration.  Off: ``B = I`` stays fixed,
         which is the setting under which the BO update is provably
         monotone (the property suite runs with it off for that reason).
-    corr_limit:
-        Clip for the learned ``|r|`` (keeps ``B`` well conditioned).
-    gamma_floor:
-        Lower clamp for block scales; blocks at the floor are effectively
-        pruned without changing the iteration shape.
-    noise_scale:
-        Multiplier on the quantization-noise standard deviation used to
-        build ``lambda`` — the Bayesian analogue of ``sigma_safety``.
     """
 
     block_len: int = 16
     max_iter: int = 120
     tol: float = 1e-4
     learn_correlation: bool = True
-    corr_limit: float = 0.95
-    gamma_floor: float = 1e-12
-    noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.block_len < 1:
@@ -129,12 +124,6 @@ class BsblSettings:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0.0 <= self.corr_limit < 1.0:
-            raise ValueError("corr_limit must be in [0, 1)")
-        if self.gamma_floor <= 0:
-            raise ValueError("gamma_floor must be positive")
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive")
 
     def blocks_for(self, n: int) -> int:
         """Number of blocks for an ``n``-coefficient window (validating)."""
@@ -145,8 +134,8 @@ class BsblSettings:
         return n // self.block_len
 
 
-def measurement_noise_var(step: float, noise_scale: float = 1.0) -> float:
-    """Per-measurement quantization-noise variance ``(scale * step)^2 / 12``.
+def measurement_noise_var(step: float) -> float:
+    """Per-measurement quantization-noise variance ``step^2 / 12``.
 
     The CS quantizer's error is uniform in ``±step/2``; this is the same
     noise model behind the convex path's fidelity radius ``sigma()``,
@@ -154,7 +143,7 @@ def measurement_noise_var(step: float, noise_scale: float = 1.0) -> float:
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    return (noise_scale * step) ** 2 / 12.0
+    return step**2 / 12.0
 
 
 def lowres_cell_stats(
@@ -181,27 +170,24 @@ def lowres_cell_stats(
     return mid, max(var, 1.0 / 12.0)
 
 
-def ar1_precision(r: np.ndarray, block_len: int) -> np.ndarray:
+def ar1_precision(r: float, block_len: int) -> np.ndarray:
     """Closed-form inverse of the AR(1) Toeplitz block ``B[i, j] = r^|i-j|``.
 
-    ``r`` is a stack of correlations, shape ``(k,)``; returns ``B^{-1}``,
-    shape ``(k, b, b)``: the classical tridiagonal
+    Returns ``B^{-1}``, shape ``(b, b)``: the classical tridiagonal
     ``(1/(1-r^2)) tridiag(-r; 1, 1+r^2, ..., 1+r^2, 1; -r)``, exact, so
     no ``B`` is ever formed or factorized.
     """
-    r = np.asarray(r)
-    k = r.shape[0]
     b = int(block_len)
     if b == 1:
-        return np.ones((k, 1, 1), dtype=r.dtype)
+        return np.ones((1, 1))
     idx = np.arange(b)
-    binv = np.zeros((k, b, b), dtype=r.dtype)
-    binv[:, idx, idx] = (1.0 + r * r)[:, None]
-    binv[:, 0, 0] = 1.0
-    binv[:, b - 1, b - 1] = 1.0
-    binv[:, idx[:-1], idx[1:]] = -r[:, None]
-    binv[:, idx[1:], idx[:-1]] = -r[:, None]
-    return binv / (1.0 - r * r)[:, None, None]
+    binv = np.zeros((b, b))
+    binv[idx, idx] = 1.0 + r * r
+    binv[0, 0] = 1.0
+    binv[b - 1, b - 1] = 1.0
+    binv[idx[:-1], idx[1:]] = -r
+    binv[idx[1:], idx[:-1]] = -r
+    return binv / (1.0 - r * r)
 
 
 def bo_gamma_factor(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -215,25 +201,26 @@ def bo_gamma_factor(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(num, 0.0) / safe_den)
 
 
-def ar1_estimate(
-    mub: np.ndarray, gamma: np.ndarray, corr_limit: float
-) -> np.ndarray:
-    """Per-window AR(1) correlation from posterior-mean blocks.
+def ar1_estimate(mub: np.ndarray, gamma: np.ndarray) -> float:
+    """AR(1) correlation from the posterior-mean blocks.
 
-    ``mub`` has shape ``(k, g, b)`` and ``gamma`` ``(k, g)``; returns the
-    clipped lag-1 correlation per window, shape ``(k,)`` — Zhang & Rao's
+    ``mub`` has shape ``(g, b)`` and ``gamma`` ``(g,)``; returns the
+    lag-1 correlation clipped to ``±CORR_LIMIT`` — Zhang & Rao's
     practical ``B`` re-estimation from the scale-whitened empirical block
     covariance, reduced to its Toeplitz (lag-averaged) form.
     """
     inv_gamma = 1.0 / np.maximum(gamma, _TINY)
-    diag = np.einsum("kgb,kgb,kg->k", mub, mub, inv_gamma)
-    off = np.einsum("kgb,kgb,kg->k", mub[:, :, :-1], mub[:, :, 1:], inv_gamma)
-    b = mub.shape[2]
+    diag = np.einsum("gb,gb,g->", mub, mub, inv_gamma)
+    off = np.einsum("gb,gb,g->", mub[:, :-1], mub[:, 1:], inv_gamma)
+    b = mub.shape[1]
     diag_mean = diag / b
     off_mean = off / max(b - 1, 1)
-    raw = np.where(diag_mean > _TINY, off_mean / np.maximum(diag_mean, _TINY), 0.0)
-    raw = np.where(np.isfinite(raw), raw, 0.0)
-    return np.clip(raw, -corr_limit, corr_limit)
+    if not diag_mean > _TINY:
+        return 0.0
+    raw = off_mean / diag_mean
+    if not math.isfinite(raw):
+        return 0.0
+    return float(min(max(raw, -CORR_LIMIT), CORR_LIMIT))
 
 
 def check_variance(value: float, name: str) -> None:
@@ -249,26 +236,26 @@ def check_variance(value: float, name: str) -> None:
 def cholesky_forward(t: np.ndarray, leaf: int = 32) -> np.ndarray:
     """Factor ``S = L L^T`` and overwrite ``X`` with ``L^{-1} X``, in place.
 
-    ``t`` is a ``(k, m, m + p)`` stack laid out as ``[S | X]`` with ``S``
-    symmetric positive definite; returns ``diag(L)``, shape ``(k, m)``.
+    ``t`` is an ``(m, m + p)`` array laid out as ``[S | X]`` with ``S``
+    symmetric positive definite; returns ``diag(L)``, shape ``(m,)``.
     The ``S`` block is consumed.  Recursive and right-looking: the top
     ``h`` rows ``[S11 | S12 X1]`` solve to ``[L21^T | L11^{-1} X1]``, one
     GEMM with those rows downdates ``[S22 | X2]`` (Schur complement and
     right-hand side together), and the bottom rows recurse.  Only
     ``leaf``-sized blocks are factored and inverted directly, so nearly
     every flop of the ``O(m^3 + m^2 p)`` total is a matrix multiply
-    (NumPy has no batched triangular solve).
+    (SciPy's triangular solve measured no faster).
     """
-    m = t.shape[1]
+    m = t.shape[0]
     if m <= leaf:
-        lower = np.linalg.cholesky(t[:, :, :m])
-        t[:, :, m:] = np.matmul(np.linalg.inv(lower), t[:, :, m:])
-        return np.diagonal(lower, axis1=1, axis2=2)
+        lower = np.linalg.cholesky(t[:, :m])
+        t[:, m:] = np.linalg.inv(lower) @ t[:, m:]
+        return np.diagonal(lower)
     h = m // 2
-    top = cholesky_forward(t[:, :h], leaf)
-    t[:, h:, h:] -= np.matmul(np.swapaxes(t[:, :h, h:m], 1, 2), t[:, :h, h:])
-    bottom = cholesky_forward(t[:, h:, h:], leaf)
-    return np.concatenate([top, bottom], axis=1)
+    top = cholesky_forward(t[:h], leaf)
+    t[h:, h:] -= t[:h, h:m].T @ t[:h, h:]
+    bottom = cholesky_forward(t[h:, h:], leaf)
+    return np.concatenate([top, bottom])
 
 
 def measurement_estep(
@@ -278,16 +265,16 @@ def measurement_estep(
     c_vec: Optional[np.ndarray],
     quant_var: Optional[float],
     gamma: np.ndarray,
-    r: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One BSBL-BO E-step in measurement space for a stack of windows.
+    r: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """One BSBL-BO E-step in measurement space.
 
-    ``a`` is the shared ``(m, n)`` operator ``A``; ``y`` ``(k, m)``,
-    ``gamma`` ``(k, g)`` and ``r`` ``(k,)`` hold each window's
-    measurements, block scales and AR(1) correlation; ``c_vec`` ``(k, n)``
-    and ``quant_var`` are the de-quantization channel (``None`` for plain
-    BSBL).  The prior precision ``D_i = B^{-1} / gamma_i + I / quant_var``
-    is block-diagonal, and diagonal (``d``) in the eigenbasis ``U`` of
+    ``a`` is the ``(m, n)`` operator ``A``; ``y`` ``(m,)``, ``gamma``
+    ``(g,)`` and ``r`` are the window's measurements, block scales and
+    AR(1) correlation; ``c_vec`` ``(n,)`` and ``quant_var`` are the
+    de-quantization channel (``None`` for plain BSBL).  The prior
+    precision ``D_i = B^{-1} / gamma_i + I / quant_var`` is
+    block-diagonal, and diagonal (``d``) in the eigenbasis ``U`` of
     ``B^{-1}`` (eigenvalues ``beta``).  With ``F = A W D^{-1/2}``
     (``W = blockdiag(U)``), one Cholesky factor ``L`` of
     ``S = F F^T + lambda I`` and ``V = L^{-1} F`` give, by Woodbury,
@@ -297,58 +284,57 @@ def measurement_estep(
     large terms (``I - V^T V`` applied to ``D^{-1/2} b`` would, for
     blocks whose prior is much wider than the noise).
 
-    Returns ``(mu, num, den, logdet)``: the posterior means ``(k, n)``;
+    Returns ``(mu, num, den, logdet)``: the posterior mean ``(n,)``;
     the BO numerator ``mu_i^T B^{-1} mu_i / gamma_i^2`` and denominator
     ``tr(B H_ii) = blen / gamma_i - tr(B^{-1} Sigma_ii) / gamma_i^2``,
-    both ``(k, g)``; and ``log|Gamma M|`` per window, the evidence's
-    determinant term, from ``log|M| = sum log d + log|S| - m log lambda``.
-    The cost is ``O(k m^2 n)``.
+    both ``(g,)``; and ``log|Gamma M|``, the evidence's determinant
+    term, from ``log|M| = sum log d + log|S| - m log lambda``.  The cost
+    is ``O(m^2 n)``.
     """
     m, n = a.shape
-    k, g = gamma.shape
+    g = gamma.shape[0]
     blen = n // g
     inv_quant_var = 0.0 if c_vec is None else 1.0 / quant_var
     beta, u = np.linalg.eigh(ar1_precision(r, blen))
-    d = beta[:, None, :] / gamma[:, :, None] + inv_quant_var
-    scale = 1.0 / np.sqrt(d.reshape(k, n))
+    d = beta[None, :] / gamma[:, None] + inv_quant_var
+    scale = 1.0 / np.sqrt(d.reshape(n))
 
-    aw = np.matmul(a.reshape(1, m * g, blen), u).reshape(k, m, n)
+    aw = (a.reshape(m * g, blen) @ u).reshape(m, n)
     # [S | F | z], factored in one pass into [. | V | L^{-1} z], where z is
     # the data the prior mean p does not explain.
-    t = np.empty((k, m, m + n + 1))
-    f = t[:, :, m : m + n]
-    np.multiply(aw, scale[:, None, :], out=f)
+    t = np.empty((m, m + n + 1))
+    f = t[:, m : m + n]
+    np.multiply(aw, scale, out=f)
     if c_vec is None:
-        t[:, :, m + n] = y
+        t[:, m + n] = y
     else:
-        c_rot = np.einsum("kgb,kbc->kgc", c_vec.reshape(k, g, blen), u)
-        prior_mu = (inv_quant_var * c_rot / d).reshape(k, n)
-        t[:, :, m + n] = y - np.matmul(aw, prior_mu[:, :, None])[:, :, 0]
-    np.matmul(f, np.swapaxes(f, 1, 2), out=t[:, :, :m])
+        c_rot = np.einsum("gb,bc->gc", c_vec.reshape(g, blen), u)
+        prior_mu = (inv_quant_var * c_rot / d).reshape(n)
+        t[:, m + n] = y - aw @ prior_mu
+    np.matmul(f, f.T, out=t[:, :m])
     diag = np.arange(m)
-    t[:, diag, diag] += noise_var
+    t[diag, diag] += noise_var
     chol_diag = cholesky_forward(t)
     v = f  # now L^{-1} F
 
-    mu_rot = np.matmul(t[:, :, m + n][:, None, :], v)[:, 0] * scale
+    mu_rot = (t[:, m + n] @ v) * scale
     if c_vec is not None:
         mu_rot = mu_rot + prior_mu
-    mu_rot = mu_rot.reshape(k, g, blen)
-    mu = np.einsum("kgc,kbc->kgb", mu_rot, u).reshape(k, n)
+    mu_rot = mu_rot.reshape(g, blen)
+    mu = np.einsum("gc,bc->gb", mu_rot, u).reshape(n)
 
-    num = np.einsum("kb,kgb->kg", beta, mu_rot * mu_rot) / (gamma * gamma)
+    num = np.einsum("b,gb->g", beta, mu_rot * mu_rot) / (gamma * gamma)
     # blen/gamma - sum_j beta_j (1 - |v_ij|^2) / (d_ij gamma^2), with the
     # cancellation done in closed form: exact for dead blocks too.
-    vnorm = np.einsum("kmn,kmn->kn", v, v).reshape(k, g, blen)
+    vnorm = np.einsum("mn,mn->n", v, v).reshape(g, blen)
     den = np.sum(
-        (inv_quant_var + beta[:, None, :] * vnorm / gamma[:, :, None]) / d,
-        axis=2,
+        (inv_quant_var + beta[None, :] * vnorm / gamma[:, None]) / d, axis=1
     ) / gamma
     # log|Gamma| + sum log d = sum log(1 + gamma_i / (quant_var beta_j)).
-    prior = np.log1p(gamma[:, :, None] * inv_quant_var / beta[:, None, :])
+    prior = np.log1p(gamma[:, None] * inv_quant_var / beta[None, :])
     logdet = (
-        np.sum(prior, axis=(1, 2))
-        + 2.0 * np.sum(np.log(chol_diag), axis=1)
+        float(np.sum(prior))
+        + 2.0 * float(np.sum(np.log(chol_diag)))
         - m * math.log(noise_var)
     )
     return mu, num, den, logdet
@@ -378,12 +364,10 @@ def _em_measurement_space(
     blen = settings.block_len
     g = settings.blocks_for(n)
     logdet_r = m * math.log(noise_var)
-    c_stack = None
     if c_vec is not None:
         logdet_r += n * math.log(quant_var)
-        c_stack = c_vec[None, :]
-    gamma = np.ones((1, g))
-    r = np.zeros(1)
+    gamma = np.ones(g)
+    r = 0.0
     mu = np.zeros(n)
     history: list = []
     iterations = 0
@@ -392,19 +376,16 @@ def _em_measurement_space(
     for it in range(1, settings.max_iter + 1):
         iterations = it
         mu_new, num, den, logdet = measurement_estep(
-            a, y[None, :], noise_var, c_stack, quant_var, gamma, r
+            a, y, noise_var, c_vec, quant_var, gamma, r
         )
-        mu_new = mu_new[0]
         resid = y - a @ mu_new
-        quad = float(resid @ resid) / noise_var + float(gamma[0] @ num[0])
+        quad = float(resid @ resid) / noise_var + float(gamma @ num)
         if c_vec is not None:
             quad += float(np.sum((c_vec - mu_new) ** 2)) / quant_var
-        history.append(logdet_r + float(logdet[0]) + quad)
+        history.append(logdet_r + logdet + quad)
 
         gamma_prev = gamma
-        gamma = np.maximum(
-            gamma * bo_gamma_factor(num, den), settings.gamma_floor
-        )
+        gamma = np.maximum(gamma * bo_gamma_factor(num, den), GAMMA_FLOOR)
 
         change = float(np.linalg.norm(mu_new - mu))
         scale = max(float(np.linalg.norm(mu_new)), 1e-12)
@@ -414,9 +395,7 @@ def _em_measurement_space(
             break
 
         if settings.learn_correlation and blen > 1:
-            r = ar1_estimate(
-                mu.reshape(1, g, blen), gamma_prev, settings.corr_limit
-            )
+            r = ar1_estimate(mu.reshape(g, blen), gamma_prev)
 
     return mu, iterations, converged, history
 

@@ -81,7 +81,6 @@ class TestReceiverSettings:
             "solver",
             "sigma_safety",
             "bsbl",
-            "encode",
         ]
 
     def test_hashable(self):

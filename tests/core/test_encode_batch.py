@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FrontEndConfig
-from repro.core.encode_batch import EncodeEngineSettings, measure_window_stack
+from repro.core.encode_batch import measure_window_stack
 from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
 from repro.core.pipeline import default_codebook
 
@@ -26,23 +26,6 @@ def _packet_bytes(packets):
     return b"".join(p.to_bytes() for p in packets)
 
 
-class TestSettings:
-    def test_defaults(self):
-        settings = EncodeEngineSettings()
-        assert 0 < settings.boundary_guard < 0.5
-
-    def test_hashable_for_config_caching(self):
-        assert hash(EncodeEngineSettings()) == hash(EncodeEngineSettings())
-
-    @pytest.mark.parametrize("guard", [0.0, -1e-9, 0.5, 1.0])
-    def test_bad_guard_rejected(self, guard):
-        with pytest.raises(ValueError):
-            EncodeEngineSettings(boundary_guard=guard)
-
-    def test_on_config_by_default(self):
-        assert FrontEndConfig().encode == EncodeEngineSettings()
-
-
 class TestMeasureWindowStack:
     def test_rows_equal_scalar_measurement(self, record_100):
         config = FrontEndConfig()
@@ -54,13 +37,18 @@ class TestMeasureWindowStack:
 
     def test_extreme_guard_still_identical(self, record_100):
         """guard→0.5 recomputes every row; codes must not change."""
-        config = FrontEndConfig(
-            encode=EncodeEngineSettings(boundary_guard=0.499)
+        config = FrontEndConfig()
+        cs = NormalCsFrontEnd(config)._cs
+        n = config.window_len
+        windows = record_100.adu[: 4 * n].reshape(4, n)
+        codes = measure_window_stack(
+            cs.phi,
+            cs.quantizer,
+            windows.astype(float) - cs.center,
+            boundary_guard=0.499,
         )
-        frontend = NormalCsFrontEnd(config)
-        loop = frontend.process_record_loop(record_100, max_windows=4)
-        batch = frontend.process_record(record_100, max_windows=4)
-        assert _packet_bytes(loop) == _packet_bytes(batch)
+        for row, window in zip(codes, windows):
+            assert np.array_equal(row, cs.measure(window))
 
     def test_rejects_non_stack(self):
         config = FrontEndConfig()

@@ -39,10 +39,10 @@ class TestFingerprint:
 
     def test_sensitive_to_bsbl_settings(self):
         """A BSBL sweep re-run under other EM settings must miss."""
-        noisier = dataclasses.replace(
-            FAST, bsbl=BsblSettings(noise_scale=2 * FAST.bsbl.noise_scale)
+        longer = dataclasses.replace(
+            FAST, bsbl=BsblSettings(max_iter=2 * FAST.bsbl.max_iter)
         )
-        assert config_fingerprint(noisier) != config_fingerprint(FAST)
+        assert config_fingerprint(longer) != config_fingerprint(FAST)
 
     def test_sensitive_to_decoder_revision(self, monkeypatch):
         """A new decoder with the same config must not be served the old

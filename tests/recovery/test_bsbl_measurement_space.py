@@ -8,7 +8,7 @@ the evidence, and the BO denominator from ``G - G Sigma G``.  It lives
 here only as the oracle: both forms must give the same posterior means,
 iteration counts and evidence histories on {``bsbl``, ``bsbl-dequant``}
 x CR {25, 50, 75} x ``learn_correlation`` {on, off}, and
-the new form must stay finite where block scales sit at ``gamma_floor``.
+the new form must stay finite where block scales sit at ``GAMMA_FLOOR``.
 """
 
 from typing import Optional
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.recovery.bsbl import (
+    GAMMA_FLOOR,
     BsblSettings,
     ar1_precision,
     ar1_estimate,
@@ -41,7 +42,7 @@ def ar1_blocks(r, blen):
     """AR(1) ``B = [r^|i-j|]``, ``B^{-1}`` and ``log|B| = (b-1) log(1-r^2)``."""
     idx = np.arange(blen)
     bmat = r ** np.abs(idx[:, None] - idx[None, :])
-    binv = ar1_precision(np.array([r]), blen)[0]
+    binv = ar1_precision(r, blen)
     return bmat, binv, (blen - 1) * np.log(1.0 - r * r)
 
 
@@ -90,9 +91,7 @@ def em_information_form(G, b_vec, y_quad, logdet_r, settings):
         )
         den = np.einsum("bc,gcb->g", bmat, gdiag - gw)
         gamma_prev = gamma
-        gamma = np.maximum(
-            gamma * bo_gamma_factor(num, den), settings.gamma_floor
-        )
+        gamma = np.maximum(gamma * bo_gamma_factor(num, den), GAMMA_FLOOR)
 
         change = float(np.linalg.norm(mu_new - mu))
         scale = max(float(np.linalg.norm(mu_new)), 1e-12)
@@ -102,12 +101,7 @@ def em_information_form(G, b_vec, y_quad, logdet_r, settings):
             break
 
         if settings.learn_correlation and blen > 1:
-            r = float(
-                ar1_estimate(
-                    mu.reshape(1, g, blen), gamma_prev[None, :],
-                    settings.corr_limit,
-                )[0]
-            )
+            r = ar1_estimate(mu.reshape(g, blen), gamma_prev)
 
     return mu, iterations, converged, history
 
@@ -183,22 +177,20 @@ def test_matches_information_form(method, cr, learn):
 @pytest.mark.parametrize("m", (5, 32, 48, 129, 256))
 def test_cholesky_forward_matches_factor_and_solve(m):
     rng = np.random.default_rng(m)
-    g = rng.standard_normal((2, m, m))
-    spd = g @ np.swapaxes(g, 1, 2) + m * np.eye(m)
-    rhs = rng.standard_normal((2, m, 9))
-    t = np.concatenate([spd, rhs], axis=2)
-    diag = cholesky_forward(t)
-    lower = np.linalg.cholesky(spd)
-    np.testing.assert_allclose(
-        diag, np.diagonal(lower, axis1=1, axis2=2), rtol=1e-12
-    )
-    for j in range(2):
-        expected = np.linalg.solve(lower[j], rhs[j])
-        np.testing.assert_allclose(t[j, :, m:], expected, rtol=1e-10, atol=1e-12)
+    for _ in range(2):
+        g = rng.standard_normal((m, m))
+        spd = g @ g.T + m * np.eye(m)
+        rhs = rng.standard_normal((m, 9))
+        t = np.concatenate([spd, rhs], axis=1)
+        diag = cholesky_forward(t)
+        lower = np.linalg.cholesky(spd)
+        np.testing.assert_allclose(diag, np.diagonal(lower), rtol=1e-12)
+        expected = np.linalg.solve(lower, rhs)
+        np.testing.assert_allclose(t[:, m:], expected, rtol=1e-10, atol=1e-12)
 
 
 class TestConditioning:
-    """Block scales at ``gamma_floor`` must not break the E-step: the
+    """Block scales at ``GAMMA_FLOOR`` must not break the E-step: the
     prior precision ``B^{-1}/gamma`` is then ~1e12, and for plain BSBL
     (no ``I / quant_var`` term) it is all of ``D``."""
 
@@ -206,24 +198,24 @@ class TestConditioning:
     def test_estep_finite_at_gamma_floor(self, dequant):
         problem, y, x_mid = _window(50.0, seed=3)
         g = N // BLOCK_LEN
-        gamma = np.full((1, g), 1.0)
-        gamma[0, : g // 2] = BsblSettings().gamma_floor
-        c_vec = _BASIS.analyze(x_mid)[None, :] if dequant else None
+        gamma = np.full(g, 1.0)
+        gamma[: g // 2] = GAMMA_FLOOR
+        c_vec = _BASIS.analyze(x_mid) if dequant else None
         mu, num, den, logdet = measurement_estep(
-            problem.a, y[None, :], NOISE_VAR,
-            c_vec, QUANT_VAR if dequant else None, gamma, np.array([0.9]),
+            problem.a, y, NOISE_VAR,
+            c_vec, QUANT_VAR if dequant else None, gamma, 0.9,
         )
         for out in (mu, num, den, logdet):
             assert np.all(np.isfinite(out))
         assert np.all(den > 0.0)
         # A floored block is pinned to (numerically) zero.
-        assert np.max(np.abs(mu[0, : (g // 2) * BLOCK_LEN])) < 1e-6
+        assert np.max(np.abs(mu[: (g // 2) * BLOCK_LEN])) < 1e-6
 
     @pytest.mark.parametrize("method", ("bsbl", "bsbl-dequant"))
     def test_zero_block_window_finite(self, method):
         # Two of the window's eight coefficient blocks carry all of the
         # energy; the rest are exactly zero, and their scales reach
-        # gamma_floor within the first few dozen iterations.
+        # GAMMA_FLOOR within the first few dozen iterations.
         settings = BsblSettings(block_len=BLOCK_LEN, max_iter=300, tol=1e-10)
         problem, y, x_mid = _window(50.0, seed=11)
         result = _solve(method, problem, y, x_mid, settings)

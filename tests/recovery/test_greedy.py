@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.recovery.greedy import solve_cosamp, solve_iht, solve_omp
+from benchmarks.baselines import solve_cosamp, solve_iht, solve_omp
 from repro.sensing.matrices import gaussian_matrix
 from repro.wavelets.operators import IdentityBasis
 

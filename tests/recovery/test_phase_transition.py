@@ -2,11 +2,8 @@
 
 import pytest
 
+from benchmarks.baselines import empirical_transition, success_probability
 from repro.recovery.pdhg import PdhgSettings
-from repro.recovery.phase_transition import (
-    empirical_transition,
-    success_probability,
-)
 
 FAST = PdhgSettings(max_iter=2500, tol=1e-6)
 

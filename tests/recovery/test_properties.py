@@ -6,8 +6,6 @@ Randomized instances of the paper's convex programs, checking the
 * BPDN solutions are feasible: ``||A alpha - y|| <= sigma (1 + tol)``;
 * hybrid (Eq. 1) solutions satisfy the box elementwise to solver
   tolerance;
-* monotone-restart FISTA's composite objective never increases across
-  accepted iterates — including the iterates right after a restart;
 * BSBL-BO posterior means fit the data to within the noise ball, its
   fixed-``B`` EM evidence is monotone non-increasing, and the Bayesian
   de-quantization solution stays within one quantizer cell of the
@@ -25,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.recovery.bsbl import BsblSettings, solve_bsbl, solve_bsbl_dequant
 from repro.recovery.eq1 import solve_bpdn, solve_hybrid
-from repro.recovery.fista import lambda_max, solve_fista
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import bernoulli_matrix
@@ -99,52 +96,6 @@ def test_hybrid_solution_respects_box(seed, m, box_width):
     slack = FEAS_RTOL * box_width
     assert np.all(x_hat >= lower - slack)
     assert np.all(x_hat <= upper + slack)
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    m=st.integers(min_value=20, max_value=48),
-    lam_frac=st.floats(min_value=0.01, max_value=0.5),
-)
-def test_fista_monotone_after_restarts(seed, m, lam_frac):
-    """With adaptive restart on, the composite objective is non-increasing
-    at every accepted iterate — the restart *rejects* any accelerated step
-    that would break monotonicity, so the property holds across restart
-    points too (the O'Donoghue–Candès scheme with step rejection)."""
-    problem, _, y = _instance(seed, m, k=6, noise=0.02)
-    lam = lam_frac * lambda_max(problem, y)
-    history = []
-    result = solve_fista(
-        problem.phi, _BASIS, y, lam,
-        max_iter=600, tol=1e-10, problem=problem,
-        adaptive_restart=True, objective_history=history,
-    )
-    assert len(history) == result.iterations + 1
-    diffs = np.diff(np.asarray(history))
-    # Non-increasing up to float accumulation noise on the objective.
-    tol = 1e-10 * max(abs(history[0]), 1.0)
-    assert np.all(diffs <= tol)
-    assert result.info["restarts"] >= 0
-
-
-@settings(max_examples=8, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    lam_frac=st.floats(min_value=0.01, max_value=0.3),
-)
-def test_fista_restart_never_hurts_final_objective(seed, lam_frac):
-    """The monotone variant must end at an objective no worse than its
-    own starting point and within noise of the plain run's optimum."""
-    problem, _, y = _instance(seed, m=32, k=6, noise=0.02)
-    lam = lam_frac * lambda_max(problem, y)
-    history = []
-    solve_fista(
-        problem.phi, _BASIS, y, lam,
-        max_iter=800, tol=1e-10, problem=problem,
-        adaptive_restart=True, objective_history=history,
-    )
-    assert history[-1] <= history[0] + 1e-12
 
 
 # ---------------------------------------------------------------------------

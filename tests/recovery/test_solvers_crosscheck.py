@@ -8,9 +8,9 @@ program, and small instances must satisfy the optimality conditions.
 import numpy as np
 import pytest
 
+from benchmarks.baselines import lambda_max, solve_fista
 from repro.recovery.admm import solve_bpdn_admm
 from repro.recovery.eq1 import solve_bpdn
-from repro.recovery.fista import lambda_max, solve_fista
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.sensing.matrices import bernoulli_matrix, gaussian_matrix
