@@ -27,7 +27,7 @@ test-cov:
 	fi
 
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint src benchmarks/baselines.py --strict
+	PYTHONPATH=src $(PYTHON) -m repro.cli lint src benchmarks/baselines.py examples --strict
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -1,7 +1,7 @@
-"""Reference solvers that only the ablation benches and tests run.
+"""Reference code that only the ablation and extension benches and tests run.
 
-No receiver, runtime or example decodes with these; they live next to
-the two benches that rank and sweep them:
+No receiver, runtime or example calls any of this; it lives next to the
+benches that rank, sweep and score with it:
 
 * **Greedy baselines** (OMP, CoSaMP, IHT).  The paper's introduction
   situates hybrid CS against "model-based and similar structural sparse
@@ -24,6 +24,16 @@ the two benches that rank and sweep them:
   one grid point by Monte-Carlo; :func:`empirical_transition` sweeps
   ``delta`` and locates the empirical 50 % crossing, the curve
   ``test_extension_phase_transition.py`` prints.
+* **Arithmetic coding.**  The paper commits to Huffman coding for the
+  low-resolution stream (§III-B), which pays up to one bit of redundancy
+  per *token*.  Arithmetic coding reaches the entropy asymptotically at
+  the cost of multiplies the paper's node class avoids, so the gap is a
+  design quantity worth measuring (``test_ablation_entropy_coder.py``).
+* **Diagnostic quality.**  The paper scores reconstructions by PRD/SNR
+  (§IV).  :func:`run_diagnostic` measures the end goal instead: QRS
+  detection on the reconstructions against the beats found on the
+  original, for both methods across the CR axis
+  (``test_extension_diagnostic_quality.py``).
 
 Benches import this module as ``from baselines import ...`` (pytest puts
 ``benchmarks/`` on the path); tests as ``from benchmarks.baselines
@@ -32,23 +42,36 @@ import ...``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.coding.bitstream import BitReader, BitWriter
+from repro.core.codebooks import CodebookKey
+from repro.core.config import FrontEndConfig
+from repro.experiments.runner import ExperimentScale, active_scale
+from repro.metrics.diagnostic import reconstruction_fidelity
 from repro.recovery.eq1 import solve_bpdn
 from repro.recovery.pdhg import PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.recovery.prox import soft_threshold
 from repro.recovery.result import RecoveryResult
+from repro.runtime.stages import link_for_params
+from repro.runtime.task import CodebookSpec
 from repro.sensing.matrices import gaussian_matrix
 from repro.wavelets.operators import IdentityBasis, SynthesisBasis
 
 __all__ = [
+    "ArithmeticCodec",
+    "ArithmeticModel",
+    "DiagnosticData",
+    "DiagnosticPoint",
     "TransitionPoint",
     "empirical_transition",
     "lambda_max",
+    "run_diagnostic",
     "solve_cosamp",
     "solve_fista",
     "solve_iht",
@@ -396,3 +419,297 @@ def empirical_transition(
             )
         )
     return points
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic coding
+#
+# A classic 32-bit integer range coder with carry-free renormalized
+# intervals (the Witten-Neal-Cleary construction): encoder and decoder walk
+# the same cumulative-frequency table, so any trained token distribution
+# (including the run-length tokens and the ESCAPE symbol) plugs in directly.
+
+Symbol = Hashable
+
+_CODE_BITS = 32
+_TOP = (1 << _CODE_BITS) - 1
+_HALF = 1 << (_CODE_BITS - 1)
+_QUARTER = 1 << (_CODE_BITS - 2)
+_THREE_QUARTERS = _HALF + _QUARTER
+#: Total frequency mass is capped so `range * cum` fits in 64 bits.
+_MAX_TOTAL = 1 << 16
+
+
+@dataclass(frozen=True)
+class ArithmeticModel:
+    """Frozen cumulative-frequency model over a symbol alphabet.
+
+    Built from (unnormalized) frequencies; counts are rescaled to a
+    16-bit total, flooring every symbol at one count so the coder can
+    always represent any trained symbol.
+    """
+
+    symbols: Tuple[Symbol, ...]
+    cumulative: Tuple[int, ...]  # len(symbols) + 1, starting at 0
+
+    @staticmethod
+    def from_frequencies(frequencies: Mapping[Symbol, float]) -> "ArithmeticModel":
+        """Quantize a frequency table into a coder-ready model."""
+        if not frequencies:
+            raise ValueError("frequency table is empty")
+        items = sorted(frequencies.items(), key=lambda kv: str(kv[0]))
+        total = float(sum(f for _, f in items))
+        if total <= 0:
+            raise ValueError("frequencies must sum to a positive value")
+        budget = _MAX_TOTAL - len(items)  # reserve 1 per symbol
+        counts: List[int] = []
+        for _, freq in items:
+            if freq < 0:
+                raise ValueError("frequencies cannot be negative")
+            counts.append(1 + int(budget * freq / total))
+        cumulative = [0]
+        for c in counts:
+            cumulative.append(cumulative[-1] + c)
+        return ArithmeticModel(
+            symbols=tuple(s for s, _ in items), cumulative=tuple(cumulative)
+        )
+
+    @property
+    def total(self) -> int:
+        """Total frequency mass."""
+        return self.cumulative[-1]
+
+    def interval(self, symbol: Symbol) -> Tuple[int, int]:
+        """Half-open cumulative interval of a symbol."""
+        try:
+            idx = self.symbols.index(symbol)
+        except ValueError:
+            raise KeyError(f"symbol {symbol!r} not in model") from None
+        return self.cumulative[idx], self.cumulative[idx + 1]
+
+    def symbol_for(self, cum_value: int) -> Tuple[Symbol, int, int]:
+        """The symbol whose interval contains ``cum_value`` (binary search)."""
+        lo, hi = 0, len(self.symbols) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.cumulative[mid + 1] <= cum_value:
+                lo = mid + 1
+            else:
+                hi = mid
+        return self.symbols[lo], self.cumulative[lo], self.cumulative[lo + 1]
+
+
+class ArithmeticCodec:
+    """Encoder/decoder over a fixed :class:`ArithmeticModel`."""
+
+    def __init__(self, model: ArithmeticModel) -> None:
+        if model.total >= _QUARTER:
+            raise ValueError("model total too large for the coder precision")
+        self.model = model
+
+    # ------------------------------------------------------------------
+    def encode(self, symbols: Sequence[Symbol]) -> Tuple[bytes, int]:
+        """Encode a symbol sequence; returns ``(payload, bit_length)``."""
+        low = 0
+        high = _TOP
+        pending = 0
+        writer = BitWriter()
+
+        def emit(bit: int) -> None:
+            nonlocal pending
+            writer.write_bit(bit)
+            while pending:
+                writer.write_bit(1 - bit)
+                pending -= 1
+
+        total = self.model.total
+        for sym in symbols:
+            c_lo, c_hi = self.model.interval(sym)
+            span = high - low + 1
+            high = low + span * c_hi // total - 1
+            low = low + span * c_lo // total
+            while True:
+                if high < _HALF:
+                    emit(0)
+                elif low >= _HALF:
+                    emit(1)
+                    low -= _HALF
+                    high -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    pending += 1
+                    low -= _QUARTER
+                    high -= _QUARTER
+                else:
+                    break
+                low = low * 2
+                high = high * 2 + 1
+        # Flush: disambiguate the final interval.
+        pending += 1
+        emit(0 if low < _QUARTER else 1)
+        return writer.getvalue(), writer.bit_length
+
+    def decode(
+        self, payload: bytes, n_symbols: int, bit_length: int | None = None
+    ) -> List[Symbol]:
+        """Decode exactly ``n_symbols`` symbols."""
+        if n_symbols < 0:
+            raise ValueError("n_symbols cannot be negative")
+        reader = BitReader(payload, bit_length)
+
+        def next_bit() -> int:
+            try:
+                return reader.read_bit()
+            except EOFError:
+                return 0  # the stream is padded with zeros conceptually
+
+        low = 0
+        high = _TOP
+        value = 0
+        for _ in range(_CODE_BITS):
+            value = (value << 1) | next_bit()
+
+        total = self.model.total
+        out: List[Symbol] = []
+        for _ in range(n_symbols):
+            span = high - low + 1
+            cum = ((value - low + 1) * total - 1) // span
+            sym, c_lo, c_hi = self.model.symbol_for(cum)
+            out.append(sym)
+            high = low + span * c_hi // total - 1
+            low = low + span * c_lo // total
+            while True:
+                if high < _HALF:
+                    pass
+                elif low >= _HALF:
+                    low -= _HALF
+                    high -= _HALF
+                    value -= _HALF
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
+                    low -= _QUARTER
+                    high -= _QUARTER
+                    value -= _QUARTER
+                else:
+                    break
+                low = low * 2
+                high = high * 2 + 1
+                value = value * 2 + next_bit()
+        return out
+
+    def mean_bits_per_symbol(self, frequencies: Mapping[Symbol, float]) -> float:
+        """Expected code length under the model for a true distribution
+        (cross-entropy in bits) — the analytic counterpart of measuring
+        an encoded stream."""
+        total_freq = float(sum(frequencies.values()))
+        if total_freq <= 0:
+            raise ValueError("frequencies sum to zero")
+        bits = 0.0
+        model_total = self.model.total
+        for sym, freq in frequencies.items():
+            c_lo, c_hi = self.model.interval(sym)
+            p_model = (c_hi - c_lo) / model_total
+            bits += (freq / total_freq) * -math.log2(p_model)
+        return bits
+
+
+# ---------------------------------------------------------------------------
+# Diagnostic quality (QRS detection) vs CR
+#
+# The expected shape mirrors Fig. 7: hybrid reconstructions keep the
+# detector working deep into the >90 % CR regime where normal CS has
+# destroyed the QRS complexes.
+
+
+@dataclass(frozen=True)
+class DiagnosticPoint:
+    """Beat-detection fidelity at one CR for one method."""
+
+    cr_percent: float
+    method: str
+    sensitivity: float
+    positive_predictivity: float
+    f1: float
+    n_reference_beats: int
+
+
+@dataclass(frozen=True)
+class DiagnosticData:
+    """Both methods' fidelity curves."""
+
+    points: Tuple[DiagnosticPoint, ...]
+
+    def series(self, method: str) -> List[DiagnosticPoint]:
+        """One method's points, ascending in CR."""
+        return sorted(
+            (p for p in self.points if p.method == method),
+            key=lambda p: p.cr_percent,
+        )
+
+    def hybrid_dominates(self) -> bool:
+        """Hybrid F1 >= normal F1 at every CR (small slack for ties)."""
+        normal = {p.cr_percent: p.f1 for p in self.series("normal")}
+        return all(
+            p.f1 >= normal[p.cr_percent] - 0.02 for p in self.series("hybrid")
+        )
+
+
+def run_diagnostic(
+    cr_values: Sequence[float] = (75.0, 88.0, 94.0, 97.0),
+    *,
+    base_config: Optional[FrontEndConfig] = None,
+    scale: Optional[ExperimentScale] = None,
+    windows_per_record: int = 4,
+) -> DiagnosticData:
+    """Measure beat-detection fidelity over the CR axis.
+
+    The detector needs several seconds of context, so whole multi-window
+    stretches are reconstructed and scored as one waveform per record.
+    """
+    config_base = base_config or FrontEndConfig()
+    scale = scale or active_scale()
+    records = scale.records()
+    specs = {
+        "hybrid": CodebookSpec.default(
+            CodebookKey(
+                lowres_bits=config_base.lowres_bits,
+                acquisition_bits=config_base.acquisition_bits,
+            )
+        ),
+        "normal": CodebookSpec.none(),
+    }
+    center = 1 << (config_base.acquisition_bits - 1)
+
+    points: List[DiagnosticPoint] = []
+    for cr in cr_values:
+        config = config_base.for_cr(cr)
+        for method, spec in specs.items():
+            frontend, receiver = link_for_params(config, method, spec)
+            sens, ppv, f1s, n_ref = [], [], [], 0
+            for record in records:
+                originals, recons = [], []
+                for idx, window in enumerate(record.windows(config.window_len)):
+                    if idx >= windows_per_record:
+                        break
+                    packet = frontend.process_window(window, idx)
+                    recon = receiver.reconstruct(packet)
+                    originals.append(window.astype(float) - center)
+                    recons.append(recon.x_centered(center))
+                original = np.concatenate(originals)
+                reconstructed = np.concatenate(recons)
+                score = reconstruction_fidelity(
+                    original, reconstructed, record.header.fs_hz
+                )
+                sens.append(score.sensitivity)
+                ppv.append(score.positive_predictivity)
+                f1s.append(score.f1)
+                n_ref += score.true_positives + score.false_negatives
+            points.append(
+                DiagnosticPoint(
+                    cr_percent=float(cr),
+                    method=method,
+                    sensitivity=float(np.mean(sens)),
+                    positive_predictivity=float(np.mean(ppv)),
+                    f1=float(np.mean(f1s)),
+                    n_reference_beats=n_ref,
+                )
+            )
+    return DiagnosticData(points=tuple(points))

@@ -7,8 +7,8 @@ per resolution on real tokenized streams.
 """
 
 import numpy as np
+from baselines import ArithmeticCodec, ArithmeticModel
 
-from repro.coding.arithmetic import ArithmeticCodec, ArithmeticModel
 from repro.coding.differential import difference_encode, empirical_entropy_bits
 from repro.coding.huffman import HuffmanCodec
 from repro.coding.runlength import tokenize_diffs

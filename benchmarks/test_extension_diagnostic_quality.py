@@ -7,7 +7,7 @@ the >90 % CR regime where normal CS destroys the QRS complexes — is
 asserted.
 """
 
-from repro.experiments.diagnostic import run_diagnostic
+from baselines import run_diagnostic
 from repro.experiments.runner import ExperimentScale
 
 SCALE = ExperimentScale(

@@ -24,6 +24,8 @@ from repro.metrics import reconstruction_fidelity, snr_db
 from repro.recovery import PdhgSettings
 from repro.signals import clean, load_record
 
+__all__ = ["main"]
+
 CONFIG = FrontEndConfig(
     window_len=256,
     n_measurements=96,  # bank size (m_max)

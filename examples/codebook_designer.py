@@ -19,6 +19,8 @@ from repro.metrics import lowres_overhead
 from repro.sensing import requantize_codes
 from repro.signals import MITBIH_RECORD_NAMES, load_record
 
+__all__ = ["main"]
+
 TRAIN = MITBIH_RECORD_NAMES[:10]
 HELD_OUT = ("219", "223", "233")
 DEPTHS = (4, 5, 6, 7, 8, 9, 10)

@@ -23,6 +23,8 @@ from repro.recovery import PdhgSettings, solve_bpdn, solve_hybrid
 from repro.sensing import RmpiBank, UniformQuantizer
 from repro.wavelets import DctBasis
 
+__all__ = ["main"]
+
 N = 1024          # samples per processing window
 M = 64            # RMPI channels (~6% of Nyquist: CS alone is hopeless)
 COARSE_BITS = 6   # the "fast but shallow" flash ADC
@@ -31,8 +33,8 @@ SETTINGS = PdhgSettings(max_iter=4000, tol=1e-5)
 
 
 def make_burst(rng: np.random.Generator) -> np.ndarray:
-    """A sparse multi-tone burst, unit peak (normalized units: one 'GHz'
-    window scales to any carrier — the math is rate-free)."""
+    """A sparse multi-tone burst of shape ``(N,)``, unit peak (normalized
+    units: one 'GHz' window scales to any carrier — the math is rate-free)."""
     basis = DctBasis(N)
     alpha = np.zeros(N)
     bins = rng.choice(np.arange(16, N // 2), size=TONES, replace=False)

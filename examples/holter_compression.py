@@ -20,6 +20,8 @@ from repro.core import FrontEndConfig, default_codebook, run_record
 from repro.recovery import PdhgSettings
 from repro.signals import load_record
 
+__all__ = ["main"]
+
 HOURS = 24.0
 FS = 360.0
 SAMPLE_BITS = 12  # the paper's accounting resolution

@@ -22,6 +22,8 @@ from repro.power import (
     power_gain,
 )
 
+__all__ = ["main"]
+
 FS_HZ = 360.0
 COIN_CELL_MAH = 225.0
 VDD = 1.0

@@ -20,6 +20,8 @@ from repro.core import (
 from repro.metrics import prd, snr_db
 from repro.signals import load_record
 
+__all__ = ["main"]
+
 
 def main() -> None:
     # --- 1. data -----------------------------------------------------

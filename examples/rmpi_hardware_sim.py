@@ -20,6 +20,8 @@ from repro.sensing import RmpiBank, RmpiNonidealities, lowres_bounds, requantize
 from repro.signals import load_record
 from repro.wavelets import WaveletBasis
 
+__all__ = ["main"]
+
 N, M = 512, 96
 SETTINGS = PdhgSettings(max_iter=2500, tol=2e-4)
 

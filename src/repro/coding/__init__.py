@@ -1,6 +1,5 @@
 """Lossless entropy coding of the low-resolution channel (paper §III-B)."""
 
-from repro.coding.arithmetic import ArithmeticCodec, ArithmeticModel
 from repro.coding.bitstream import BitReader, BitWriter
 from repro.coding.codebook import DifferenceCodebook, ESCAPE, train_codebook
 from repro.coding.differential import (
@@ -25,8 +24,6 @@ from repro.coding.runlength import (
 from repro.coding.vectorized import CodebookTables, build_tables
 
 __all__ = [
-    "ArithmeticCodec",
-    "ArithmeticModel",
     "BitReader",
     "BitWriter",
     "CodebookTables",

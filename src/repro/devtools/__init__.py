@@ -5,8 +5,9 @@ pipeline's hot paths depends on it except the tiny
 :mod:`~repro.devtools.contracts` assertions, so shipping builds can drop
 the lint machinery entirely.
 
-* :mod:`repro.devtools.reprolint` — the AST lint framework and the
-  RL001–RL007 rule set (``repro lint`` / ``make lint``).
+* :mod:`repro.devtools.reprolint` — the AST lint framework, the
+  RL001–RL007 file rules and the RL100–RL105 whole-program rules
+  (``repro lint`` / ``make lint``).
 * :mod:`repro.devtools.contracts` — ``check_shape`` / ``check_dtype`` /
   ``check_finite`` assertions and the ``array_contract`` decorator used
   on the public entry points.

@@ -3,8 +3,9 @@
 One serial run, two passes over the tree: per-file rules (RL001–RL007)
 against a :class:`FileContext`, then the whole-program RL1xx family —
 import layering, cycles, executor-payload picklability, shared-state
-safety, contract/doc drift — against a :class:`ProjectModel` assembled
-from per-file :class:`ModuleSummary` records.  A file that cannot be
+safety, contract/doc drift, unreachable modules — against a
+:class:`ProjectModel` assembled from per-file :class:`ModuleSummary`
+records.  A file that cannot be
 read, decoded or parsed is one ``RL000`` finding, not an abort.
 Reporters cover human text and versioned JSON.
 

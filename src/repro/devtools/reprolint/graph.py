@@ -4,10 +4,12 @@ The repository's architecture is a strict layering: infrastructure at
 the bottom, the paper's science in the middle, the runtime and serving
 surfaces on top.  RL100 checks every import edge against the declared
 :data:`REPRO_LAYERS`; RL101 finds strongly-connected components (import
-cycles) in the module-level graph.  The config is data, not convention:
-``tests/devtools`` carries a meta-test asserting that every package
-under ``src/repro`` is named here, so a new package cannot dodge the
-layering check by omission.
+cycles) in the module-level graph; RL105 walks the imports from the
+config's declared roots (the product's entry points) and flags every
+layered module they never reach.  The config is data, not convention:
+``tests/devtools`` carries meta-tests asserting that every package
+under ``src/repro`` is named here and that every example script and
+figure driver is a root, so neither check can be dodged by omission.
 
 The declared order refines the coarse sketch in ``docs/architecture.md``
 to what the tree actually enforces (measured, then pinned):
@@ -24,7 +26,8 @@ because sweep drivers schedule work through the engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.reprolint.project import ModuleSummary, ProjectModel
 
@@ -34,7 +37,13 @@ __all__ = [
     "build_import_graph",
     "find_cycles",
     "first_import_line",
+    "reachable_modules",
 ]
+
+
+def _under(module: str, prefix: str) -> bool:
+    """Whether ``module`` is ``prefix`` or lies below it (dotted names)."""
+    return module == prefix or module.startswith(prefix + ".")
 
 
 class LayerConfig:
@@ -42,16 +51,23 @@ class LayerConfig:
 
     A module belongs to the layer holding its *longest* matching prefix
     (prefixes match on dotted-name boundaries).  Modules matching no
-    prefix are outside the config and exempt from RL100 — coverage of
-    the real tree is enforced separately by the layer meta-test.
+    prefix are outside the config and exempt from RL100 and RL105 —
+    coverage of the real tree is enforced separately by the layer
+    meta-test.  ``roots`` are the module prefixes of the entry points
+    RL105 walks from; a config without roots turns RL105 off.
     """
 
-    def __init__(self, layers: Sequence[Tuple[str, Sequence[str]]]) -> None:
+    def __init__(
+        self,
+        layers: Sequence[Tuple[str, Sequence[str]]],
+        roots: Sequence[str] = (),
+    ) -> None:
         if not layers:
             raise ValueError("layer config cannot be empty")
         self.layers: Tuple[Tuple[str, Tuple[str, ...]], ...] = tuple(
             (str(name), tuple(prefixes)) for name, prefixes in layers
         )
+        self.roots: Tuple[str, ...] = tuple(roots)
         seen: Set[str] = set()
         for _, prefixes in self.layers:
             for prefix in prefixes:
@@ -74,7 +90,7 @@ class LayerConfig:
         best: Optional[Tuple[int, int]] = None  # (prefix length, index)
         for index, (_, prefixes) in enumerate(self.layers):
             for prefix in prefixes:
-                if module == prefix or module.startswith(prefix + "."):
+                if _under(module, prefix):
                     cand = (len(prefix), index)
                     if best is None or cand[0] > best[0]:
                         best = cand
@@ -88,10 +104,26 @@ class LayerConfig:
         """Modules matching no declared prefix (meta-test helper)."""
         return sorted(m for m in modules if self.layer_of(m) is None)
 
+    def is_root(self, module: str) -> bool:
+        """Whether ``module`` is, or lies below, a declared root."""
+        return any(_under(module, root) for root in self.roots)
+
+    def missing_roots(self, modules: Iterable[str]) -> List[str]:
+        """Declared roots that none of ``modules`` is or lies below."""
+        modules = list(modules)
+        return [
+            root
+            for root in self.roots
+            if not any(_under(m, root) for m in modules)
+        ]
+
 
 #: The pinned layering of ``src/repro`` (bottom to top).  Every package
 #: and top-level module must appear; the meta-test in
-#: ``tests/devtools/test_program_rules.py`` enforces coverage.
+#: ``tests/devtools/test_program_rules.py`` enforces coverage.  The roots
+#: are the product's entry points: the CLI, the runtime and serving
+#: packages, the paper's figure drivers and the example scripts (linted
+#: from ``examples/``, where each is a top-level module).
 REPRO_LAYERS = LayerConfig(
     [
         ("devtools", ["repro.devtools"]),
@@ -122,7 +154,30 @@ REPRO_LAYERS = LayerConfig(
             ],
         ),
         ("surface", ["repro.cli", "repro.__main__", "repro"]),
-    ]
+    ],
+    roots=[
+        "repro.cli",
+        "repro.__main__",
+        "repro.runtime",
+        "repro.stream",
+        "repro.experiments.fig2",
+        "repro.experiments.fig4",
+        "repro.experiments.fig5_fig6_table1",
+        "repro.experiments.fig7",
+        "repro.experiments.fig8",
+        "repro.experiments.fig9",
+        "repro.experiments.fig11",
+        "repro.experiments.headline",
+        "repro.experiments.report",
+        "repro.experiments.runner",
+        "adaptive_node",
+        "codebook_designer",
+        "hf_superresolution",
+        "holter_compression",
+        "power_budget_explorer",
+        "quickstart",
+        "rmpi_hardware_sim",
+    ],
 )
 
 
@@ -146,6 +201,76 @@ def build_import_graph(
                 if target != summary.module:
                     graph[summary.module].add(target)
     return graph
+
+
+def _is_package(summary: ModuleSummary) -> bool:
+    return Path(summary.path).name == "__init__.py"
+
+
+def _reexport_origin(project: ProjectModel, package: str, name: str) -> List[str]:
+    """Where ``from package import name`` takes ``name`` from.
+
+    Follows the package's own top-level binding of ``name`` through
+    nested package re-exports to the module that defines it.  Empty when
+    ``package`` is not a package or binds ``name`` itself.
+    """
+    origin: List[str] = []
+    seen: Set[Tuple[str, str]] = set()
+    while (package, name) not in seen:
+        seen.add((package, name))
+        summary = project.summaries.get(package)
+        if summary is None or not _is_package(summary):
+            break
+        rec = next(
+            (r for r in summary.imports if r.toplevel and r.bound_name == name),
+            None,
+        )
+        if rec is None:
+            break
+        targets = project.import_targets(rec)
+        origin.extend(targets)
+        if rec.name is None or targets != [rec.module]:
+            break  # `import m as name`, or `from p import submodule`
+        package, name = rec.module, rec.name
+    return origin
+
+
+def _reached_by(project: ProjectModel, summary: ModuleSummary) -> Iterator[str]:
+    """Project modules that ``summary``'s imports, lazy ones included, need.
+
+    An import of a module always counts, so a package that imports its
+    own submodule (a registration import) reaches it.  A package's
+    top-level ``from m import name`` is a re-export and reaches nothing
+    by itself; a module that imports ``name`` from the package reaches
+    the module the name comes from.
+    """
+    package = _is_package(summary)
+    for rec in summary.imports:
+        targets = project.import_targets(rec)
+        if rec.name is None or targets != [rec.module]:
+            yield from targets
+        elif not (package and rec.toplevel):
+            yield from targets
+            yield from _reexport_origin(project, rec.module, rec.name)
+
+
+def reachable_modules(project: ProjectModel, roots: Iterable[str]) -> Set[str]:
+    """Every project module that ``roots`` reach through their imports.
+
+    Reaching a module also reaches the packages that contain it, since
+    importing it runs their ``__init__``.
+    """
+    reached: Set[str] = set()
+    stack = sorted(roots)
+    while stack:
+        module = stack.pop()
+        if module in reached or module not in project.summaries:
+            continue
+        reached.add(module)
+        parts = module.split(".")
+        stack.extend(".".join(parts[:i]) for i in range(1, len(parts)))
+        stack.extend(_reached_by(project, project.summaries[module]))
+    return reached
 
 
 def find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:

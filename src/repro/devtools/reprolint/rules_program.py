@@ -1,4 +1,4 @@
-"""The whole-program rule family (RL100–RL104).
+"""The whole-program rule family (RL100–RL105).
 
 Where RL001–RL007 audit one file at a time, these rules audit the
 invariants the parallel runtime actually depends on, which span files:
@@ -18,7 +18,9 @@ invariants the parallel runtime actually depends on, which span files:
 * drift between runtime shape contracts and docstrings (RL104) — a
   function that *enforces* a shape with ``contracts.check_shape`` but
   does not *document* one invites callers to learn the contract by
-  crashing.
+  crashing;
+* modules that no entry point reaches (RL105): code only a bench or a
+  test calls belongs next to it, not in the shipped package.
 
 Each subclass implements ``check_program(project)`` over the
 :class:`~repro.devtools.reprolint.project.ProjectModel`; suppression
@@ -36,6 +38,7 @@ from repro.devtools.reprolint.graph import (
     build_import_graph,
     find_cycles,
     first_import_line,
+    reachable_modules,
 )
 from repro.devtools.reprolint.project import ModuleSummary, ProjectModel
 
@@ -46,6 +49,7 @@ __all__ = [
     "ExecutorPayloadRule",
     "SharedStateMutationRule",
     "ContractDocRule",
+    "UnreachableModuleRule",
 ]
 
 
@@ -264,3 +268,38 @@ class ContractDocRule(ProgramRule):
                     "docs cannot drift",
                 )
 
+
+@register
+class UnreachableModuleRule(ProgramRule):
+    """RL105: every layered module is reached from a declared root."""
+
+    rule_id = "RL105"
+    title = "unreachable module"
+    rationale = (
+        "A module that no entry point imports, directly or lazily, is "
+        "shipped, layered and documented as product although only "
+        "benches or tests run it; it belongs next to them."
+    )
+
+    def check_program(self, project: ProjectModel) -> Iterator[Finding]:
+        layers: LayerConfig = project.layers
+        # A run that misses an entry point (one package, one file) cannot
+        # tell what is reached, so it judges nothing.
+        if not layers.roots or layers.missing_roots(project.modules):
+            return
+        reached = reachable_modules(
+            project, [m for m in project.modules if layers.is_root(m)]
+        )
+        for summary in project.ordered():
+            if summary.module in reached:
+                continue
+            if layers.layer_of(summary.module) is None:
+                continue
+            yield self.program_finding(
+                summary,
+                1,
+                0,
+                f"no declared root reaches {summary.module} through its "
+                "imports; move it next to the benches or tests that use "
+                "it, or declare the entry point that needs it a root",
+            )

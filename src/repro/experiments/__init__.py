@@ -1,11 +1,6 @@
 """Experiment drivers: one module per paper table/figure (see DESIGN.md §4)."""
 
 from repro.experiments.cache import SweepCache, cache_from_env, config_fingerprint
-from repro.experiments.diagnostic import (
-    DiagnosticData,
-    DiagnosticPoint,
-    run_diagnostic,
-)
 from repro.experiments.fig2 import Fig2Data, run_fig2
 from repro.experiments.fig4 import Fig4Data, PAPER_FIG4_RESOLUTIONS, run_fig4
 from repro.experiments.fig5_fig6_table1 import (
@@ -44,10 +39,7 @@ __all__ = [
     "BoxStats",
     "CrSweepPoint",
     "DEFAULT_M_CANDIDATES",
-    "DiagnosticData",
-    "DiagnosticPoint",
     "ExperimentScale",
-    "run_diagnostic",
     "FULL_SCALE",
     "Fig11Data",
     "Fig2Data",

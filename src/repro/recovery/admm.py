@@ -17,6 +17,11 @@ shared by every window (and by the batched engine in
 setup cost that used to dominate repeated solves.
 """
 
+# No entry point calls ADMM-BPDN.  It stays until the ROADMAP race "Batch the
+# Eq. 1 kernel" decides between it and batched PDHG for normal CS; the loser
+# leaves src/.
+# reprolint: disable-file=RL105 -- kept for the batched Eq. 1 race
+
 from __future__ import annotations
 
 import math

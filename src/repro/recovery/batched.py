@@ -25,6 +25,10 @@ Operator state comes straight from the shared :class:`CsProblem`
 against the same cached objects as the scalar solver.
 """
 
+# No entry point calls the batched ADMM engine.  It leaves src/ after the
+# ROADMAP race "Batch the Eq. 1 kernel".
+# reprolint: disable-file=RL105 -- kept for the batched Eq. 1 race
+
 from __future__ import annotations
 
 import math

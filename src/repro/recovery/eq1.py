@@ -57,6 +57,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.recovery.pdhg import (
+    CHECK_EVERY,
     RELAXATION,
     PdhgSettings,
     step_sizes,
@@ -210,7 +211,6 @@ def solve_eq1(
     tau, s = step_sizes(lip_sq, weight)  # s/||A||^2 is the ball's dual step
     norm_a = math.sqrt(a_sq)
     tol = settings.tol
-    check_every = settings.check_every
 
     if box:
         # Cold start at the box midpoint, already consistent with the
@@ -252,7 +252,7 @@ def solve_eq1(
         np.multiply(alpha_hat, 2.0, out=alpha_bar)
         alpha_bar -= alpha
 
-        check = iterations % check_every == 0
+        check = iterations % CHECK_EVERY == 0
         if check:
             limit = tol * max(float(np.linalg.norm(alpha_hat)), 1.0)
             if (

@@ -6,6 +6,11 @@ projections, the prox optimality condition) with hypothesis-generated
 inputs.
 """
 
+# Only the ADMM solvers, the PDHG oracle and the bench baselines use these
+# helpers.  They go with their last users after the ROADMAP race "Batch the
+# Eq. 1 kernel".
+# reprolint: disable-file=RL105 -- kept for the batched Eq. 1 race
+
 from __future__ import annotations
 
 import numpy as np

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.arithmetic import ArithmeticCodec, ArithmeticModel
+from benchmarks.baselines import ArithmeticCodec, ArithmeticModel
 from repro.coding.huffman import HuffmanCodec
 
 

@@ -9,6 +9,7 @@ from repro.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC_TREE = Path(repro.__file__).resolve().parent
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines.py"
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 class TestExitCodes:
@@ -86,7 +87,9 @@ class TestOutput:
 class TestSelfLint:
     def test_repo_source_tree_is_clean(self, capsys):
         """`make lint` gates the repo itself (meta-test)."""
-        code = main(["lint", str(SRC_TREE), str(BASELINES), "--strict"])
+        code = main(
+            ["lint", str(SRC_TREE), str(BASELINES), str(EXAMPLES), "--strict"]
+        )
         out = capsys.readouterr().out
         assert code == 0, out
         assert "no findings" in out

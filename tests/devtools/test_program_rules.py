@@ -3,18 +3,23 @@
 The fixture project under ``fixtures/program/proj`` is a two-layer
 miniature of the real tree: ``proj.low`` owns state, ``proj.high``
 consumes it, ``proj.contracts`` plays the role of
-``repro.runtime.contracts``, and ``proj.cyc_a``/``proj.cyc_b`` form the
-one deliberate import cycle.
+``repro.runtime.contracts``, ``proj.cyc_a``/``proj.cyc_b`` form the
+one deliberate import cycle, and ``proj.reach`` is RL105's small
+program: one root, three ways to be reached and one orphan.
 """
 
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.devtools.reprolint import LayerConfig, REPRO_LAYERS, run_lint
+from repro.devtools.reprolint.core import iter_python_files
+from repro.devtools.reprolint.project import module_name_for
 
 PROGRAM = Path(__file__).parent / "fixtures" / "program"
-SRC_REPRO = Path(__file__).parents[2] / "src" / "repro"
+REPO = Path(__file__).parents[2]
+SRC_REPRO = REPO / "src" / "repro"
 
 #: The fixture project's declared layering: ``proj.low`` (plus the
 #: contracts module and the package root) below ``proj.high`` (plus the
@@ -24,6 +29,13 @@ PROGRAM_LAYERS = LayerConfig(
         ("low", ["proj.low", "proj.contracts", "proj"]),
         ("high", ["proj.high", "proj.cyc_a", "proj.cyc_b"]),
     ]
+)
+
+
+#: RL105's view of the fixture: only ``proj.reach`` is layered, and its
+#: one entry point is ``proj.reach.main``.
+REACH_LAYERS = LayerConfig(
+    [("app", ["proj.reach"])], roots=["proj.reach.main"]
 )
 
 
@@ -132,6 +144,52 @@ class TestContractDocs:
         assert "good_contract.py" not in by_file(program_findings("RL104"))
 
 
+class TestUnreachableModules:
+    @staticmethod
+    def reach_findings(*paths):
+        run = run_lint(
+            list(paths) or [PROGRAM], select=["RL105"], layers=REACH_LAYERS
+        )
+        return run.findings
+
+    def test_rl105_flags_only_the_orphan(self):
+        # Reached: helpers through the package re-export `main` imports,
+        # plugins through the package's registration import, lazy
+        # through a function-level import in `main`, and the package
+        # because `main` lies inside it.  The orphan is only re-exported.
+        findings = self.reach_findings()
+        assert [Path(f.path).name for f in findings] == ["orphan.py"]
+        f = findings[0]
+        assert (f.line, f.col) == (1, 0)
+        assert "proj.reach.orphan" in f.message
+
+    def test_rl105_file_suppression_silences_the_orphan(self, tmp_path):
+        shutil.copytree(PROGRAM / "proj", tmp_path / "proj")
+        orphan = tmp_path / "proj" / "reach" / "orphan.py"
+        orphan.write_text(
+            orphan.read_text()
+            + "\n# reprolint: disable-file=RL105 -- kept until it moves\n"
+        )
+        assert self.reach_findings(tmp_path) == []
+
+    def test_rl105_judges_nothing_without_every_root(self):
+        reach = PROGRAM / "proj" / "reach"
+        assert self.reach_findings(reach / "orphan.py") == []
+        assert self.reach_findings(reach / "__init__.py", reach / "orphan.py") == []
+
+    def test_rl105_off_without_roots(self):
+        assert program_findings("RL105") == []
+
+    def test_roots_match_on_dotted_prefixes(self):
+        assert REPRO_LAYERS.is_root("repro.stream.gateway")
+        assert REPRO_LAYERS.is_root("repro.experiments.fig7")
+        assert not REPRO_LAYERS.is_root("repro.experiments.cache")
+        assert not REPRO_LAYERS.is_root("repro.streaming")
+        assert REACH_LAYERS.missing_roots(["proj.reach.orphan"]) == [
+            "proj.reach.main"
+        ]
+
+
 class TestLayerConfig:
     def test_longest_prefix_wins(self):
         assert PROGRAM_LAYERS.layer_of("proj.low.util") == 0
@@ -180,3 +238,33 @@ class TestRealTreeCoverage:
         assert REPRO_LAYERS.unassigned(
             self._top_level_modules() + ["repro"]
         ) == []
+
+
+class TestRealTreeRoots:
+    """Meta-test: REPRO_LAYERS declares every entry point as an RL105 root.
+
+    An entry point left out of the roots would get the modules that only
+    it reaches flagged as unreachable, and `make lint` must lint every
+    root, or RL105 judges nothing.
+    """
+
+    def test_every_example_is_a_root(self):
+        scripts = sorted(p.stem for p in (REPO / "examples").glob("*.py"))
+        assert scripts
+        assert [s for s in scripts if s not in REPRO_LAYERS.roots] == []
+
+    def test_every_figure_driver_is_a_root(self):
+        drivers = sorted(
+            f"repro.experiments.{p.stem}"
+            for p in (SRC_REPRO / "experiments").glob("fig*.py")
+        )
+        assert drivers
+        assert [d for d in drivers if d not in REPRO_LAYERS.roots] == []
+
+    def test_make_lint_sees_every_root(self):
+        # `make lint`'s path set; with a root missing RL105 judges nothing.
+        paths = [
+            REPO / "src", REPO / "benchmarks" / "baselines.py", REPO / "examples"
+        ]
+        modules = [module_name_for(p) for p in iter_python_files(paths)]
+        assert REPRO_LAYERS.missing_roots(modules) == []

@@ -33,7 +33,7 @@ def rule_findings(path, rule_id):
 class TestRegistry:
     def test_all_builtin_rules_registered(self):
         expected = [f"RL00{i}" for i in range(1, 8)]
-        expected += [f"RL10{i}" for i in range(5)]
+        expected += [f"RL10{i}" for i in range(6)]
         assert all_rule_ids() == expected
 
     def test_select_and_ignore(self):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from benchmarks.baselines import run_diagnostic
 from repro.core.config import FrontEndConfig
-from repro.experiments.diagnostic import run_diagnostic
 from repro.experiments.headline import run_headline
 from repro.experiments.runner import ExperimentScale
 from repro.recovery.pdhg import PdhgSettings

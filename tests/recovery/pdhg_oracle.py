@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.recovery.pdhg import (
+    CHECK_EVERY,
     RELAXATION,
     PdhgSettings,
     step_sizes,
@@ -202,7 +203,7 @@ def solve_l1_constrained(
         alpha_hat = soft_threshold(alpha - tau * grad, tau)
         alpha_bar = 2.0 * alpha_hat - alpha
 
-        check = iterations % settings.check_every == 0
+        check = iterations % CHECK_EVERY == 0
         if check:
             # Scale for the relative tests: the size of the solution, at least 1.
             limit = settings.tol * max(float(np.linalg.norm(alpha_hat)), 1.0)

@@ -21,7 +21,7 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.experiments.runner import SMALL_SCALE
 from repro.recovery.bsbl import solve_bsbl, solve_bsbl_dequant
 from repro.recovery.eq1 import solve_eq1
-from repro.recovery.pdhg import PdhgSettings
+from repro.recovery.pdhg import CHECK_EVERY, PdhgSettings
 from repro.recovery.problem import CsProblem
 from repro.runtime import stages
 from repro.runtime.task import CodebookSpec
@@ -190,7 +190,7 @@ def test_hybrid_amplitude_free(first_windows, cr):
         ]
         assert all(r.converged for r in runs)
         counts = [r.iterations for r in runs]
-        assert min(counts) > settings.check_every, counts
+        assert min(counts) > CHECK_EVERY, counts
         assert max(counts) <= 6 * min(counts), counts
         reference = runs[AMPLITUDES.index(1.0)].x
         for f, r in zip(AMPLITUDES, runs):

@@ -28,7 +28,6 @@ class TestPdhgSettings:
         [
             {"max_iter": 0},
             {"tol": 0.0},
-            {"check_every": 0},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coding.arithmetic import ArithmeticCodec, ArithmeticModel
+from benchmarks.baselines import ArithmeticCodec, ArithmeticModel
 from repro.coding.huffman import HuffmanCodec
 from repro.experiments.fig5_fig6_table1 import run_lowres_tradeoff
 from repro.experiments.runner import ExperimentScale
