@@ -17,7 +17,6 @@ from repro.coding.huffman import (
 from repro.coding.runlength import (
     MAX_RUN_EXPONENT,
     ZeroRun,
-    detokenize_diffs,
     token_histogram,
     tokenize_diffs,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "HuffmanCodec",
     "MAX_RUN_EXPONENT",
     "ZeroRun",
-    "detokenize_diffs",
     "token_histogram",
     "tokenize_diffs",
     "build_tables",

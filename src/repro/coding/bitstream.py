@@ -1,9 +1,8 @@
 """Bit-level I/O used by the entropy coder and the transmit framing.
 
-Minimal MSB-first bit writer/reader over a growable byte buffer.  All
-compression-ratio numbers in the experiments are measured on streams
-produced by these classes, so the accounting is bit-exact rather than
-estimated from entropy formulas.
+Minimal MSB-first bit writer/reader over a growable byte buffer, with the
+same bit order as the entropy coder's packed payloads
+(:mod:`repro.coding.vectorized`).
 
 Both classes have a bulk field path next to the bit-at-a-time one:
 :meth:`BitWriter.write_bits_array` (array expansion + ``np.packbits``)
@@ -16,8 +15,6 @@ and values.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -137,11 +134,6 @@ class BitWriter:
             bits = np.concatenate([prefix[: self._bitpos], bits])
         self._bytes.extend(np.packbits(bits).tobytes())
         self._bitpos = (bits.size % 8) or 8
-
-    def write_code(self, bits: Iterable[int]) -> None:
-        """Append an iterable of single bits (e.g. a Huffman codeword)."""
-        for b in bits:
-            self.write_bit(b)
 
     def getvalue(self) -> bytes:
         """The written bits, zero-padded to a whole number of bytes."""

@@ -36,15 +36,9 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.coding.bitstream import BitWriter
 from repro.coding.differential import difference_encode
 from repro.coding.huffman import HuffmanCodec
-from repro.coding.runlength import (
-    MAX_RUN_EXPONENT,
-    ZeroRun,
-    token_histogram,
-    tokenize_diffs,
-)
+from repro.coding.runlength import MAX_RUN_EXPONENT, ZeroRun, token_histogram
 
 __all__ = ["ESCAPE", "DifferenceCodebook", "train_codebook"]
 
@@ -136,46 +130,17 @@ class DifferenceCodebook:
     # ------------------------------------------------------------------
     # Stream coding
     # ------------------------------------------------------------------
-    def _signed_to_field(self, value: int) -> int:
-        width = self.escape_payload_bits
-        offset = 1 << (width - 1)
-        field = value + offset
-        if not 0 <= field < (1 << width):
-            raise ValueError(
-                f"difference {value} cannot occur for {self.resolution_bits}-bit codes"
-            )
-        return field
-
     def encode_window(self, codes: np.ndarray) -> Tuple[bytes, int]:
         """Encode one window of B-bit codes; returns (payload, bit length).
 
         Layout: first sample raw (B bits), then one Huffman codeword per
-        token, escapes carrying a raw (B+1)-bit signed difference.
+        token, escapes carrying a raw (B+1)-bit signed difference.  A
+        one-row call of :meth:`encode_windows`.
         """
         arr = np.asarray(codes)
-        if arr.size and (arr.min() < 0 or arr.max() >= (1 << self.resolution_bits)):
-            raise ValueError(
-                f"codes out of range for {self.resolution_bits}-bit resolution"
-            )
-        first, diffs = difference_encode(arr)
-        if self.use_run_length:
-            tokens: List = tokenize_diffs(diffs)
-        else:
-            tokens = [int(d) for d in diffs]
-        writer = BitWriter()
-        writer.write_uint(first, self.resolution_bits)
-        coded = self.codec.codes
-        for tok in tokens:
-            if tok in coded:
-                self.codec.encode_symbol(tok, writer)
-            elif isinstance(tok, int):
-                self.codec.encode_symbol(ESCAPE, writer)
-                writer.write_uint(
-                    self._signed_to_field(tok), self.escape_payload_bits
-                )
-            else:  # pragma: no cover - excluded by __post_init__
-                raise KeyError(f"token {tok!r} missing from codebook")
-        return writer.getvalue(), writer.bit_length
+        if arr.ndim != 1:
+            raise ValueError("expected a non-empty 1-D code stream")
+        return self.encode_windows(arr[None])[0]
 
     @cached_property
     def tables(self):
@@ -183,8 +148,7 @@ class DifferenceCodebook:
         CodebookTables`), built lazily once per codebook.
 
         ``cached_property`` stores into the instance ``__dict__`` so the
-        frozen dataclass stays immutable from the caller's perspective
-        (same pattern as :attr:`HuffmanCodec._decode_table`).
+        frozen dataclass stays immutable from the caller's perspective.
         """
         from repro.coding.vectorized import build_tables
 
@@ -193,11 +157,10 @@ class DifferenceCodebook:
     def encode_windows(self, codes: np.ndarray) -> List[Tuple[bytes, int]]:
         """Encode a ``(windows, samples)`` stack of B-bit code windows.
 
-        Byte-identical to calling :meth:`encode_window` row by row (the
-        exactness contract is stated in ``docs/encoding.md`` and asserted
-        by the test suite), but runs as one pass of array kernels via
-        :mod:`repro.coding.vectorized`.  Returns one ``(payload,
-        bit_length)`` pair per window.
+        One pass of array kernels (:mod:`repro.coding.vectorized`); each
+        window's bytes do not depend on the rest of the stack, and equal
+        the per-token reference encoder's (``docs/encoding.md``).
+        Returns one ``(payload, bit_length)`` pair per window.
         """
         arr = np.asarray(codes)
         if not np.issubdtype(arr.dtype, np.integer):

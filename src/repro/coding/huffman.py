@@ -8,17 +8,17 @@ storage accounting assumes.
 
 Pipeline: :func:`code_lengths_from_frequencies` builds optimal lengths via
 the standard two-queue Huffman construction; :func:`canonical_codes` assigns
-canonical codewords; :class:`HuffmanCodec` encodes/decodes bitstreams.
+canonical codewords; :class:`HuffmanCodec` holds the resulting code table.
+Coding whole windows with it is
+:class:`~repro.coding.codebook.DifferenceCodebook`'s job, through the
+table-driven kernels of :mod:`repro.coding.vectorized`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
-
-from repro.coding.bitstream import BitReader, BitWriter
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 __all__ = [
     "code_lengths_from_frequencies",
@@ -96,7 +96,7 @@ def canonical_codes(
 
 @dataclass(frozen=True)
 class HuffmanCodec:
-    """Encoder/decoder over a fixed canonical codebook.
+    """A fixed canonical code table: ``{symbol: (code_value, length)}``.
 
     Build with :meth:`from_frequencies` (training) or :meth:`from_lengths`
     (reloading a stored codebook — lengths are all a canonical codebook
@@ -134,59 +134,3 @@ class HuffmanCodec:
         for sym, freq in frequencies.items():
             bits += freq * self.codes[sym][1]
         return bits / total
-
-    def encode_symbol(self, symbol: Symbol, writer: BitWriter) -> None:
-        """Append one symbol's codeword to a bit writer."""
-        try:
-            code, length = self.codes[symbol]
-        except KeyError:
-            raise KeyError(f"symbol {symbol!r} not in codebook") from None
-        writer.write_bits(code, length)
-
-    def encode(self, symbols: Sequence[Symbol]) -> Tuple[bytes, int]:
-        """Encode a symbol sequence; returns ``(payload, bit_length)``."""
-        writer = BitWriter()
-        for sym in symbols:
-            self.encode_symbol(sym, writer)
-        return writer.getvalue(), writer.bit_length
-
-    @cached_property
-    def _decode_table(self) -> Dict[Tuple[int, int], Symbol]:
-        # cached_property writes to the instance __dict__ directly, which
-        # is compatible with the frozen dataclass (the table is derived
-        # state, not a field).
-        return {code: sym for sym, code in self.codes.items()}
-
-    @cached_property
-    def _max_code_length(self) -> int:
-        return max(length for _, length in self.codes.values())
-
-    def decode_symbol(self, reader: BitReader) -> Symbol:
-        """Read one symbol from a bit reader."""
-        table = self._decode_table
-        code = 0
-        for length in range(1, self._max_code_length + 1):
-            code = (code << 1) | reader.read_bit()
-            sym = table.get((code, length))
-            if sym is not None:
-                return sym
-        raise ValueError("invalid bitstream: no codeword matched")
-
-    def decode(self, payload: bytes, n_symbols: int, bit_length: int | None = None) -> List[Symbol]:
-        """Decode exactly ``n_symbols`` symbols from a payload."""
-        reader = BitReader(payload, bit_length)
-        out: List[Symbol] = []
-        table = self._decode_table
-        max_len = self._max_code_length
-        for _ in range(n_symbols):
-            code = 0
-            sym = None
-            for length in range(1, max_len + 1):
-                code = (code << 1) | reader.read_bit()
-                sym = table.get((code, length))
-                if sym is not None:
-                    break
-            if sym is None:
-                raise ValueError("invalid bitstream: no codeword matched")
-            out.append(sym)
-        return out

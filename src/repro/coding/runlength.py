@@ -15,11 +15,11 @@ paper describes, while staying a strictly lossless transform.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ZeroRun", "tokenize_diffs", "detokenize_diffs", "MAX_RUN_EXPONENT"]
+__all__ = ["ZeroRun", "tokenize_diffs", "MAX_RUN_EXPONENT"]
 
 #: Largest run token is ``2**MAX_RUN_EXPONENT`` zeros.
 MAX_RUN_EXPONENT = 8
@@ -68,8 +68,8 @@ def tokenize_diffs(diffs: Sequence[int]) -> List[Token]:
     Non-zero differences map to themselves (ints); maximal zero runs are
     decomposed greedily into the largest power-of-two :class:`ZeroRun`
     tokens (cap ``2**MAX_RUN_EXPONENT``), with a single leftover zero kept
-    as the int token ``0``.  The transform is exactly invertible by
-    :func:`detokenize_diffs`.
+    as the int token ``0``.  The transform is exactly invertible: expand
+    each run back into its zeros.
     """
     arr = np.asarray(diffs, dtype=np.int64)
     if arr.ndim != 1:
@@ -98,17 +98,6 @@ def tokenize_diffs(diffs: Sequence[int]) -> List[Token]:
             tokens.append(0)
         i = j
     return tokens
-
-
-def detokenize_diffs(tokens: Iterable[Token]) -> np.ndarray:
-    """Inverse of :func:`tokenize_diffs`; returns the 1-D difference array."""
-    out: List[int] = []
-    for tok in tokens:
-        if isinstance(tok, ZeroRun):
-            out.extend([0] * tok.length)
-        else:
-            out.append(int(tok))
-    return np.asarray(out, dtype=np.int64)
 
 
 def token_histogram(diffs: Sequence[int]) -> dict:

@@ -1,13 +1,10 @@
 """Table-driven vectorized coder for the low-res channel.
 
-The scalar transmit path (:meth:`repro.coding.codebook.DifferenceCodebook.
-encode_window`) walks one symbol at a time through the pure-Python
-:class:`~repro.coding.bitstream.BitWriter`.  That is faithful to the
-paper's streaming encoder but dominates wall clock once the receiver is
-batched (PR 4 made recovery ~5-18x faster, leaving the node side as the
-bottleneck of every sweep and stream run).
-
-This module re-expresses the *identical* encoding as array kernels:
+The paper's streaming encoder walks one token at a time, writing each
+codeword bit by bit.  That loop now lives only in the test suite
+(``tests/per_bit_oracles.py``); this module is the one encoder
+:class:`~repro.coding.codebook.DifferenceCodebook` runs, the *identical*
+encoding re-expressed as array kernels:
 
 * :func:`build_tables` precomputes per-symbol ``(codeword, bit length)``
   look-up arrays from the canonical codebook — differences index a dense
@@ -21,11 +18,12 @@ This module re-expresses the *identical* encoding as array kernels:
   fancy indexing, and bitstream assembly with cumulative-bit-offset
   arithmetic + :func:`numpy.packbits`.
 
-The output is **byte-identical** to the scalar path — the same first
-sample header, the same token order (largest run chunks first, single
-leftover zero last), the same MSB-first packing and zero padding.  The
-test suite asserts this equality exhaustively; ``docs/encoding.md``
-states the exactness contract.
+The output is **byte-identical** to the per-token encoder — the same
+first sample header, the same token order (largest run chunks first,
+single leftover zero last), the same MSB-first packing and zero padding,
+and no dependence on the other windows of the stack.  The test suite
+asserts this equality exhaustively; ``docs/encoding.md`` states the
+exactness contract.
 
 The receiver side is table-driven too.  :func:`build_decode_tables`
 left-aligns every codeword to the longest code length ``Lmax`` and
@@ -34,9 +32,10 @@ gaps an incomplete code leaves); :func:`decode_code_window` peeks
 ``Lmax`` bits at every bit position of a payload at once, finds each
 peek's interval with one :func:`numpy.searchsorted`, and then only
 follows the token starts, one list lookup per token.  It decodes what
-the per-bit reference (``HuffmanCodec.decode_symbol`` over a
-:class:`~repro.coding.bitstream.BitReader`) decodes and raises the same
-exception classes on truncated or desynchronised payloads.
+the per-bit reference decoder of the test suite (one codeword bit at a
+time from a :class:`~repro.coding.bitstream.BitReader`) decodes and
+raises the same exception classes on truncated or desynchronised
+payloads.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def build_tables(codebook: "DifferenceCodebook") -> CodebookTables:
         entry = coded.get(d)
         if entry is None:
             # Fused escape: ESC codeword followed by the raw signed field,
-            # exactly the bits the scalar path writes back to back.
+            # exactly the bits a per-token encoder writes back to back.
             field = d + (1 << bits)
             value = (esc_code << payload_bits) | field
             length = esc_len + payload_bits
@@ -298,8 +297,8 @@ def encode_code_windows(
     """Encode a ``(w, k)`` stack of B-bit code windows in one pass.
 
     Returns ``(payloads, bit_lengths)``: window ``i``'s payload bytes and
-    exact bit count, byte-identical to ``encode_window(codes[i])`` on the
-    owning codebook.  Caller validates the code range.
+    exact bit count, byte-identical to encoding ``codes[i]`` alone.
+    Caller validates the code range.
     """
     codes = np.ascontiguousarray(np.asarray(codes, dtype=np.int64))
     if codes.ndim != 2 or codes.shape[1] == 0:

@@ -30,9 +30,11 @@ import numpy as np
 
 from repro.coding.codebook import DifferenceCodebook
 from repro.core.config import FrontEndConfig
+from repro.core.frontend import HybridFrontEnd, _collect_record_windows
 from repro.core.packets import WindowPacket
 from repro.core.receiver import HybridReceiver, WindowReconstruction
 from repro.sensing.quantizers import requantize_codes
+from repro.signals.records import Record
 
 __all__ = ["ActivityEstimator", "AdaptiveFrontEnd", "AdaptiveReceiver"]
 
@@ -94,21 +96,18 @@ class AdaptiveFrontEnd:
         self.m_max = config.n_measurements
         self.activity_knee = activity_knee
         self.estimator = estimator or ActivityEstimator()
-        self.center = 1 << (config.acquisition_bits - 1)
-        # Per-m CS paths, constructed exactly as a fixed front-end (and
-        # therefore the receiver) would from the shared seed.  Physically
-        # the sign pattern of the m-channel Φ is the row prefix of the
-        # m_max bank (same PRNG stream), i.e. "power down the rest".
-        from repro.core.frontend import _CsPath
+        # One fixed front-end per m, built exactly as a fixed node (and
+        # therefore the receiver) would build it from the shared seed.
+        # Physically the sign pattern of the m-channel Φ is the row prefix
+        # of the m_max bank (same PRNG stream), i.e. "power down the rest".
+        self._frontends: Dict[int, HybridFrontEnd] = {}
 
-        self._paths: Dict[int, _CsPath] = {}
-
-    def _path_for(self, m: int):
-        from repro.core.frontend import _CsPath
-
-        if m not in self._paths:
-            self._paths[m] = _CsPath(self.config.with_measurements(m))
-        return self._paths[m]
+    def _frontend_for(self, m: int) -> HybridFrontEnd:
+        if m not in self._frontends:
+            self._frontends[m] = HybridFrontEnd(
+                self.config.with_measurements(m), self.codebook
+            )
+        return self._frontends[m]
 
     def measurements_for_activity(self, activity: float) -> int:
         """Map an activity score to a channel count (linear up to the knee)."""
@@ -128,27 +127,15 @@ class AdaptiveFrontEnd:
         lowres = requantize_codes(
             arr, self.config.acquisition_bits, self.config.lowres_bits
         )
-        activity = self.estimator.score(lowres)
-        m = self.measurements_for_activity(activity)
-        y_codes = self._path_for(m).measure(arr)
-        payload, bit_length = self.codebook.encode_window(lowres)
-        return WindowPacket(
-            window_index=window_index,
-            n=self.config.window_len,
-            measurement_codes=y_codes,
-            measurement_bits=self.config.measurement_bits,
-            lowres_payload=payload,
-            lowres_bit_length=bit_length,
-        )
+        m = self.measurements_for_activity(self.estimator.score(lowres))
+        return self._frontend_for(m).process_window(arr, window_index)
 
-    def process_record(self, record, max_windows: Optional[int] = None) -> List[WindowPacket]:
-        """Process a record window by window."""
-        packets: List[WindowPacket] = []
-        for idx, window in enumerate(record.windows(self.config.window_len)):
-            if max_windows is not None and idx >= max_windows:
-                break
-            packets.append(self.process_window(window, idx))
-        return packets
+    def process_record(
+        self, record: Record, max_windows: Optional[int] = None
+    ) -> List[WindowPacket]:
+        """Process a record window by window (each picks its own ``m``)."""
+        windows = _collect_record_windows(self.config, record, max_windows)
+        return [self.process_window(w, idx) for idx, w in enumerate(windows)]
 
 
 class AdaptiveReceiver:

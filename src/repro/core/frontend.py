@@ -17,18 +17,19 @@ Both are deterministic functions of the shared
 a receiver built from the same config can invert every step that is
 invertible.
 
-Each front-end offers two equivalent execution paths: the scalar
-reference (:meth:`process_window` / :meth:`process_record_loop`) and the
-batch engine (:meth:`encode_windows`), which stacks windows into a
-matrix and runs measurement, requantization and entropy coding as array
-kernels — bit-identical output, see ``docs/encoding.md``.  Record- and
-stream-level entry points use the batch engine; the scalar path stays as
-the differential oracle.
+Each front-end has one encode path, the batch engine
+(:meth:`encode_windows`): it stacks windows into a matrix and runs
+measurement, requantization and entropy coding as array kernels.
+:meth:`process_window` is a one-row call of it and :meth:`process_record`
+a call on the record's windows.  A window encodes to the same bytes
+whatever stack it is in (``docs/encoding.md``), and the same bytes as
+the per-window reference encoder the tests compare against
+(``tests/per_bit_oracles.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from repro.core.config import FrontEndConfig
 from repro.core.encode_batch import measure_window_stack
 from repro.devtools.contracts import check_dtype, check_shape
 from repro.core.packets import WindowPacket
-from repro.core.windowing import WindowFramer
 from repro.sensing.quantizers import (
     UniformQuantizer,
     measurement_quantizer,
@@ -60,33 +60,23 @@ class _CsPath:
             self.phi, float(self.center), config.measurement_bits
         )
 
-    def check_window(self, codes: np.ndarray) -> np.ndarray:
-        """Validate one window of acquisition codes; returns shape ``(n,)``."""
-        arr = check_shape(codes, (self.config.window_len,), name="codes")
-        arr = check_dtype(arr, "integer", name="codes")
-        if arr.size and (
-            arr.min() < 0 or arr.max() >= (1 << self.config.acquisition_bits)
-        ):
-            raise ValueError(
-                f"codes out of range for {self.config.acquisition_bits}-bit acquisition"
-            )
-        return arr
-
     def measure(self, codes: np.ndarray) -> np.ndarray:
-        """CS measurement codes for one window; int array of shape ``(m,)``."""
-        centered = self.check_window(codes).astype(float) - self.center
-        y = self.phi @ centered
-        return self.quantizer.quantize(y)
+        """CS measurement codes for one window; int array of shape ``(m,)``.
 
-    def check_window_stack(self, windows) -> np.ndarray:
-        """Validate a stack of acquisition windows; returns shape ``(w, n)`` ints."""
-        arr = np.asarray(windows)
-        if arr.ndim != 2:
-            raise ValueError("expected a (windows, n) stack of code windows")
-        arr = check_shape(
-            arr, (arr.shape[0], self.config.window_len), name="windows"
-        )
-        arr = check_dtype(arr, "integer", name="windows")
+        A one-row call of :meth:`measure_stack`; ``perfbench``'s tracer
+        patches this name.
+        """
+        return self.measure_stack(self.check_window_stack(
+            np.asarray(codes)[None], name="codes"
+        ))[0]
+
+    def check_window_stack(self, windows, name: str = "windows") -> np.ndarray:
+        """Validate a stack of acquisition windows; returns shape ``(w, n)`` ints.
+
+        One window arrives as a one-row stack under ``name="codes"``.
+        """
+        arr = check_shape(windows, (None, self.config.window_len), name=name)
+        arr = check_dtype(arr, "integer", name=name)
         if arr.size and (
             arr.min() < 0 or arr.max() >= (1 << self.config.acquisition_bits)
         ):
@@ -99,8 +89,8 @@ class _CsPath:
         """Measurement codes for a validated window stack; shape ``(w, m)``.
 
         One GEMM plus the quantizer boundary guard of
-        :func:`repro.core.encode_batch.measure_window_stack`, so every row
-        equals ``measure(windows[i])`` bit for bit.
+        :func:`repro.core.encode_batch.measure_window_stack`, so a row's
+        codes do not depend on the stack it is measured in.
         """
         centered = windows.astype(float) - self.center
         return measure_window_stack(self.phi, self.quantizer, centered)
@@ -133,26 +123,10 @@ class HybridFrontEnd:
         """The CS path's sensing matrix, shape ``(m, n)`` (receiver rebuilds it)."""
         return self._cs.phi
 
-    def lowres_codes(self, codes: np.ndarray) -> np.ndarray:
-        """The parallel channel's B-bit output for one window, shape ``(n,)``."""
-        arr = self._cs.check_window(codes)
-        return requantize_codes(
-            arr, self.config.acquisition_bits, self.config.lowres_bits
-        )
-
     def process_window(self, codes: np.ndarray, window_index: int = 0) -> WindowPacket:
-        """Acquire and frame one window of acquisition codes."""
-        y_codes = self._cs.measure(codes)
-        lowres = self.lowres_codes(codes)
-        payload, bit_length = self.codebook.encode_window(lowres)
-        return WindowPacket(
-            window_index=window_index,
-            n=self.config.window_len,
-            measurement_codes=y_codes,
-            measurement_bits=self.config.measurement_bits,
-            lowres_payload=payload,
-            lowres_bit_length=bit_length,
-        )
+        """Acquire and frame one window: a one-row :meth:`encode_windows`."""
+        stack = self._cs.check_window_stack(np.asarray(codes)[None], name="codes")
+        return self.encode_windows(stack, indices=[window_index])[0]
 
     def encode_windows(
         self,
@@ -160,7 +134,7 @@ class HybridFrontEnd:
         indices: Optional[Sequence[int]] = None,
         start_index: int = 0,
     ) -> List[WindowPacket]:
-        """Batch-encode a stack of windows; bit-identical to the scalar path.
+        """Encode a stack of windows: measure, requantize, code, frame.
 
         ``windows`` is a ``(w, n)`` matrix (or a sequence of ``(n,)``
         windows); packet ``i`` gets ``indices[i]`` (default
@@ -188,18 +162,6 @@ class HybridFrontEnd:
             )
         ]
 
-    def process_stream(self, samples: Iterable[np.ndarray]) -> List[WindowPacket]:
-        """Frame an arbitrary chunked sample stream into packets."""
-        framer = WindowFramer(self.config.window_len)
-        windows = [
-            window
-            for chunk in samples
-            for window in framer.push(np.asarray(chunk))
-        ]
-        if not windows:
-            return []
-        return self.encode_windows(np.stack(windows))
-
     def process_record(
         self, record: Record, max_windows: Optional[int] = None
     ) -> List[WindowPacket]:
@@ -208,13 +170,6 @@ class HybridFrontEnd:
         if not windows:
             return []
         return self.encode_windows(np.stack(windows))
-
-    def process_record_loop(
-        self, record: Record, max_windows: Optional[int] = None
-    ) -> List[WindowPacket]:
-        """Scalar per-window reference path (differential oracle / bench)."""
-        windows = _collect_record_windows(self.config, record, max_windows)
-        return [self.process_window(w, idx) for idx, w in enumerate(windows)]
 
 
 class NormalCsFrontEnd:
@@ -230,16 +185,9 @@ class NormalCsFrontEnd:
         return self._cs.phi
 
     def process_window(self, codes: np.ndarray, window_index: int = 0) -> WindowPacket:
-        """Acquire and frame one window (empty low-res payload)."""
-        y_codes = self._cs.measure(codes)
-        return WindowPacket(
-            window_index=window_index,
-            n=self.config.window_len,
-            measurement_codes=y_codes,
-            measurement_bits=self.config.measurement_bits,
-            lowres_payload=b"",
-            lowres_bit_length=0,
-        )
+        """Acquire and frame one window: a one-row :meth:`encode_windows`."""
+        stack = self._cs.check_window_stack(np.asarray(codes)[None], name="codes")
+        return self.encode_windows(stack, indices=[window_index])[0]
 
     def encode_windows(
         self,
@@ -247,7 +195,7 @@ class NormalCsFrontEnd:
         indices: Optional[Sequence[int]] = None,
         start_index: int = 0,
     ) -> List[WindowPacket]:
-        """Batch-measure a stack of windows; bit-identical to the scalar path."""
+        """Measure and frame a stack of windows (empty low-res payloads)."""
         stack = self._cs.check_window_stack(windows)
         indices = _resolve_indices(stack.shape[0], indices, start_index)
         y_codes = self._cs.measure_stack(stack)
@@ -271,13 +219,6 @@ class NormalCsFrontEnd:
         if not windows:
             return []
         return self.encode_windows(np.stack(windows))
-
-    def process_record_loop(
-        self, record: Record, max_windows: Optional[int] = None
-    ) -> List[WindowPacket]:
-        """Scalar per-window reference path (differential oracle / bench)."""
-        windows = _collect_record_windows(self.config, record, max_windows)
-        return [self.process_window(w, idx) for idx, w in enumerate(windows)]
 
 
 def _collect_record_windows(

@@ -5,8 +5,8 @@ explicit stage graph over :class:`~repro.runtime.task.WindowTask` units:
 
 * :func:`encode`    — node side: CS measure + low-res code + frame,
   through the batched encode engine (:func:`encode_batch` runs a stack
-  of same-link windows, :func:`encode` a stack of one; both are
-  bit-identical to the front-end's scalar path);
+  of same-link windows, :func:`encode` a stack of one; a window's bytes
+  do not depend on the stack);
 * :func:`transport` — the radio link (identity today; the seeded hook
   where lossy-link models plug in);
 * :func:`recover`   — receiver side: decode + Eq. 1 / BPDN solve;
@@ -165,8 +165,8 @@ def reference_centered(codes: np.ndarray, center: int) -> np.ndarray:
 def encode(task: WindowTask, link: Optional[Link] = None) -> WindowPacket:
     """Node stage: acquire and frame one window of acquisition codes.
 
-    A batch of one through the encode engine, byte-identical to the
-    front-end's scalar ``process_window``.
+    A batch of one through the encode engine, as the front-end's
+    ``process_window`` is.
     """
     return encode_batch([task], link)[0]
 
@@ -178,8 +178,8 @@ def encode_batch(
 
     All tasks must share one link (same ``config``/``method``/codebook) —
     the batch is a stack of windows through a single front-end.  Output
-    is bit-identical to mapping the front-end's scalar ``process_window``
-    over the tasks (see ``docs/encoding.md``).
+    is bit-identical to mapping the front-end's ``process_window`` over
+    the tasks (see ``docs/encoding.md``).
     """
     if not tasks:
         return []

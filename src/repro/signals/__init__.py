@@ -22,7 +22,6 @@ from repro.signals.ecgsyn import (
     V5_MORPHOLOGY,
     EcgMorphology,
     RRParameters,
-    integrate_reference,
     rr_tachogram,
     synthesize_ecg,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "electrode_motion",
     "notch_mains",
     "remove_baseline",
-    "integrate_reference",
     "load_database",
     "load_record",
     "muscle_artifact",

@@ -41,7 +41,6 @@ __all__ = [
     "MITBIH_RECORD_NAMES",
     "RecordProfile",
     "record_profile",
-    "synthesize_with_beats_loop",
     "load_record",
     "load_database",
     "SyntheticDatabase",
@@ -218,69 +217,6 @@ def _r_peak_annotations(
         symbol = "V" if beat_is_pvc[k] else "N"
         annotations.append(BeatAnnotation(sample=int(local), symbol=symbol))
     return annotations
-
-
-def synthesize_with_beats_loop(
-    profile: RecordProfile,
-    duration_s: float,
-    fs_hz: float,
-    lead: str = "MLII",
-) -> Tuple[np.ndarray, List[BeatAnnotation]]:
-    """Per-sample scalar oracle for :func:`_synthesize_with_beats`.
-
-    Same randomness, beat schedule and discretization, executed one
-    sample at a time (phase accumulation, per-beat morphology selection,
-    forcing evaluation and the exponential-integrator update).  The
-    waveform and annotations are **bit-identical** to the array path —
-    asserted by the test suite.
-    """
-    if lead not in _LEAD_MORPHOLOGIES:
-        raise KeyError(
-            f"unknown lead {lead!r}; choose from {sorted(_LEAD_MORPHOLOGIES)}"
-        )
-    rng = np.random.default_rng(profile.seed + 1)
-    n = int(round(duration_s * fs_hz))
-    dt = 1.0 / fs_hz
-
-    rr = rr_tachogram(n, fs_hz, profile.rr_params(), rng)
-    omega = 2.0 * np.pi / rr
-
-    theta_unwrapped = np.empty(n)
-    theta = np.empty(n)
-    beat_index = np.empty(n, dtype=int)
-    accumulated = omega.dtype.type(0.0)
-    theta_unwrapped[0] = -np.pi
-    for k in range(1, n):
-        accumulated = accumulated + omega[k - 1]
-        theta_unwrapped[k] = -np.pi + accumulated * dt
-    for k in range(n):
-        theta[k] = (theta_unwrapped[k] + np.pi) % (2.0 * np.pi) - np.pi
-        beat_index[k] = int(
-            np.floor((theta_unwrapped[k] + np.pi) / (2.0 * np.pi))
-        )
-    n_beats = int(beat_index.max()) + 1
-
-    beat_is_pvc = rng.uniform(size=n_beats) < profile.pvc_probability
-    sinus_morph, pvc_morph = _LEAD_MORPHOLOGIES[lead]
-
-    decay = float(np.exp(-dt))
-    zi_gain = 1.0 - decay
-    z = np.empty(n)
-    state = 0.0
-    for k in range(n):
-        morph = pvc_morph if beat_is_pvc[beat_index[k]] else sinus_morph
-        drive_k = _gaussian_wave_drive(
-            theta[k : k + 1], omega[k : k + 1], morph
-        )[0]
-        z0_k = 0.005 * np.sin(2.0 * np.pi * 0.25 * (np.float64(k) * dt))
-        y_k = zi_gain * (z0_k + drive_k) + state
-        state = decay * y_k
-        z[k] = y_k
-
-    peak = float(np.max(np.abs(z))) if n else 0.0
-    if peak > 0:
-        z = z * (profile.amplitude_mv / peak)
-    return z, _r_peak_annotations(theta, beat_index, beat_is_pvc, n_beats)
 
 
 @lru_cache(maxsize=64)

@@ -3,11 +3,12 @@
 :class:`IngestSession` is the online counterpart of
 :meth:`repro.core.frontend.HybridFrontEnd.process_record`: it accepts
 ECG acquisition codes in arbitrary-sized chunks (whatever a DMA/radio
-tick delivers), re-blocks them with the same
-:class:`~repro.core.windowing.WindowFramer` the batch path uses, and
-emits one :class:`StreamFrame` per completed window.  Because the
-framer, the front-end, and the default codebook resolution are all
-shared with the batch pipeline, the emitted packets are **bit-identical**
+tick delivers), re-blocks them into windows with a
+:class:`~repro.core.windowing.WindowFramer`, and emits one
+:class:`StreamFrame` per completed window.  Because the front-end and
+the default codebook resolution are shared with the batch pipeline, and
+a window's bytes do not depend on the stack it is encoded in, the
+emitted packets are **bit-identical**
 to the offline encoder's output on the same record — the property the
 streaming tests assert byte-for-byte.
 
@@ -160,8 +161,8 @@ class IngestSession:
         windows = list(self._framer.push(arr))
         if not windows:
             return []
-        # One engine call for every window this chunk completed —
-        # bit-identical to the per-window path (docs/encoding.md).
+        # One engine call for every window this chunk completed; the
+        # bytes do not depend on how many that is (docs/encoding.md).
         packets = self._frontend.encode_windows(
             np.stack(windows),
             start_index=self._framer.windows_emitted - len(windows),

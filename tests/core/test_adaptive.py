@@ -8,6 +8,8 @@ from repro.core.config import FrontEndConfig
 from repro.metrics.quality import snr_db
 from repro.recovery.pdhg import PdhgSettings
 from repro.sensing.matrices import bernoulli_matrix
+from repro.signals.records import Record, RecordHeader
+from tests.per_bit_oracles import process_window
 
 
 @pytest.fixture
@@ -81,6 +83,18 @@ class TestAdaptiveFrontEnd:
         f_bits = sum(p.total_bits for p in fixed.process_record(record_100, 6))
         assert a_bits <= f_bits
 
+    def test_record_resolution_checked(self, config, codebook_7bit, record_100):
+        """A record digitized at another depth is refused, as the fixed
+        front-end refuses it, even when its samples fit the config's range."""
+        from repro.core.frontend import HybridFrontEnd
+
+        header = RecordHeader(resolution_bits=config.acquisition_bits + 1)
+        record = Record("wide", record_100.adu[: 2 * config.window_len], header)
+        with pytest.raises(ValueError, match="record resolution"):
+            HybridFrontEnd(config, codebook_7bit).process_record(record)
+        with pytest.raises(ValueError, match="record resolution"):
+            AdaptiveFrontEnd(config, codebook_7bit).process_record(record)
+
     def test_validation(self, config, codebook_7bit):
         with pytest.raises(ValueError):
             AdaptiveFrontEnd(config, codebook_7bit, m_min=0)
@@ -129,14 +143,28 @@ class TestAdaptiveLink:
             rx.reconstruct(packet)
 
     def test_matches_fixed_link_at_same_m(self, config, codebook_7bit, record_100):
-        """A packet produced at a given m must decode identically through
-        the adaptive receiver and a fixed receiver of that m."""
+        """Every window's packet is the one a fixed node of the chosen m
+        sends, and it decodes identically through the adaptive receiver
+        and a fixed receiver of that m."""
         from repro.core.frontend import HybridFrontEnd
         from repro.core.receiver import HybridReceiver
 
-        window = next(record_100.windows(config.window_len))
-        cfg_m = config.with_measurements(32)
-        packet = HybridFrontEnd(cfg_m, codebook_7bit).process_window(window)
-        fixed = HybridReceiver(cfg_m, codebook_7bit).reconstruct(packet)
-        adaptive = AdaptiveReceiver(config, codebook_7bit).reconstruct(packet)
-        assert np.allclose(fixed.x_codes, adaptive.x_codes)
+        windows = list(record_100.windows(config.window_len))
+        packets = AdaptiveFrontEnd(config, codebook_7bit).process_record(record_100)
+        assert len(packets) == len(windows)
+        adaptive = AdaptiveReceiver(config, codebook_7bit)
+        fixed = {}
+        for index, (window, packet) in enumerate(zip(windows, packets)):
+            if packet.m not in fixed:
+                cfg_m = config.with_measurements(packet.m)
+                fixed[packet.m] = (
+                    HybridFrontEnd(cfg_m, codebook_7bit),
+                    HybridReceiver(cfg_m, codebook_7bit),
+                )
+            node, receiver = fixed[packet.m]
+            assert packet.to_bytes() == process_window(node, window, index).to_bytes()
+            assert np.allclose(
+                receiver.reconstruct(packet).x_codes,
+                adaptive.reconstruct(packet).x_codes,
+            )
+        assert len(fixed) > 1

@@ -209,10 +209,8 @@ class TestBeatsLoopOracle:
     @pytest.mark.parametrize("name", ["100", "119"])
     @pytest.mark.parametrize("lead", ["MLII", "V5"])
     def test_bit_identical(self, name, lead):
-        from repro.signals.database import (
-            _synthesize_with_beats,
-            synthesize_with_beats_loop,
-        )
+        from repro.signals.database import _synthesize_with_beats
+        from tests.signals.synth_oracles import synthesize_with_beats_loop
 
         profile = record_profile(name)
         fast_z, fast_ann = _synthesize_with_beats(profile, 2.0, 360.0, lead)

@@ -8,11 +8,10 @@ from repro.signals.ecgsyn import (
     PVC_MORPHOLOGY,
     EcgMorphology,
     RRParameters,
-    integrate_reference,
     rr_tachogram,
     synthesize_ecg,
-    synthesize_loop,
 )
+from tests.signals.synth_oracles import integrate_reference, synthesize_loop
 
 
 class TestMorphology:

@@ -9,6 +9,7 @@ from repro.core.frontend import HybridFrontEnd, NormalCsFrontEnd
 from repro.runtime.task import CodebookSpec
 from repro.signals.database import iter_record_chunks
 from repro.stream.ingest import IngestSession, codebook_spec_for
+from tests.per_bit_oracles import process_window
 
 
 class TestCodebookSpecFor:
@@ -104,13 +105,13 @@ class TestBitIdentity:
     def test_single_window_push_equals_process_window(
         self, stream_config, stream_record, method
     ):
-        # The scalar front-end path stays as the oracle of the engine
+        # The per-window reference encoder is the oracle of the engine
         # call that every one-window push makes.
         session = IngestSession(stream_record.name, stream_config, method=method)
         n = stream_config.window_len
         for index, window in enumerate(stream_record.windows(n)):
             (frame,) = session.push(window)
-            packet = session._frontend.process_window(window, index)
+            packet = process_window(session._frontend, window, index)
             assert frame.packet.to_bytes() == packet.to_bytes()
             assert frame.crc == payload_crc(packet)
 
@@ -196,7 +197,7 @@ class TestIngestSession:
         )
         assert session.codebook_spec == CodebookSpec.from_object(codebook_7bit)
         frames = session.push(stream_record.adu[:128])
-        batch = HybridFrontEnd(stream_config, codebook_7bit).process_window(
-            stream_record.adu[:128], 0
+        batch = process_window(
+            HybridFrontEnd(stream_config, codebook_7bit), stream_record.adu[:128]
         )
         assert frames[0].packet.to_bytes() == batch.to_bytes()

@@ -1,6 +1,7 @@
 """Executable-documentation checks: doctests and example smoke runs."""
 
 import doctest
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -34,19 +35,30 @@ class TestDoctests:
         assert results.failed == 0
 
 
-class TestExamplesRun:
-    """Smoke-run the fast examples end to end (the slow solver-heavy ones
-    are exercised by the benchmark suite instead)."""
+@functools.lru_cache(maxsize=None)
+def _example_run(name: str) -> subprocess.CompletedProcess:
+    """Run one example script once per test run; later calls reuse it."""
+    return subprocess.run(
+        [sys.executable, str(EXAMPLES / name)],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
 
-    def _run(self, name: str, timeout: int = 240) -> str:
-        result = subprocess.run(
-            [sys.executable, str(EXAMPLES / name)],
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
+
+class TestExamplesRun:
+    """Smoke-run every example end to end; a few also check their output."""
+
+    def _run(self, name: str) -> str:
+        result = _example_run(name)
         assert result.returncode == 0, result.stderr[-2000:]
         return result.stdout
+
+    @pytest.mark.parametrize(
+        "name", [path.name for path in sorted(EXAMPLES.glob("*.py"))]
+    )
+    def test_runs(self, name):
+        self._run(name)
 
     def test_power_budget_explorer(self):
         out = self._run("power_budget_explorer.py")

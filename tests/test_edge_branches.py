@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from benchmarks.baselines import ArithmeticCodec, ArithmeticModel
-from repro.coding.huffman import HuffmanCodec
 from repro.experiments.fig5_fig6_table1 import run_lowres_tradeoff
 from repro.experiments.runner import ExperimentScale
 from repro.power.comparison import OperatingPoint, power_gain
@@ -44,22 +43,17 @@ class TestTradeoffCustomCodebooks:
 
 
 class TestDecoderErrorPaths:
-    def test_huffman_garbage_raises(self):
-        codec = HuffmanCodec.from_frequencies({"a": 3, "b": 2, "c": 1})
-        # A bit pattern longer than the deepest codeword that matches no
-        # prefix cannot exist for a complete Huffman code, but a truncated
-        # stream must raise EOFError rather than loop.
-        from repro.coding.bitstream import BitReader
-
-        reader = BitReader(b"", bit_length=0)
+    def test_huffman_garbage_raises(self, codebook_7bit):
+        # An empty payload cannot hold even the first sample: the decoder
+        # must raise EOFError rather than loop or return garbage.
         with pytest.raises(EOFError):
-            codec.decode_symbol(reader)
+            codebook_7bit.decode_window(b"", 16, 0)
 
-    def test_huffman_decode_wrong_count(self):
-        codec = HuffmanCodec.from_frequencies({"a": 1, "b": 1})
-        payload, bits = codec.encode(["a", "b"])
+    def test_huffman_decode_wrong_count(self, codebook_7bit):
+        codes = np.array([60, 61, 61, 60], dtype=np.int64)
+        payload, bits = codebook_7bit.encode_window(codes)
         with pytest.raises(EOFError):
-            codec.decode(payload, 20, bits)
+            codebook_7bit.decode_window(payload, 20 * codes.size, bits)
 
     def test_arithmetic_model_precision_guard(self):
         # A model whose total exceeds the coder precision is rejected.
